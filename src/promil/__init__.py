@@ -5,14 +5,9 @@ instance and evaluating a differentiable Bernstein-polynomial quantile of
 the sorted predictions at a trainable level q; bags whose quantile exceeds
 0.5 are called positive.  Instance+max and instance+mean baselines, a
 synthetic percentage-labeled bag generator, an MNIST-bag builder, metrics,
-and an experiment CLI round out the package.
-
-The quantile kernels have a compiled (Cython) and a pure-numpy
-implementation; see :func:`backend_name` for which one is active and the
-``PROMIL_BACKEND`` environment variable to force a choice.
+and an experiment CLI round out the package.  Everything is plain numpy.
 """
 
-from ._backend import backend_name
 from .bagdata import (
     Bag,
     DatasetSplit,
@@ -72,7 +67,6 @@ __all__ = [
     "TrainedModel",
     "adam_update",
     "auc",
-    "backend_name",
     "backward_bag",
     "balanced_accuracy",
     "bag_step",

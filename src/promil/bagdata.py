@@ -232,9 +232,10 @@ def write_idx_labels(path, labels):
 def make_mnist_bags(images, labels, spec, seed, positive_digit=9, split=None):
     """Assemble bags of flattened digit images, positives being one digit.
 
-    Pixel bytes are scaled to [0, 1].  Bag sizes, target fractions, and
-    labels follow the same protocol as generate_synthetic.  ``split`` tags
-    the produced bags so the source train/test division is preserved.
+    Pixel bytes are scaled to [0, 1], converting only the rows a bag takes.
+    Bag sizes, target fractions, and labels follow the same protocol as
+    generate_synthetic.  ``split`` tags the produced bags so the source
+    train/test division is preserved.
     """
     labels = np.asarray(labels)
     pos_idx = np.flatnonzero(labels == positive_digit)
@@ -243,7 +244,7 @@ def make_mnist_bags(images, labels, spec, seed, positive_digit=9, split=None):
         raise ValueError(f"no images of digit {positive_digit} available")
     if neg_idx.size == 0:
         raise ValueError("no negative-class images available")
-    flat = np.asarray(images, dtype=np.float64).reshape(len(labels), -1) / 255.0
+    flat = np.asarray(images).reshape(len(labels), -1)
     root = np.random.SeedSequence([int(seed), 0x31D])
     children = root.spawn(spec.n_bags)
     bags = []
@@ -261,7 +262,7 @@ def make_mnist_bags(images, labels, spec, seed, positive_digit=9, split=None):
         prefix = split or "bag"
         bags.append(Bag(
             id=f"{prefix}-{i:06d}",
-            instances=flat[idx][order],
+            instances=np.asarray(flat[idx][order], dtype=np.float64) / 255.0,
             label=_bag_label(n_pos, size, spec),
             hidden_instance_labels=hidden[order],
             positive_fraction=n_pos / size,

@@ -12,18 +12,19 @@ domain (log-gamma binomial coefficients, logsumexp accumulation) so that
 bag sizes in the thousands stay finite.
 
 Values are clamped below at ``eps`` before the log; clamped entries receive
-zero gradient.
+zero gradient.  One kernel (``quantile_value_grad``) serves training,
+validation, evaluation and the CLI.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, logit
-
-from . import _backend
+from scipy.special import gammaln, logit
 
 DEFAULT_EPS = 1e-7
+_TINY = np.nextafter(0.0, 1.0)
+_ALMOST_ONE = np.nextafter(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -76,13 +77,34 @@ class QuantileParam:
 
     @property
     def q(self):
-        return float(np.clip(expit(self.raw), np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)))
+        raw = self.raw
+        if raw >= 0.0:
+            q = 1.0 / (1.0 + math.exp(-raw))
+        else:
+            e = math.exp(raw)
+            q = e / (1.0 + e)
+        return min(max(q, _TINY), _ALMOST_ONE)
 
     @classmethod
     def from_q(cls, q):
         if not 0.0 < q < 1.0:
             raise ValueError(f"q must be in (0, 1), got {q}")
         return cls(raw=float(logit(q)))
+
+
+# log k! for k = 0, 1, ... and the same k as floats, grown on demand.
+_LOG_FACTORIAL = gammaln(np.arange(1.0, 1025.0))
+_K = np.arange(1024.0)
+
+
+def _tables(n):
+    """The log-factorial and k tables, covering 0..n."""
+    global _LOG_FACTORIAL, _K
+    if _K.size <= n:
+        size = max(n + 1, 2 * _K.size)
+        _LOG_FACTORIAL = gammaln(np.arange(1.0, size + 1.0))
+        _K = np.arange(float(size))
+    return _LOG_FACTORIAL, _K
 
 
 def log_binomial(n, k):
@@ -92,6 +114,12 @@ def log_binomial(n, k):
     if not 0 <= k <= n:
         raise ValueError(f"k must be in [0, {n}], got {k}")
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
+
+def _log_weights(n, q):
+    lf, k = _tables(n)
+    return (lf[n] - lf[:n + 1] - lf[n::-1]
+            + k[n::-1] * np.log(q) + k[:n + 1] * np.log1p(-q))
 
 
 def bernstein_log_weights(n, q):
@@ -104,7 +132,31 @@ def bernstein_log_weights(n, q):
         raise ValueError(f"n must be nonnegative, got {n}")
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must be strictly inside (0, 1), got {q}")
-    return _backend.log_weights(int(n), float(q))
+    return _log_weights(int(n), float(q))
+
+
+def quantile_value_grad(values, q, eps, grads=True):
+    """The kernel: the estimate at level q of ascending ``values``, in the
+    log domain, with unchecked arguments.
+
+    Returns ``(value, grad_values, grad_q)`` where ``grad_values[k]`` is the
+    probability weight w_k (zero for entries clamped below eps) and
+    ``grad_q = sum_k w_k * max(values[k], eps) * ((n-k)/q - k/(1-q))``;
+    with ``grads=False`` only the value.
+    """
+    n = values.size - 1
+    log_w = _log_weights(n, q)
+    g = np.maximum(values, eps)
+    log_terms = log_w + np.log(g)
+    m = log_terms.max()
+    value = float(np.exp(m) * np.exp(log_terms - m).sum())
+    if not grads:
+        return value
+    _, k = _tables(n)
+    w = np.exp(log_w)
+    grad_values = np.where(values >= eps, w, 0.0)
+    grad_q = float((w * g * (k[n::-1] / q - k[:n + 1] / (1.0 - q))).sum())
+    return value, grad_values, grad_q
 
 
 def _ascending_values(preds):
@@ -118,6 +170,15 @@ def _ascending_values(preds):
     return values
 
 
+def check_level(q, eps):
+    """Reject a level outside the open interval (0, 1) or a clamp eps that
+    is not positive and finite."""
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"q must be strictly inside (0, 1), got {q}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+
+
 def estimate_quantile(preds, q, eps=DEFAULT_EPS):
     """Evaluate the estimator at level q on ascending predictions.
 
@@ -125,11 +186,8 @@ def estimate_quantile(preds, q, eps=DEFAULT_EPS):
     ``eps`` is the lower clamp applied to each value before its log.
     """
     values = _ascending_values(preds)
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must be strictly inside (0, 1), got {q}")
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    return float(_backend.quantile_value(values, float(q), float(eps)))
+    check_level(q, eps)
+    return quantile_value_grad(values, float(q), float(eps), grads=False)
 
 
 def quantile_gradients(preds, q, eps=DEFAULT_EPS):
@@ -140,12 +198,9 @@ def quantile_gradients(preds, q, eps=DEFAULT_EPS):
     w_k * max(values[k], eps) * ((n-k)/q - k/(1-q)).
     """
     values = _ascending_values(preds)
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must be strictly inside (0, 1), got {q}")
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    _, grad_values, grad_q = _backend.quantile_value_grad(values, float(q), float(eps))
-    return grad_values, float(grad_q)
+    check_level(q, eps)
+    _, grad_values, grad_q = quantile_value_grad(values, float(q), float(eps))
+    return grad_values, grad_q
 
 
 def estimate_quantile_limit(preds, q):

@@ -55,7 +55,7 @@ EXIT_NUMERIC = 3
 SWEEP_COLUMNS = ("axis", "value", "method", "seed", "auc",
                  "balanced_accuracy", "learned_q", "status")
 SWEEP_AXES = ("threshold", "bag_size", "n_bags")
-EPOCH_LOG_COLUMNS = ("epoch", "train_cost", "val_auc", "q")
+EPOCH_LOG_COLUMNS = ("epoch", "train_cost", "val_auc", "val_loss", "q")
 
 
 class UsageError(Exception):
@@ -319,7 +319,7 @@ def cmd_train(args):
         writer.writerow(EPOCH_LOG_COLUMNS)
         for row in model.history:
             writer.writerow([row.epoch, repr(row.train_cost), repr(row.val_auc),
-                             repr(row.q)])
+                             repr(row.val_loss), repr(row.q)])
     print(f"trained {model.head} for {model.epochs_run} epochs "
           f"(best epoch {model.best_epoch}, val_{model.val_metric} "
           f"{model.best_value:.6f}); learned q = {model.learned_q:.6f}")
@@ -438,6 +438,9 @@ def cmd_quantile(args):
         raise UsageError("quantile needs at least one number")
     if not 0.0 <= args.q <= 1.0:
         raise UsageError(f"--q must be in [0, 1], got {args.q}")
+    for x in args.numbers:
+        if not 0.0 <= x <= 1.0:
+            raise UsageError(f"numbers must be finite and in [0, 1], got {x}")
     values = np.sort(np.asarray(args.numbers, dtype=np.float64))
     if args.q in (0.0, 1.0):
         result = estimate_quantile_limit(values, args.q)

@@ -2,15 +2,15 @@
 
 The quantile head sorts the instance predictions ascending (stable, so
 gradient routing is reproducible under ties) and evaluates the Bernstein
-estimator at q and 1-q.  The max and mean heads are the classic
-instance-based baselines.
+estimator at q.  The max and mean heads are the classic instance-based
+baselines.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bernstein import DEFAULT_EPS, SortedPredictions, estimate_quantile
+from .bernstein import DEFAULT_EPS, check_level, quantile_value_grad
 
 HEADS = ("promil", "max", "mean")
 
@@ -18,7 +18,6 @@ HEADS = ("promil", "max", "mean")
 @dataclass
 class BagScore:
     score: float
-    aux_score: float = None
     permutation: np.ndarray = None
 
 
@@ -30,14 +29,13 @@ def _check_nonempty(predictions):
 
 
 def promil_score(predictions, q, eps=DEFAULT_EPS):
-    """Quantile head: score at level q, aux score at level 1-q."""
+    """Quantile head: the estimate at level q of the sorted predictions."""
     predictions = _check_nonempty(predictions)
-    sp = SortedPredictions.from_raw(predictions)
-    return BagScore(
-        score=estimate_quantile(sp, q, eps),
-        aux_score=estimate_quantile(sp, 1.0 - q, eps),
-        permutation=sp.permutation,
-    )
+    check_level(q, eps)
+    perm = predictions.argsort(kind="stable")
+    return BagScore(score=quantile_value_grad(predictions[perm], float(q), float(eps),
+                                              grads=False),
+                    permutation=perm)
 
 
 def max_score(predictions):

@@ -4,7 +4,8 @@ Forward passes score each instance of a bag independently; the cached trace
 makes the reverse pass cheap.  Everything is plain numpy in float64.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -41,26 +42,50 @@ class NetArch:
         return (self.input_dim, *self.hidden_dims, 1)
 
 
+def weight_count(arch):
+    """Number of weight entries, which lead the flat parameter vector."""
+    dims = arch.layer_dims
+    return sum(fan_in * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+
+
 @dataclass
 class NetParams:
-    """Per-layer weight matrices (fan_in, fan_out) and bias vectors."""
+    """Per-layer weight matrices (fan_in, fan_out) and bias vectors.
+
+    All of them are views into one flat vector laid out as
+    [W_0, ..., W_L, b_0, ..., b_L], so an optimizer can update the whole
+    network with one call and the weights form its leading block.  Built
+    from ``weights`` and ``biases`` the arrays are copied into a new flat
+    vector; built from ``flat`` they view that vector.  Gradients use the
+    same container.
+    """
 
     arch: NetArch
-    weights: list = field(default_factory=list)
-    biases: list = field(default_factory=list)
+    weights: list = None
+    biases: list = None
+    flat: np.ndarray = None
+
+    def __post_init__(self):
+        dims = self.arch.layer_dims
+        shapes = [*zip(dims[:-1], dims[1:]), *((fan_out,) for fan_out in dims[1:])]
+        if self.flat is None:
+            arrays = [np.asarray(a, dtype=np.float64) for a in (*self.weights, *self.biases)]
+            if [a.shape for a in arrays] != shapes:
+                raise ValueError(f"parameter shapes {[a.shape for a in arrays]} do not "
+                                 f"match layers {dims}")
+            self.flat = np.concatenate([a.ravel() for a in arrays])
+        sizes = [math.prod(shape) for shape in shapes]
+        if self.flat.shape != (sum(sizes),):
+            raise ValueError(f"flat parameters of shape {self.flat.shape} do not match "
+                             f"layers {dims}")
+        views, offset = [], 0
+        for shape, size in zip(shapes, sizes):
+            views.append(self.flat[offset:offset + size].reshape(shape))
+            offset += size
+        self.weights, self.biases = views[:len(dims) - 1], views[len(dims) - 1:]
 
     def copy(self):
-        return NetParams(
-            arch=self.arch,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
-
-
-@dataclass
-class NetParamGrads:
-    weights: list
-    biases: list
+        return NetParams(arch=self.arch, flat=self.flat.copy())
 
 
 @dataclass
@@ -79,12 +104,11 @@ def init_params(arch, seed):
     """Uniform(-s, s) weights with s = INIT_GAIN/sqrt(fan_in); zero biases."""
     rng = np.random.default_rng(seed)
     dims = arch.layer_dims
-    weights, biases = [], []
+    weights = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         s = INIT_GAIN / np.sqrt(fan_in)
         weights.append(rng.uniform(-s, s, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return NetParams(arch=arch, weights=weights, biases=biases)
+    return NetParams(arch=arch, weights=weights, biases=[np.zeros(n) for n in dims[1:]])
 
 
 def _activate(z, kind):
@@ -123,7 +147,8 @@ def forward_bag(params, instances):
         z = a @ w + b
         preacts.append(z)
         a = _activate(z, act) if i < last else z
-    c = np.clip(expit(a[:, 0]), _TINY, _ALMOST_ONE)
+    c = expit(a[:, 0])
+    np.minimum(np.maximum(c, _TINY, out=c), _ALMOST_ONE, out=c)
     return c, BagForwardTrace(layer_inputs=layer_inputs, preacts=preacts, predictions=c)
 
 
@@ -136,11 +161,12 @@ def forward_instance(params, x):
     return float(c[0])
 
 
-def backward_bag(params, trace, upstream):
+def backward_bag(params, trace, upstream, out=None):
     """Parameter gradients of sum_i upstream[i] * c_i, upstream held constant.
 
     ``upstream[i]`` is d cost / d prediction_i.  Gradients are summed over
-    the bag and mirror the NetParams structure.
+    the bag and written into ``out``, a NetParams of the same shape (a new
+    one when None), which is returned.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != trace.predictions.shape:
@@ -150,15 +176,15 @@ def backward_bag(params, trace, upstream):
         )
     if len(trace.layer_inputs) != len(params.weights):
         raise ValueError("trace does not match params layer count")
+    if out is None:
+        out = NetParams(arch=params.arch, flat=np.empty(params.flat.size))
     act = params.arch.activation
     c = trace.predictions
     dz = (upstream * c * (1.0 - c))[:, None]
-    grad_w = [None] * len(params.weights)
-    grad_b = [None] * len(params.biases)
     for i in range(len(params.weights) - 1, -1, -1):
-        grad_w[i] = trace.layer_inputs[i].T @ dz
-        grad_b[i] = dz.sum(axis=0)
+        np.matmul(trace.layer_inputs[i].T, dz, out=out.weights[i])
+        np.add.reduce(dz, axis=0, out=out.biases[i])
         if i > 0:
             da = dz @ params.weights[i].T
             dz = da * _activate_grad(trace.preacts[i - 1], act)
-    return NetParamGrads(weights=grad_w, biases=grad_b)
+    return out

@@ -3,8 +3,9 @@
 One optimization step processes a single bag (batch size 1): score the bag
 with the selected head, apply the binary cross-entropy cost, push gradients
 back through the quantile head's sort permutation into the instance network,
-and update all parameters with bias-corrected Adam (decoupled weight decay
-on weight matrices only).
+and update the flat parameter vector (network weights and biases plus the
+raw quantile level) with one bias-corrected Adam call (decoupled weight
+decay on the weights only).
 
 For the quantile head the cost is
 
@@ -29,11 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bernstein
-from .bernstein import QuantileParam, SortedPredictions
-from .heads import HEADS
+from .bernstein import QuantileParam, quantile_value_grad
+from .heads import HEADS, score_bag
 from .metrics import auc as auc_metric
-from .network import backward_bag, forward_bag, init_params
+from .network import NetParams, backward_bag, forward_bag, init_params, weight_count
 
 ADAM_EPS = 1e-8
 IMPROVE_TOL = 1e-4
@@ -41,7 +41,7 @@ Q_INIT_RANGE = (0.1, 0.5)
 
 
 class NumericalError(RuntimeError):
-    """A cost or metric became NaN during training."""
+    """A cost, gradient or metric became NaN or infinite during training."""
 
 
 @dataclass
@@ -76,23 +76,29 @@ class TrainConfig:
             raise ValueError(f"val_metric must be 'auc' or 'loss', got {self.val_metric!r}")
 
 
-@dataclass
-class AdamMoments:
-    m_weights: list
-    v_weights: list
-    m_biases: list
-    v_biases: list
-    m_raw: float = 0.0
-    v_raw: float = 0.0
-
-
-@dataclass
 class TrainState:
-    net: object
-    q: QuantileParam
-    moments: AdamMoments
-    t: int = 0
-    epoch: int = 0
+    """Everything one training run updates.
+
+    ``theta`` is the flat parameter vector [net weights, net biases, raw q]
+    and ``net`` views its leading part.  The gradient buffer ``grad``
+    (viewed by ``net_grads``) and the Adam moments ``m`` and ``v`` share
+    that layout; weight decay applies to ``theta[decayed]``, the weights.
+    """
+
+    def __init__(self, arch, theta):
+        self.theta = theta
+        self.net = NetParams(arch=arch, flat=theta[:-1])
+        self.grad = np.zeros_like(theta)
+        self.net_grads = NetParams(arch=arch, flat=self.grad[:-1])
+        self.m = np.zeros_like(theta)
+        self.v = np.zeros_like(theta)
+        self.decayed = slice(0, weight_count(arch))
+        self.t = 0
+        self.epoch = 0
+
+    @property
+    def q(self):
+        return QuantileParam(float(self.theta[-1]))
 
 
 @dataclass
@@ -141,31 +147,38 @@ def cost_gradients(c_q, c_1mq, y):
 
 
 def adam_update(param, grad, moments, cfg, t, decay=False):
-    """One bias-corrected Adam step, in place on arrays.
+    """One bias-corrected Adam step, in place on ``param`` and its moments.
 
     ``moments`` is an (m, v) pair matching param's shape.  Decoupled weight
-    decay is added only when ``decay`` is set (weight matrices; never biases
-    or the raw quantile).  Returns (param, m, v); scalars are returned fresh.
+    decay applies to ``param[decay]`` when ``decay`` is a slice, to all of
+    param when it is True, and to none of it when False.  Returns
+    (param, m, v); a scalar param and its moments come back as floats.
     """
+    if np.ndim(param) == 0:
+        p, g, m, v = (np.array([x], dtype=np.float64) for x in (param, grad, *moments))
+        adam_update(p, g, (m, v), cfg, t, decay)
+        return float(p[0]), float(m[0]), float(v[0])
+    # Two buffers hold every intermediate: at MNIST width a fresh array per
+    # operation costs more than the arithmetic.  The roundings are those of
+    # param -= lr * m_hat / (sqrt(v_hat) + eps).
     m, v = moments
-    if isinstance(param, np.ndarray):
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * grad
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * np.square(grad)
-        m_hat = m / (1.0 - cfg.beta1 ** t)
-        v_hat = v / (1.0 - cfg.beta2 ** t)
-        param -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        if decay:
-            param -= cfg.learning_rate * cfg.weight_decay * param
-        return param, m, v
-    m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
-    v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad * grad
-    m_hat = m / (1.0 - cfg.beta1 ** t)
-    v_hat = v / (1.0 - cfg.beta2 ** t)
-    param = param - cfg.learning_rate * m_hat / (math.sqrt(v_hat) + ADAM_EPS)
-    if decay:
-        param = param - cfg.learning_rate * cfg.weight_decay * param
+    step = np.multiply(grad, 1.0 - cfg.beta1)
+    m *= cfg.beta1
+    m += step
+    np.square(grad, out=step)
+    step *= 1.0 - cfg.beta2
+    v *= cfg.beta2
+    v += step
+    np.divide(m, 1.0 - cfg.beta1 ** t, out=step)
+    denom = np.divide(v, 1.0 - cfg.beta2 ** t)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    step *= cfg.learning_rate
+    step /= denom
+    param -= step
+    if decay is not False:
+        w = param if decay is True else param[decay]
+        w -= cfg.learning_rate * cfg.weight_decay * w
     return param, m, v
 
 
@@ -178,10 +191,11 @@ def _clip_unit(x, eps):
     return x, True
 
 
-def bag_cost_and_grads(net, q_param, bag, cfg, head="promil"):
+def bag_cost_and_grads(net, q_param, bag, cfg, head="promil", out=None):
     """Cost of one bag and its gradients w.r.t. net params and raw q.
 
-    Returns (cost, net_grads, grad_raw).  This is the full composed chain:
+    Returns (cost, net_grads, grad_raw); net_grads is ``out``, a NetParams
+    shaped like ``net``, when given.  This is the full composed chain:
     instance forward -> head -> cost -> head backward (through the sort
     permutation for the quantile head) -> instance backward, plus the
     logistic-reparameterization factor on the quantile level.
@@ -191,59 +205,49 @@ def bag_cost_and_grads(net, q_param, bag, cfg, head="promil"):
     y = int(bag.label)
     preds, trace = forward_bag(net, bag.instances)
     eps = cfg.eps_clamp
-    grad_preds = np.zeros_like(preds)
-    grad_raw = 0.0
-
     if head == "promil":
         q = q_param.q
-        sp = SortedPredictions.from_raw(preds)
-        c_q, w_q, dval_dq = bernstein._backend.quantile_value_grad(sp.values, q, eps)
-        c_pos, pos_open = _clip_unit(c_q, eps)
-        c_neg, neg_open = _clip_unit(1.0 - c_q, eps)
-        cost = promil_cost(c_pos, c_neg, y)
-        d_cq, d_c1mq = cost_gradients(c_pos, c_neg, y)
-        upstream = (d_cq if pos_open else 0.0) - (d_c1mq if neg_open else 0.0)
-        grad_preds[sp.permutation] = upstream * w_q
-        q_grad = upstream * dval_dq
-        grad_raw = q_grad * q * (1.0 - q)
+        perm = preds.argsort(kind="stable")
+        s, w_q, dval_dq = quantile_value_grad(preds[perm], q, eps)
+    elif head == "max":
+        j = int(np.argmax(preds))
+        s = float(preds[j])
     else:
-        if head == "max":
-            j = int(np.argmax(preds))
-            s = float(preds[j])
-        else:
-            s = float(preds.mean())
-        s_pos, pos_open = _clip_unit(s, eps)
-        s_neg, neg_open = _clip_unit(1.0 - s, eps)
-        cost = promil_cost(s_pos, s_neg, y)
-        d_cq, d_c1mq = cost_gradients(s_pos, s_neg, y)
-        upstream = (d_cq if pos_open else 0.0) - (d_c1mq if neg_open else 0.0)
-        if head == "max":
-            grad_preds[j] = upstream
-        else:
-            grad_preds[:] = upstream / preds.size
-
-    net_grads = backward_bag(net, trace, grad_preds)
+        s = float(preds.mean())
+    s_pos, pos_open = _clip_unit(s, eps)
+    s_neg, neg_open = _clip_unit(1.0 - s, eps)
+    cost = promil_cost(s_pos, s_neg, y)
+    d_pos, d_neg = cost_gradients(s_pos, s_neg, y)
+    upstream = (d_pos if pos_open else 0.0) - (d_neg if neg_open else 0.0)
+    grad_raw = 0.0
+    if head == "promil":
+        grad_preds = np.empty_like(preds)
+        grad_preds[perm] = upstream * w_q
+        grad_raw = upstream * dval_dq * q * (1.0 - q)
+    elif head == "max":
+        grad_preds = np.zeros_like(preds)
+        grad_preds[j] = upstream
+    else:
+        grad_preds = np.full_like(preds, upstream / preds.size)
+    net_grads = backward_bag(net, trace, grad_preds, out=out)
     return cost, net_grads, grad_raw
 
 
 def bag_step(state, bag, cfg, head="promil"):
-    """One full training iteration on a single bag; returns (state, cost)."""
-    cost, grads, grad_raw = bag_cost_and_grads(state.net, state.q, bag, cfg, head)
+    """One full training iteration on a single bag; returns (state, cost).
+
+    A NaN or infinite cost or gradient raises NumericalError, naming the
+    bag and the step, before the update: the parameters stay as they were.
+    """
+    cost, _, grad_raw = bag_cost_and_grads(state.net, state.q, bag, cfg, head,
+                                           out=state.net_grads)
+    state.grad[-1] = grad_raw
+    if not (math.isfinite(cost) and np.isfinite(state.grad).all()):
+        raise NumericalError(f"non-finite cost {cost} or gradient on bag {bag.id!r} "
+                             f"at step {state.t + 1}")
     state.t += 1
-    t = state.t
-    mom = state.moments
-    for i, w in enumerate(state.net.weights):
-        adam_update(w, grads.weights[i], (mom.m_weights[i], mom.v_weights[i]),
-                    cfg, t, decay=True)
-    for i, b in enumerate(state.net.biases):
-        adam_update(b, grads.biases[i], (mom.m_biases[i], mom.v_biases[i]),
-                    cfg, t, decay=False)
-    if head == "promil":
-        state.q.raw, mom.m_raw, mom.v_raw = adam_update(
-            state.q.raw, grad_raw, (mom.m_raw, mom.v_raw), cfg, t, decay=False
-        )
-        if not 0.0 < state.q.q < 1.0:
-            raise NumericalError(f"quantile level left (0, 1): raw={state.q.raw}")
+    adam_update(state.theta, state.grad, (state.m, state.v), cfg, state.t,
+                decay=state.decayed)
     return state, cost
 
 
@@ -259,31 +263,15 @@ def init_train_state(arch, cfg):
         q0 = float(np.random.default_rng(np.random.SeedSequence([cfg.seed, 1])).uniform(lo, hi))
     else:
         q0 = float(cfg.q_init)
-    moments = AdamMoments(
-        m_weights=[np.zeros_like(w) for w in net.weights],
-        v_weights=[np.zeros_like(w) for w in net.weights],
-        m_biases=[np.zeros_like(b) for b in net.biases],
-        v_biases=[np.zeros_like(b) for b in net.biases],
-    )
-    return TrainState(net=net, q=QuantileParam.from_q(q0), moments=moments)
+    return TrainState(arch, np.append(net.flat, QuantileParam.from_q(q0).raw))
 
 
-def _bag_score(net, q, bag, cfg, head):
-    preds, _ = forward_bag(net, bag.instances)
-    if head == "promil":
-        sp = SortedPredictions.from_raw(preds)
-        return bernstein.estimate_quantile(sp, q, cfg.eps_clamp)
-    if head == "max":
-        return float(preds.max())
-    return float(preds.mean())
-
-
-def _validation_stats(net, q_param, bags, cfg, head):
-    q = q_param.q
+def _validation_stats(net, q, bags, cfg, head):
     scores, labels, total = [], [], 0.0
     eps = cfg.eps_clamp
     for bag in bags:
-        s = _bag_score(net, q, bag, cfg, head)
+        preds, _ = forward_bag(net, bag.instances)
+        s = score_bag(preds, head, q=q, eps=eps).score
         s_pos, _ = _clip_unit(s, eps)
         s_neg, _ = _clip_unit(1.0 - s, eps)
         total += promil_cost(s_pos, s_neg, int(bag.label))
@@ -308,7 +296,7 @@ def train(state, splits, cfg, head="promil"):
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2]))
     higher_better = cfg.val_metric == "auc"
     best_value = -math.inf if higher_better else math.inf
-    best_net, best_q, best_epoch = state.net.copy(), QuantileParam(state.q.raw), 0
+    best_net, best_q, best_epoch = state.net.copy(), state.q, 0
     since_improve = 0
     history = []
     epochs_run = 0
@@ -321,20 +309,20 @@ def train(state, splits, cfg, head="promil"):
             state, cost = bag_step(state, train_bags[int(i)], cfg, head)
             total += cost
         train_cost = total / len(train_bags)
-        val_auc, val_loss = _validation_stats(state.net, state.q, val_bags, cfg, head)
-        if math.isnan(train_cost) or math.isnan(val_auc) or math.isnan(val_loss):
+        q = state.q
+        val_auc, val_loss = _validation_stats(state.net, q.q, val_bags, cfg, head)
+        if math.isnan(val_auc) or math.isnan(val_loss):
             raise NumericalError(
-                f"NaN at epoch {epoch}: train_cost={train_cost} "
-                f"val_auc={val_auc} val_loss={val_loss}"
+                f"NaN at epoch {epoch}: val_auc={val_auc} val_loss={val_loss}"
             )
-        history.append(EpochStats(epoch, train_cost, val_auc, val_loss, state.q.q))
+        history.append(EpochStats(epoch, train_cost, val_auc, val_loss, q.q))
         value = val_auc if higher_better else val_loss
         improved = (value > best_value + IMPROVE_TOL) if higher_better \
             else (value < best_value - IMPROVE_TOL)
         if improved:
             best_value = value
             best_net = state.net.copy()
-            best_q = QuantileParam(state.q.raw)
+            best_q = q
             best_epoch = epoch
             since_improve = 0
         else:

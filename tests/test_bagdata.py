@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,43 @@ class TestMnistBags:
         assert four_niners and all(b.label == 1 for b in four_niners)
         no_niners = [b for b in bags if b.positive_fraction == 0.0]
         assert no_niners and all(b.label == 0 for b in no_niners)
+
+    def test_matches_full_conversion(self, tmp_path):
+        # every instance is bit-identical to its row of the whole image array
+        # converted to float64 up front
+        images, labels = self.fake_digits(n=300, seed=3)
+        write_idx_images(tmp_path / "images", images)
+        write_idx_labels(tmp_path / "labels", labels)
+        images, labels = load_idx(tmp_path / "images", tmp_path / "labels")
+        full = np.asarray(images, dtype=np.float64).reshape(len(labels), -1) / 255.0
+        row_of = {img.tobytes(): j for j, img in enumerate(images.reshape(len(labels), -1))}
+        assert len(row_of) == len(labels)   # distinct images identify their rows
+        spec = SyntheticSpec(n_bags=40, threshold_qstar=0.3, bag_size_mean=8,
+                             bag_size_std=2)
+        for bag in make_mnist_bags(images, labels, spec, seed=4):
+            rows = [row_of[np.rint(x * 255.0).astype(np.uint8).tobytes()]
+                    for x in bag.instances]
+            assert bag.instances.dtype == np.float64
+            np.testing.assert_array_equal(bag.instances, full[rows])
+            np.testing.assert_array_equal(bag.hidden_instance_labels,
+                                          (labels[rows] == 9).astype(np.int64))
+
+    def test_memory_scales_with_bags_not_images(self):
+        _, labels = self.fake_digits(n=6000, seed=5)
+        images = np.random.default_rng(5).integers(0, 256, size=(6000, 28, 28),
+                                                   dtype=np.uint8)
+        spec = SyntheticSpec(n_bags=10, threshold_qstar=0.3, bag_size_mean=30,
+                             bag_size_std=3)
+        tracemalloc.start()
+        try:
+            bags = make_mnist_bags(images, labels, spec, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        float_copy = images.size * 8   # the whole array as float64: 37.6 MB
+        kept = sum(b.instances.nbytes for b in bags)
+        assert peak < float_copy / 8
+        assert peak < 3 * kept
 
     def test_requires_positive_digit(self):
         images, labels = self.fake_digits()

@@ -106,7 +106,8 @@ class TestTrain:
         log = tmp_path / "model.json.log.csv"
         assert log.exists()
         rows = list(csv.reader(log.open()))
-        assert rows[0] == ["epoch", "train_cost", "val_auc", "q"]
+        assert rows[0] == ["epoch", "train_cost", "val_auc", "val_loss", "q"]
+        assert all(float(r[3]) >= 0.0 for r in rows[1:])   # val_loss is a BCE
         assert len(rows) - 1 == model.epochs_run
 
     def test_printed_q_matches_model_file(self, tmp_path, capsys):
@@ -237,6 +238,25 @@ class TestQuantileCommand:
         assert main(["quantile", "--q", "0.5"]) == EXIT_USAGE
         assert main(["quantile", "0.5", "--q", "1.5"]) == EXIT_USAGE
         assert main(["quantile", "0.5"]) == EXIT_USAGE   # missing --q
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_number_rejected(self, bad, capsys):
+        assert main(["quantile", "0.2", bad, "0.7", "--q", "0.3"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert bad in captured.err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_bad_eps_rejected(self, bad, capsys):
+        assert main(["quantile", "0.2", "0.7", "--q", "0.3", "--eps", bad]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("bad", ["5", "-0.25", "1.0000001"])
+    def test_number_outside_unit_interval_rejected(self, bad, capsys):
+        assert main(["quantile", "0.2", bad, "0.7", "--q", "0.3"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(float(bad)) in captured.err
 
 
 class TestParser:

@@ -9,12 +9,14 @@ class TestPromilScore:
     def test_constant_list(self):
         bs = promil_score(np.full(5, 0.9), q=0.3)
         assert bs.score == pytest.approx(0.9, abs=1e-12)
-        assert bs.aux_score == pytest.approx(0.9, abs=1e-12)
+        # flip identity: the complemented bag at level 1-q scores 1 - 0.9
+        assert estimate_quantile(np.full(5, 0.1), 0.7) == pytest.approx(0.1, abs=1e-12)
 
     def test_single_prediction(self):
         bs = promil_score(np.array([0.2]), q=0.7)
         assert bs.score == pytest.approx(0.2, abs=1e-14)
-        assert bs.aux_score == pytest.approx(0.2, abs=1e-14)
+        assert estimate_quantile(np.array([0.8]), 0.3) == pytest.approx(1.0 - bs.score,
+                                                                        abs=1e-14)
 
     def test_sorts_before_estimating(self):
         bs = promil_score(np.array([0.1, 0.9, 0.5]), q=0.25)
@@ -22,11 +24,12 @@ class TestPromilScore:
         assert bs.score == pytest.approx(want, rel=1e-14)
         np.testing.assert_array_equal(bs.permutation, [0, 2, 1])
 
-    def test_aux_is_flipped_level(self):
+    def test_flip_identity(self):
+        # c_{1-q}(1 - p) = 1 - c_q(p): the complemented bag at the flipped level
         preds = np.array([0.15, 0.7, 0.4, 0.9])
         bs = promil_score(preds, q=0.2)
-        want = estimate_quantile(np.sort(preds), 0.8)
-        assert bs.aux_score == pytest.approx(want, rel=1e-14)
+        flipped = estimate_quantile(np.sort(1.0 - preds), 0.8)
+        assert flipped == pytest.approx(1.0 - bs.score, rel=1e-14)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)

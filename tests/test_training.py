@@ -278,6 +278,31 @@ class TestTrainLoop:
         with pytest.raises(NumericalError):
             train(state, bad, cfg)
 
+    def test_non_finite_step_names_bag_and_leaves_theta(self):
+        split = tiny_split()
+        bad = copy.deepcopy(split.train[3])
+        bad.instances[0, 0] = np.nan
+        cfg = TrainConfig(seed=0, max_epochs=2, patience=2)
+        state = init_train_state(NetArch(input_dim=2), cfg)
+        for bag in split.train[:5]:
+            bag_step(state, bag, cfg)
+        before = [state.theta.copy(), state.m.copy(), state.v.copy()]
+        with pytest.raises(NumericalError, match=rf"bag '{bad.id}' at step 6"):
+            bag_step(state, bad, cfg)
+        assert state.t == 5
+        for was, now in zip(before, (state.theta, state.m, state.v)):
+            np.testing.assert_array_equal(now, was)
+
+    def test_nan_bag_stops_training_in_its_first_epoch(self):
+        split = tiny_split()
+        bad = copy.deepcopy(split)
+        bad.train[3].instances[0, 0] = np.nan
+        cfg = TrainConfig(seed=0, max_epochs=2, patience=2)
+        state = init_train_state(NetArch(input_dim=2), cfg)
+        with pytest.raises(NumericalError, match=rf"bag '{bad.train[3].id}' at step \d+"):
+            train(state, bad, cfg)
+        assert state.epoch == 1 and state.t < len(bad.train)
+
     def test_baseline_heads_train(self):
         split = tiny_split()
         for head in ("max", "mean"):
