@@ -13,11 +13,22 @@ sees them.
 
 import json
 import struct
+import zipfile
+import zlib
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-DATASET_SCHEMA = "bagdata/1"
+DATASET_SCHEMA = "bagdata/2"
+LEGACY_SCHEMA = "bagdata/1"        # JSON; still read, no longer written
+SPLIT_NAMES = (None, "train", "validation", "test")   # indexed by split code
+# bagdata/2 members and the numpy dtype kinds each may have
+_MEMBER_KINDS = {
+    "header": "U", "ids": "U", "offsets": "i", "instances": "f", "labels": "iu",
+    "splits": "iu", "hidden": "iu", "has_hidden": "b", "fractions": "f", "has_fraction": "b",
+}
+_ZIP_MAGIC = b"PK\x03\x04"
+_ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)   # fixed member time: same bags, same bytes
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 LABEL_RULES = ("percentage", "standard")
@@ -25,6 +36,11 @@ LABEL_RULES = ("percentage", "standard")
 
 class IdxParseError(ValueError):
     """IDX file violated the format; the message names the byte offset."""
+
+
+class DatasetError(ValueError):
+    """A dataset file is unreadable or inconsistent; the message names the
+    path and the field."""
 
 
 @dataclass
@@ -309,21 +325,6 @@ def split_dataset(bags, fractions, seed):
     return split
 
 
-def _bag_to_json(bag):
-    out = {
-        "id": bag.id,
-        "instances": bag.instances.tolist(),
-        "label": int(bag.label),
-    }
-    if bag.hidden_instance_labels is not None:
-        out["hidden_instance_labels"] = bag.hidden_instance_labels.tolist()
-    if bag.positive_fraction is not None:
-        out["positive_fraction"] = float(bag.positive_fraction)
-    if bag.split is not None:
-        out["split"] = bag.split
-    return out
-
-
 def _bag_from_json(obj):
     return Bag(
         id=obj["id"],
@@ -336,26 +337,131 @@ def _bag_from_json(obj):
 
 
 def save_dataset(path, bags, spec=None, seed=None):
-    """Write the self-describing dataset container (schema bagdata/1)."""
-    doc = {
-        "schema": DATASET_SCHEMA,
-        "spec": asdict(spec) if spec is not None else None,
-        "seed": seed,
-        "bags": [_bag_to_json(b) for b in bags],
+    """Write the dataset container (schema bagdata/2) to exactly ``path``.
+
+    The file is a deflated .npz whatever its extension.  It holds every
+    instance in one N_total x d float64 array cut by ``offsets``; per bag
+    its id, label, split code, positive fraction and which optional fields
+    it has; per instance the hidden label; and a JSON header with the
+    schema, spec and seed.  Members carry a fixed timestamp, so equal bags
+    give equal bytes.
+    """
+    width = bags[0].instances.shape[1] if bags else 0
+    for b in bags:
+        if b.instances.shape[1] != width:
+            raise ValueError(f"bag {b.id}: {b.instances.shape[1]} features per instance, "
+                             f"but bag {bags[0].id} has {width}")
+        if not np.isfinite(b.instances).all():
+            raise ValueError(f"bag {b.id}: instances contain NaN or infinity")
+        if b.split not in SPLIT_NAMES:
+            raise ValueError(f"bag {b.id}: split must be one of {SPLIT_NAMES}, got {b.split!r}")
+    header = {"schema": DATASET_SCHEMA, "seed": seed,
+              "spec": asdict(spec) if spec is not None else None}
+    members = {
+        "header": np.array(json.dumps(header, sort_keys=True)),
+        "ids": np.array([b.id for b in bags], dtype=str),
+        "offsets": np.cumsum([0] + [len(b) for b in bags], dtype=np.int64),
+        "instances": np.concatenate([b.instances for b in bags] or [np.empty((0, 0))]),
+        "labels": np.array([b.label for b in bags], dtype=np.int64),
+        "splits": np.array([SPLIT_NAMES.index(b.split) for b in bags], dtype=np.int8),
+        "hidden": np.concatenate([np.zeros(len(b), dtype=np.int64)
+                                  if b.hidden_instance_labels is None
+                                  else b.hidden_instance_labels for b in bags]
+                                 or [np.empty(0, dtype=np.int64)]),
+        "has_hidden": np.array([b.hidden_instance_labels is not None for b in bags], dtype=bool),
+        "fractions": np.array([b.positive_fraction or 0.0 for b in bags], dtype=np.float64),
+        "has_fraction": np.array([b.positive_fraction is not None for b in bags], dtype=bool),
     }
-    with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, arr in members.items():
+            info = zipfile.ZipInfo(name + ".npy", date_time=_ZIP_EPOCH)
+            info.compress_type = zipfile.ZIP_DEFLATED
+            with zf.open(info, "w", force_zip64=True) as f:
+                np.lib.format.write_array(f, arr, allow_pickle=False)
 
 
 def load_dataset(path):
-    """Read a dataset container; returns (bags, spec_dict, seed)."""
+    """Read a dataset container; returns (bags, spec_dict, seed).
+
+    Reads bagdata/2 and the JSON bagdata/1, told apart by their first
+    bytes.  The bags of a bagdata/2 file are views of its one instance
+    array.  A file that is unreadable or inconsistent raises DatasetError
+    naming the path and the field.
+    """
+    with open(path, "rb") as f:
+        head = f.read(len(_ZIP_MAGIC))
+    if head == _ZIP_MAGIC:
+        return _load_npz(path)
+    if head[:1] == b"{":
+        return _load_json(path)
+    raise DatasetError(f"{path}: not a dataset container ({DATASET_SCHEMA} or "
+                       f"{LEGACY_SCHEMA}); it starts with {head!r}")
+
+
+def _load_json(path):
     with open(path) as f:
         doc = json.load(f)
-    if doc.get("schema") != DATASET_SCHEMA:
-        raise ValueError(
+    if doc.get("schema") != LEGACY_SCHEMA:
+        raise DatasetError(
             f"{path}: unsupported dataset schema {doc.get('schema')!r} "
-            f"(expected {DATASET_SCHEMA!r})"
+            f"(expected {DATASET_SCHEMA!r} or {LEGACY_SCHEMA!r})"
         )
     bags = [_bag_from_json(b) for b in doc["bags"]]
     return bags, doc.get("spec"), doc.get("seed")
+
+
+def _load_npz(path):
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            a = {name: npz[name] for name in _MEMBER_KINDS if name in npz.files}
+    except (zipfile.BadZipFile, zlib.error, EOFError, ValueError) as exc:
+        raise DatasetError(f"{path}: unreadable {DATASET_SCHEMA} container: {exc}") from exc
+
+    def bad(name, why):
+        return DatasetError(f"{path}: field {name!r} {why}")
+
+    for name, kinds in _MEMBER_KINDS.items():
+        if name not in a:
+            raise bad(name, "is missing")
+        if a[name].dtype.kind not in kinds:
+            raise bad(name, f"has dtype {a[name].dtype}")
+    try:
+        header = json.loads(a["header"].item())
+    except (TypeError, ValueError) as exc:
+        raise bad("header", f"is not one JSON text: {exc}") from exc
+    if not isinstance(header, dict) or header.get("schema") != DATASET_SCHEMA:
+        raise bad("header", f"does not name schema {DATASET_SCHEMA!r}")
+    offsets, instances, codes = a["offsets"], a["instances"], a["splits"]
+    if instances.ndim != 2:
+        raise bad("instances", f"has shape {instances.shape}, expected N_total x d")
+    if offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0:
+        raise bad("offsets", "must be a 1-D array starting at 0")
+    if (np.diff(offsets) <= 0).any():
+        raise bad("offsets", "must increase strictly (every bag nonempty)")
+    if offsets[-1] != len(instances):
+        raise bad("offsets", f"end at {offsets[-1]}, but 'instances' has {len(instances)} rows")
+    n_bags = offsets.size - 1
+    for name in ("ids", "labels", "splits", "has_hidden", "fractions", "has_fraction"):
+        if a[name].shape != (n_bags,):
+            raise bad(name, f"has shape {a[name].shape}, expected ({n_bags},) from 'offsets'")
+    if a["hidden"].shape != (len(instances),):
+        raise bad("hidden", f"has shape {a['hidden'].shape}, expected ({len(instances)},)")
+    if not np.isin(a["labels"], (0, 1)).all():
+        raise bad("labels", "holds a label other than 0 or 1")
+    if ((codes < 0) | (codes >= len(SPLIT_NAMES))).any():
+        raise bad("splits", f"holds a split code outside 0..{len(SPLIT_NAMES) - 1}")
+    if not np.isfinite(instances).all():
+        raise bad("instances", "contain NaN or infinity")
+
+    ids, labels, fractions = a["ids"].tolist(), a["labels"].tolist(), a["fractions"].tolist()
+    codes, has_hidden, has_fraction = codes.tolist(), a["has_hidden"], a["has_fraction"]
+    bounds, hidden = offsets.tolist(), a["hidden"]
+    try:
+        bags = [Bag(id=ids[i], instances=instances[lo:hi], label=labels[i],
+                    hidden_instance_labels=hidden[lo:hi] if has_hidden[i] else None,
+                    positive_fraction=fractions[i] if has_fraction[i] else None,
+                    split=SPLIT_NAMES[codes[i]])
+                for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+    except ValueError as exc:
+        raise DatasetError(f"{path}: {exc}") from exc
+    return bags, header.get("spec"), header.get("seed")

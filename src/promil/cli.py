@@ -1,11 +1,14 @@
 """Command-line tool: dataset generation, training, evaluation, sweeps,
 and a standalone quantile utility.
 
-Persistence is human-readable JSON with explicit schema-version fields
-(promil-config/1, bagdata/1, promil-model/1); sweep results and per-epoch
-training logs are CSV.  Identical (config, seed) inputs reproduce output
-files byte for byte; the model file keeps its timestamp in a separate
-metadata field so everything else stays reproducible.
+Configs and models are JSON with explicit schema-version fields
+(promil-config/1, promil-model/2, which adds the training eps_clamp;
+promil-model/1 is still read, with the default eps).  Datasets are one
+deflated .npz whatever the file's extension (bagdata/2; the JSON bagdata/1
+is still read).  Sweep results and per-epoch training logs are CSV.
+Identical (config, seed) inputs reproduce output files byte for byte; the
+model file keeps its timestamp in a separate metadata field so everything
+else stays reproducible.
 
 Exit codes: 0 success, 1 usage error, 2 I/O or parse error, 3 numerical
 failure (NaN detected).
@@ -22,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bagdata import (
+    DatasetError,
     DatasetSplit,
     IdxParseError,
     SyntheticSpec,
@@ -32,7 +36,7 @@ from .bagdata import (
     save_dataset,
     split_dataset,
 )
-from .bernstein import QuantileParam, estimate_quantile, estimate_quantile_limit
+from .bernstein import DEFAULT_EPS, QuantileParam, estimate_quantile, estimate_quantile_limit
 from .heads import HEADS
 from .metrics import evaluate
 from .network import NetArch, NetParams
@@ -45,7 +49,8 @@ from .training import (
 )
 
 CONFIG_SCHEMA = "promil-config/1"
-MODEL_SCHEMA = "promil-model/1"
+MODEL_SCHEMA = "promil-model/2"
+LEGACY_MODEL_SCHEMA = "promil-model/1"   # read with eps_clamp = DEFAULT_EPS
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -191,6 +196,7 @@ def save_model(path, model):
         "raw_q": float(model.q.raw),
         "q": float(model.q.q),
         "head": model.head,
+        "eps_clamp": float(model.eps),
         "metadata": {
             "seed": model.seed,
             "epochs_run": model.epochs_run,
@@ -208,11 +214,12 @@ def save_model(path, model):
 def load_model(path):
     with open(path) as f:
         doc = json.load(f)
-    if doc.get("schema") != MODEL_SCHEMA:
+    if doc.get("schema") not in (MODEL_SCHEMA, LEGACY_MODEL_SCHEMA):
         raise ConfigError(
             f"{path}: unsupported model schema {doc.get('schema')!r} "
-            f"(expected {MODEL_SCHEMA!r})"
+            f"(expected {MODEL_SCHEMA!r} or {LEGACY_MODEL_SCHEMA!r})"
         )
+    eps = float(doc["eps_clamp"]) if doc["schema"] == MODEL_SCHEMA else DEFAULT_EPS
     arch = NetArch(
         input_dim=int(doc["arch"]["input_dim"]),
         hidden_dims=tuple(doc["arch"]["hidden_dims"]),
@@ -234,6 +241,7 @@ def load_model(path):
         best_value=meta.get("best_val_metric", float("nan")),
         epochs_run=meta.get("epochs_run", 0),
         seed=meta.get("seed", 0),
+        eps=eps,
     )
 
 
@@ -494,7 +502,7 @@ def build_parser():
     p = sub.add_parser("quantile", help="evaluate the quantile estimator on numbers")
     p.add_argument("numbers", nargs="*", type=float)
     p.add_argument("--q", type=float, required=True)
-    p.add_argument("--eps", type=float, default=1e-7)
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
     p.set_defaults(func=cmd_quantile)
 
     return parser
@@ -508,7 +516,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConfigError, IdxParseError, FileNotFoundError, IsADirectoryError,
+    except (ConfigError, IdxParseError, DatasetError, FileNotFoundError, IsADirectoryError,
             PermissionError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -18,16 +18,17 @@ class EvalResult:
 
 
 def _tied_ranks(x):
+    """1-based ranks of x; a run of equal values at sorted positions
+    start..end shares the mean rank (start + end + 2) / 2."""
     order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x), dtype=np.float64)
-    sorted_x = x[order]
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j + 2) / 2.0
-        i = j + 1
+    s = x[order]
+    n = len(s)
+    edge = np.empty(n + 1, dtype=bool)
+    edge[0] = edge[n] = True
+    np.not_equal(s[1:], s[:-1], out=edge[1:n])
+    bounds = np.flatnonzero(edge)      # each run's start, then n
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = np.repeat((bounds[:-1] + bounds[1:] + 1) / 2.0, bounds[1:] - bounds[:-1])
     return ranks
 
 
@@ -57,11 +58,12 @@ def balanced_accuracy(pred_labels, labels):
     return 0.5 * (tp / n_pos + tn / n_neg)
 
 
-def evaluate(model, bags, head=None, eps=None):
+def evaluate(model, bags, head=None):
     """Score every bag with the chosen head and aggregate an EvalResult.
 
-    ``model`` is a TrainedModel (or anything with .net and .q); ``head``
-    defaults to the head the model was trained with.
+    ``model`` is a TrainedModel (or anything with .net, .q and .eps); ``head``
+    defaults to the head the model was trained with.  Bags are scored with
+    the clamp ``model.eps`` the model was trained with, as in validation.
     """
     from .heads import decide, score_bag
     from .network import forward_bag
@@ -69,13 +71,11 @@ def evaluate(model, bags, head=None, eps=None):
     if not bags:
         raise ValueError("cannot evaluate an empty bag list")
     head = head or model.head
-    if eps is None:
-        eps = 1e-7
     scores = np.empty(len(bags))
     labels = np.empty(len(bags), dtype=np.int64)
     for i, bag in enumerate(bags):
         preds, _ = forward_bag(model.net, bag.instances)
-        scores[i] = score_bag(preds, head, q=model.q.q, eps=eps).score
+        scores[i] = score_bag(preds, head, q=model.q.q, eps=model.eps).score
         labels[i] = int(bag.label)
     hard = np.array([decide(s) for s in scores])
     tp = int(((hard == 1) & (labels == 1)).sum())

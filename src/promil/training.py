@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bernstein import QuantileParam, quantile_value_grad
+from .bernstein import DEFAULT_EPS, QuantileParam, quantile_value_grad
 from .heads import HEADS, score_bag
 from .metrics import auc as auc_metric
 from .network import NetParams, backward_bag, forward_bag, init_params, weight_count
@@ -52,7 +52,7 @@ class TrainConfig:
     weight_decay: float = 1e-5
     max_epochs: int = 100
     patience: int = 15
-    eps_clamp: float = 1e-7
+    eps_clamp: float = DEFAULT_EPS
     q_init: object = "random"   # float in (0,1), or "random" for U[0.1, 0.5]
     seed: int = 0
     val_metric: str = "auc"     # "auc" or "loss"
@@ -112,7 +112,11 @@ class EpochStats:
 
 @dataclass
 class TrainedModel:
-    """Best-validation snapshot plus the run's bookkeeping."""
+    """Best-validation snapshot plus the run's bookkeeping.
+
+    ``eps`` is the clamp the model was trained and validated with; scoring
+    it anywhere else uses the same clamp.
+    """
 
     arch: object
     net: object
@@ -123,6 +127,7 @@ class TrainedModel:
     best_value: float
     epochs_run: int
     seed: int
+    eps: float = DEFAULT_EPS
     history: list = field(default_factory=list)
 
     @property
@@ -339,5 +344,6 @@ def train(state, splits, cfg, head="promil"):
         best_value=best_value,
         epochs_run=epochs_run,
         seed=cfg.seed,
+        eps=cfg.eps_clamp,
         history=history,
     )

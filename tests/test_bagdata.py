@@ -1,10 +1,14 @@
+import dataclasses
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from promil.bagdata import (
     Bag,
+    DatasetError,
     IdxParseError,
     SyntheticSpec,
     generate_synthetic,
@@ -281,26 +285,196 @@ class TestSplit:
             split_dataset(bags, (0.5, 0.4, 0.2), seed=0)
 
 
+FIXTURE_V1 = Path(__file__).parent / "data" / "bagdata1.json"
+
+
+def assert_same_bags(got, want):
+    """Every field equal, bit for bit, with the same Python types."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        fields_a = (a.id, a.label, a.split, a.positive_fraction)
+        fields_b = (b.id, b.label, b.split, b.positive_fraction)
+        assert fields_a == fields_b
+        assert [type(x) for x in fields_a] == [type(x) for x in fields_b]
+        assert a.instances.dtype == b.instances.dtype
+        assert a.instances.shape == b.instances.shape
+        assert a.instances.tobytes() == b.instances.tobytes()
+        if b.hidden_instance_labels is None:
+            assert a.hidden_instance_labels is None
+        else:
+            assert a.hidden_instance_labels.dtype == b.hidden_instance_labels.dtype
+            assert a.hidden_instance_labels.tobytes() == b.hidden_instance_labels.tobytes()
+
+
+def container_bags():
+    spec = SyntheticSpec(n_bags=12, threshold_qstar=0.3, bag_size_mean=5, bag_size_std=1)
+    bags = generate_synthetic(spec, seed=9)
+    for b, split in zip(bags, ("train", "validation", "test", None) * 3):
+        b.split = split
+    bags[1].hidden_instance_labels = None
+    bags[1].positive_fraction = None
+    bags[2].positive_fraction = None
+    return spec, bags
+
+
+def saved_members(tmp_path):
+    """A saved bagdata/2 file and its members, read back as arrays."""
+    path = tmp_path / "good"
+    save_dataset(path, container_bags()[1])
+    with np.load(path, allow_pickle=False) as npz:
+        return path, {name: npz[name] for name in npz.files}
+
+
+def write_members(path, arrays):
+    with open(path, "wb") as f:
+        np.savez(f, **arrays)
+
+
 class TestContainer:
     def test_round_trip(self, tmp_path):
-        spec = SyntheticSpec(n_bags=12, threshold_qstar=0.3, bag_size_mean=5,
-                             bag_size_std=1)
-        bags = generate_synthetic(spec, seed=9)
-        bags[0].split = "train"
+        spec, bags = container_bags()
         path = tmp_path / "data.json"
         save_dataset(path, bags, spec=spec, seed=9)
+        assert [p.name for p in tmp_path.iterdir()] == ["data.json"]
+        assert path.read_bytes()[:4] == b"PK\x03\x04"
         loaded, spec_dict, seed = load_dataset(path)
         assert seed == 9
-        assert spec_dict["threshold_qstar"] == 0.3
-        assert loaded[0].split == "train"
-        for a, b in zip(bags, loaded):
-            assert a.id == b.id and a.label == b.label
-            np.testing.assert_array_equal(a.instances, b.instances)
-            np.testing.assert_array_equal(a.hidden_instance_labels,
-                                          b.hidden_instance_labels)
+        assert spec_dict == dataclasses.asdict(spec)
+        assert_same_bags(loaded, bags)
+
+    def test_bags_view_one_instance_array(self, tmp_path):
+        _, bags = container_bags()
+        save_dataset(tmp_path / "d", bags)
+        loaded, spec_dict, seed = load_dataset(tmp_path / "d")
+        assert spec_dict is None and seed is None
+        base = loaded[0].instances.base
+        assert base is not None and base.size == 2 * sum(len(b) for b in bags)
+        assert all(b.instances.base is base for b in loaded)
+
+    def test_empty_dataset(self, tmp_path):
+        save_dataset(tmp_path / "d", [])
+        assert load_dataset(tmp_path / "d") == ([], None, None)
 
     def test_schema_checked(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"schema": "bagdata/999", "bags": []}')
-        with pytest.raises(ValueError, match="schema"):
+        with pytest.raises(DatasetError, match="schema"):
             load_dataset(path)
+
+    def test_unknown_format_names_path(self, tmp_path):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"\x00\x01binary")
+        with pytest.raises(DatasetError, match="bad.bin"):
+            load_dataset(path)
+
+    def test_save_rejects_mixed_widths(self, tmp_path):
+        _, bags = container_bags()
+        bags[3] = Bag(id="wide", instances=np.zeros((2, 3)), label=0)
+        with pytest.raises(ValueError, match="bag wide: 3 features"):
+            save_dataset(tmp_path / "d", bags)
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_save_rejects_non_finite(self, tmp_path, bad):
+        _, bags = container_bags()
+        bags[4].instances[1, 0] = bad
+        with pytest.raises(ValueError, match=f"bag {bags[4].id}: .*NaN or infinity"):
+            save_dataset(tmp_path / "d", bags)
+
+    def test_save_rejects_unknown_split(self, tmp_path):
+        _, bags = container_bags()
+        bags[0].split = "holdout"
+        with pytest.raises(ValueError, match=f"bag {bags[0].id}: split"):
+            save_dataset(tmp_path / "d", bags)
+
+    @pytest.mark.parametrize("field, change, message", [
+        ("offsets", lambda a: a + 1, "starting at 0"),
+        ("offsets", lambda a: np.r_[a[:2], a[1], a[2:]], "increase strictly"),
+        ("offsets", lambda a: np.r_[a[:-1], a[-1] - 1], "end at"),
+        ("offsets", lambda a: a[:-1], "end at"),
+        ("labels", lambda a: a[:-1], "shape"),
+        ("ids", lambda a: np.r_[a, a[:1]], "shape"),
+        ("hidden", lambda a: a[1:], "shape"),
+        ("labels", lambda a: np.r_[2, a[1:]], "other than 0 or 1"),
+        ("labels", lambda a: a.astype(np.float64), "dtype"),
+        ("splits", lambda a: np.r_[4, a[1:]].astype(np.int8), "split code"),
+        ("splits", lambda a: np.r_[-1, a[1:]].astype(np.int8), "split code"),
+        ("instances", lambda a: np.where(np.arange(a.size).reshape(a.shape) == 3, np.nan, a),
+         "NaN or infinity"),
+        ("instances", lambda a: np.where(np.arange(a.size).reshape(a.shape) == 5, -np.inf, a),
+         "NaN or infinity"),
+        ("instances", lambda a: a.ravel(), "N_total x d"),
+        ("header", lambda a: np.array('{"schema": "bagdata/1"}'), "schema"),
+        ("header", lambda a: np.array("not json"), "JSON"),
+    ])
+    def test_load_rejects_inconsistent_fields(self, tmp_path, field, change, message):
+        _, arrays = saved_members(tmp_path)
+        arrays[field] = change(arrays[field])
+        bad = tmp_path / "bad.json"
+        write_members(bad, arrays)
+        with pytest.raises(DatasetError, match=f"bad.json: field '{field}' .*{message}"):
+            load_dataset(bad)
+
+    def test_load_rejects_missing_member(self, tmp_path):
+        _, arrays = saved_members(tmp_path)
+        del arrays["has_fraction"]
+        write_members(tmp_path / "bad", arrays)
+        with pytest.raises(DatasetError, match="field 'has_fraction' is missing"):
+            load_dataset(tmp_path / "bad")
+
+    def test_load_rejects_inconsistent_fraction(self, tmp_path):
+        _, arrays = saved_members(tmp_path)
+        arrays["fractions"] = arrays["fractions"] + 0.25
+        write_members(tmp_path / "bad", arrays)
+        with pytest.raises(DatasetError, match="bad: bag bag-000000: positive_fraction"):
+            load_dataset(tmp_path / "bad")
+
+    @pytest.mark.parametrize("keep", [0.3, 0.6, 0.9, 0.999])
+    def test_truncated_file_names_path(self, tmp_path, keep):
+        good, _ = saved_members(tmp_path)
+        data = good.read_bytes()
+        bad = tmp_path / "cut.json"
+        bad.write_bytes(data[:int(len(data) * keep)])
+        with pytest.raises(DatasetError, match="cut.json"):
+            load_dataset(bad)
+
+    def test_corrupt_member_names_path(self, tmp_path):
+        good, _ = saved_members(tmp_path)
+        data = bytearray(good.read_bytes())
+        at = data.index(b"instances.npy") + 60
+        data[at:at + 8] = bytes(255 - x for x in data[at:at + 8])
+        bad = tmp_path / "flipped.json"
+        bad.write_bytes(bytes(data))
+        with pytest.raises(DatasetError, match="flipped.json"):
+            load_dataset(bad)
+
+
+class TestLegacyJson:
+    def test_fixture_loads_to_its_bags(self):
+        doc = json.loads(FIXTURE_V1.read_text())
+        assert doc["schema"] == "bagdata/1"
+        bags, spec, seed = load_dataset(FIXTURE_V1)
+        assert (spec, seed) == (doc["spec"], doc["seed"])
+        assert len(bags) == len(doc["bags"])
+        for bag, obj in zip(bags, doc["bags"]):
+            assert (bag.id, bag.label) == (obj["id"], obj["label"])
+            assert bag.split == obj.get("split")
+            assert bag.positive_fraction == obj.get("positive_fraction")
+            assert bag.instances.tolist() == obj["instances"]
+            hidden = obj.get("hidden_instance_labels")
+            assert (bag.hidden_instance_labels is None) == (hidden is None)
+            if hidden is not None:
+                assert bag.hidden_instance_labels.tolist() == hidden
+        # the fixture has every optional field both present and absent
+        assert {b.split for b in bags} == {"train", "validation", "test", None}
+        assert {b.positive_fraction is None for b in bags} == {True, False}
+        assert {b.hidden_instance_labels is None for b in bags} == {True, False}
+
+    def test_resaved_as_v2_gives_equal_bags(self, tmp_path):
+        bags, spec, seed = load_dataset(FIXTURE_V1)
+        out = tmp_path / "v2.json"
+        save_dataset(out, bags, seed=seed)
+        assert out.read_bytes()[:4] == b"PK\x03\x04"
+        again, _, seed_again = load_dataset(out)
+        assert seed_again == seed
+        assert_same_bags(again, bags)

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -13,8 +14,14 @@ from promil.cli import (
     load_model,
     main,
 )
-from promil.metrics import evaluate
+from promil import metrics
 from promil.bagdata import load_dataset
+from promil.bernstein import DEFAULT_EPS
+from promil.heads import score_bag
+from promil.metrics import evaluate
+from promil.network import forward_bag
+
+FIXTURE_V1 = str(Path(__file__).parent / "data" / "bagdata1.json")
 
 
 def small_config(tmp_path, **overrides):
@@ -129,6 +136,26 @@ class TestTrain:
                      "--out", str(tmp_path / "m.json")]) == EXIT_IO
 
 
+class TestDatasetFiles:
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_truncated_dataset_exits_2_naming_path(self, trained, tmp_path, capsys, command):
+        cfg, data, model = trained
+        bad = tmp_path / "cut.json"
+        bad.write_bytes(Path(data).read_bytes()[:300])
+        argv = (["train", str(bad), "--config", cfg, "--out", str(tmp_path / "m2.json")]
+                if command == "train" else ["eval", model, str(bad)])
+        assert main(argv) == EXIT_IO
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Traceback" not in err
+
+    def test_train_and_eval_on_bagdata1_file(self, tmp_path):
+        cfg = small_config(tmp_path)
+        model, report = str(tmp_path / "m.json"), str(tmp_path / "r.json")
+        assert main(["train", FIXTURE_V1, "--config", cfg, "--out", model]) == EXIT_OK
+        assert main(["eval", model, FIXTURE_V1, "--out", report]) == EXIT_OK
+        assert json.loads(Path(report).read_text())["n_bags"] == 9
+
+
 class TestEval:
     def test_reports_per_head(self, trained, tmp_path):
         _, data, model = trained
@@ -151,6 +178,48 @@ class TestEval:
         after = evaluate(again, bags, head="promil")
         assert before.auc == after.auc
         assert before.balanced_accuracy == after.balanced_accuracy
+
+    def test_eval_scores_with_the_training_eps(self, tmp_path, monkeypatch):
+        # far-apart clusters and large steps saturate the predictions, so the
+        # clamp matters
+        cfg = small_config(
+            tmp_path,
+            dataset={"n_bags": 60, "threshold_qstar": 0.3, "bag_size_mean": 6,
+                     "bag_size_std": 2, "class_separation": 40.0},
+            train={"max_epochs": 2, "patience": 2, "q_init": 0.3, "val_metric": "loss",
+                   "eps_clamp": 1e-3, "learning_rate": 0.1})
+        data, model_path = str(tmp_path / "d.json"), str(tmp_path / "m.json")
+        assert main(["generate", "--config", cfg, "--out", data]) == EXIT_OK
+        assert main(["train", data, "--config", cfg, "--out", model_path]) == EXIT_OK
+        model = load_model(model_path)
+        val = [b for b in load_dataset(data)[0] if b.split == "validation"]
+
+        def scores(eps):
+            return [score_bag(forward_bag(model.net, b.instances)[0], "promil",
+                              q=model.q.q, eps=eps).score for b in val]
+
+        assert scores(1e-3) != scores(DEFAULT_EPS)
+        seen = []
+        real_auc = metrics.auc
+        monkeypatch.setattr(metrics, "auc",
+                            lambda s, y: seen.append(list(s)) or real_auc(s, y))
+        assert main(["eval", model_path, data, "--split", "validation",
+                     "--out", str(tmp_path / "r.json")]) == EXIT_OK
+        assert seen == [scores(1e-3)]
+        assert model.eps == 1e-3
+
+    def test_model_v1_reads_with_default_eps(self, trained, tmp_path):
+        _, data, model_path = trained
+        doc = json.loads(Path(model_path).read_text())
+        assert doc["schema"] == "promil-model/2"
+        doc["schema"] = "promil-model/1"
+        del doc["eps_clamp"]
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(doc))
+        model, legacy = load_model(model_path), load_model(str(old))
+        assert legacy.eps == DEFAULT_EPS
+        bags, _, _ = load_dataset(data)
+        assert evaluate(legacy, bags) == evaluate(model, bags)
 
     def test_missing_model(self, trained, tmp_path):
         _, data, _ = trained

@@ -1,0 +1,82 @@
+"""Property tests of the instance+max and instance+mean heads, through the
+bag score and the composed cost gradients of ``bag_cost_and_grads``.
+
+Bags are drawn as (size, seed) pairs and filled by numpy, as in
+test_kernel_properties.py.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from promil.bagdata import Bag
+from promil.bernstein import QuantileParam
+from promil.heads import max_score, mean_score
+from promil.network import NetArch, forward_bag, init_params
+from promil.training import TrainConfig, bag_cost_and_grads
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+SIZES = st.integers(1, 400)
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+def bag(size, seed):
+    return np.random.default_rng(seed).uniform(1e-3, 1.0 - 1e-3, size=size)
+
+
+@PROPERTY
+@given(size=SIZES, seed=SEEDS)
+def test_permutation_invariant(size, seed):
+    p = bag(size, seed)
+    shuffled = np.random.default_rng(seed + 1).permutation(p)
+    assert max_score(shuffled).score == max_score(p).score
+    # the mean's summation order follows the permutation
+    assert mean_score(shuffled).score == pytest.approx(mean_score(p).score, rel=1e-13)
+
+
+@PROPERTY
+@given(size=SIZES, seed=SEEDS, bump=st.floats(0.0, 1.0))
+def test_monotone_in_each_value(size, seed, bump):
+    p = bag(size, seed)
+    i = int(np.random.default_rng(seed).integers(size))
+    raised = p.copy()
+    raised[i] += bump * (1.0 - p[i])
+    assert max_score(raised).score >= max_score(p).score
+    assert mean_score(raised).score >= mean_score(p).score
+
+
+@PROPERTY
+@given(size=SIZES, seed=SEEDS)
+def test_complement_identities(size, seed):
+    p = bag(size, seed)
+    assert mean_score(1.0 - p).score == pytest.approx(1.0 - mean_score(p).score, abs=1e-13)
+    assert max_score(1.0 - p).score == 1.0 - p.min()
+
+
+@PROPERTY
+@given(size=st.integers(1, 40), seed=SEEDS, head=st.sampled_from(("max", "mean")),
+       hidden=st.sampled_from(((), (4,))), label=st.integers(0, 1))
+def test_cost_gradients_match_finite_differences(size, seed, head, hidden, label):
+    rng = np.random.default_rng(seed)
+    arch = NetArch(input_dim=3, hidden_dims=hidden, activation="tanh")
+    net = init_params(arch, seed=seed)
+    net.flat += rng.normal(size=net.flat.size) * 0.4
+    b = Bag(id="b", instances=rng.normal(size=(size, 3)), label=label)
+    h = 1e-6
+    if head == "max" and size > 1:
+        # a step of h must not move the argmax: keep away from near-ties
+        top = np.sort(forward_bag(net, b.instances)[0])[-2:]
+        assume(top[1] - top[0] > 1e-4)
+    cfg = TrainConfig(seed=0)
+    q = QuantileParam.from_q(0.3)
+    _, grads, grad_raw = bag_cost_and_grads(net, q, b, cfg, head=head)
+    assert grad_raw == 0.0
+    d = rng.uniform(-1.0, 1.0, size=net.flat.size)
+    theta = net.flat.copy()
+    costs = []
+    for sign in (1.0, -1.0):
+        net.flat[:] = theta + sign * h * d
+        costs.append(bag_cost_and_grads(net, q, b, cfg, head=head)[0])
+    fd = (costs[0] - costs[1]) / (2 * h)
+    assert float(grads.flat @ d) == pytest.approx(fd, rel=1e-5, abs=1e-7)

@@ -4,9 +4,32 @@ import pytest
 from promil.bagdata import SyntheticSpec, generate_synthetic
 from promil.bernstein import QuantileParam
 from promil.heads import score_bag
-from promil.metrics import auc, balanced_accuracy, evaluate
+from promil.metrics import _tied_ranks, auc, balanced_accuracy, evaluate
 from promil.network import NetArch, NetParams, forward_bag
 from promil.training import TrainedModel
+
+
+def loop_tied_ranks(x):
+    """Reference: walk the sorted values, giving each run of ties its mean rank."""
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(len(x), dtype=np.float64)
+    sorted_x = x[order]
+    i = 0
+    while i < len(x):
+        j = i
+        while j + 1 < len(x) and sorted_x[j + 1] == sorted_x[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j + 2) / 2.0
+        i = j + 1
+    return ranks
+
+
+def pair_auc(scores, labels):
+    """Share of (positive, negative) pairs ranked right; ties count 1/2."""
+    pos = [s for s, y in zip(scores, labels) if y == 1]
+    neg = [s for s, y in zip(scores, labels) if y == 0]
+    wins = sum((a > b) + 0.5 * (a == b) for a in pos for b in neg)
+    return wins / (len(pos) * len(neg))
 
 
 def oracle_model(scale=60.0):
@@ -33,6 +56,21 @@ class TestAuc:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             auc([0.1, 0.2], [1, 1])
+
+    @pytest.mark.parametrize("levels", [1, 2, 3, 7, 1000])
+    def test_heavy_ties_match_pair_count_and_loop_ranks(self, levels):
+        rng = np.random.default_rng(levels)
+        for n in (2, 3, 17, 63, 625):
+            scores = rng.integers(0, levels, size=n) / levels
+            labels = rng.integers(0, 2, size=n)
+            labels[:2] = (0, 1)
+            assert np.array_equal(_tied_ranks(scores), loop_tied_ranks(scores))
+            assert auc(scores, labels) == pytest.approx(pair_auc(scores, labels), abs=1e-12)
+
+    def test_two_bags(self):
+        assert auc([0.3, 0.7], [0, 1]) == 1.0
+        assert auc([0.7, 0.3], [0, 1]) == 0.0
+        assert auc([0.5, 0.5], [1, 0]) == 0.5
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(0)
