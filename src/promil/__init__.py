@@ -3,9 +3,12 @@
 A bag of instances is scored by running a small instance network on every
 instance and evaluating a differentiable Bernstein-polynomial quantile of
 the sorted predictions at a trainable level q; bags whose quantile exceeds
-0.5 are called positive.  Instance+max and instance+mean baselines, a
-synthetic percentage-labeled bag generator, an MNIST-bag builder, metrics,
-and an experiment CLI round out the package.  Everything is plain numpy.
+0.5 are called positive.  The quantile head and the instance+max and
+instance+mean baselines form one table of heads (``heads.HEADS``), each
+giving a bag score and its gradients; training, validation and evaluation
+all score bags through it.  A synthetic percentage-labeled bag generator,
+an MNIST-bag builder, metrics, and an experiment CLI round out the package.
+Everything is plain numpy.
 """
 
 from .bagdata import (
@@ -19,14 +22,11 @@ from .bagdata import (
 )
 from .bernstein import (
     QuantileParam,
-    SortedPredictions,
-    bernstein_log_weights,
     estimate_quantile,
     estimate_quantile_limit,
-    log_binomial,
     quantile_gradients,
 )
-from .heads import BagScore, decide, max_score, mean_score, promil_score
+from .heads import HEADS, decide, score_bag, score_bags
 from .metrics import EvalResult, auc, balanced_accuracy, evaluate
 from .network import (
     BagForwardTrace,
@@ -34,7 +34,6 @@ from .network import (
     NetParams,
     backward_bag,
     forward_bag,
-    forward_instance,
     init_params,
 )
 from .training import (
@@ -42,10 +41,10 @@ from .training import (
     TrainedModel,
     TrainState,
     adam_update,
+    bag_cost,
+    bag_cost_and_grads,
     bag_step,
-    cost_gradients,
     init_train_state,
-    promil_cost,
     train,
 )
 
@@ -54,13 +53,12 @@ __version__ = "0.1.0"
 __all__ = [
     "Bag",
     "BagForwardTrace",
-    "BagScore",
     "DatasetSplit",
     "EvalResult",
+    "HEADS",
     "NetArch",
     "NetParams",
     "QuantileParam",
-    "SortedPredictions",
     "SyntheticSpec",
     "TrainConfig",
     "TrainState",
@@ -68,27 +66,23 @@ __all__ = [
     "adam_update",
     "auc",
     "backward_bag",
-    "balanced_accuracy",
+    "bag_cost",
+    "bag_cost_and_grads",
     "bag_step",
-    "bernstein_log_weights",
-    "cost_gradients",
+    "balanced_accuracy",
     "decide",
     "estimate_quantile",
     "estimate_quantile_limit",
     "evaluate",
     "forward_bag",
-    "forward_instance",
     "generate_synthetic",
     "init_params",
     "init_train_state",
     "load_idx",
-    "log_binomial",
     "make_mnist_bags",
-    "max_score",
-    "mean_score",
-    "promil_cost",
-    "promil_score",
     "quantile_gradients",
+    "score_bag",
+    "score_bags",
     "split_dataset",
     "train",
 ]

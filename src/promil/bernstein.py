@@ -27,42 +27,6 @@ _TINY = np.nextafter(0.0, 1.0)
 _ALMOST_ONE = np.nextafter(1.0, 0.0)
 
 
-@dataclass(frozen=True)
-class SortedPredictions:
-    """Ascending per-instance scores plus the sort permutation.
-
-    ``permutation[k]`` is the original index of the k-th smallest score, so
-    ``values[k] == original[permutation[k]]``.
-    """
-
-    values: np.ndarray
-    permutation: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        permutation = np.asarray(self.permutation, dtype=np.intp)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "permutation", permutation)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("values must be a nonempty 1-D array")
-        if np.any(np.diff(values) < 0):
-            raise ValueError("values must be sorted ascending")
-        if values[0] < 0.0 or values[-1] > 1.0:
-            raise ValueError("values must lie in [0, 1]")
-        if sorted(permutation.tolist()) != list(range(values.size)):
-            raise ValueError("permutation must be a bijection on 0..n")
-
-    @classmethod
-    def from_raw(cls, predictions):
-        """Stable-sort raw predictions ascending, recording the permutation."""
-        predictions = np.asarray(predictions, dtype=np.float64)
-        perm = np.argsort(predictions, kind="stable")
-        return cls(values=predictions[perm], permutation=perm)
-
-    def __len__(self):
-        return self.values.size
-
-
 @dataclass
 class QuantileParam:
     """Trainable quantile level stored as an unconstrained real.
@@ -107,32 +71,12 @@ def _tables(n):
     return _LOG_FACTORIAL, _K
 
 
-def log_binomial(n, k):
-    """log C(n, k) via log-gamma: logG(n+1) - logG(k+1) - logG(n-k+1)."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if not 0 <= k <= n:
-        raise ValueError(f"k must be in [0, {n}], got {k}")
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
 def _log_weights(n, q):
+    """log C(n,k) + (n-k) log q + k log(1-q) for k = 0..n: the log of the
+    Binomial(n, 1-q) pmf."""
     lf, k = _tables(n)
     return (lf[n] - lf[:n + 1] - lf[n::-1]
             + k[n::-1] * np.log(q) + k[:n + 1] * np.log1p(-q))
-
-
-def bernstein_log_weights(n, q):
-    """Log weights log C(n,k) + (n-k) log q + k log(1-q) for k = 0..n.
-
-    The exponentiated weights are the Binomial(n, 1-q) pmf and sum to one,
-    i.e. logsumexp of the result is 0 up to rounding.
-    """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must be strictly inside (0, 1), got {q}")
-    return _log_weights(int(n), float(q))
 
 
 def quantile_value_grad(values, q, eps, grads=True):
@@ -160,8 +104,6 @@ def quantile_value_grad(values, q, eps, grads=True):
 
 
 def _ascending_values(preds):
-    if isinstance(preds, SortedPredictions):
-        return preds.values
     values = np.ascontiguousarray(preds, dtype=np.float64)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("predictions must be a nonempty 1-D array")
@@ -170,19 +112,24 @@ def _ascending_values(preds):
     return values
 
 
+def check_eps(eps, name="eps"):
+    """Reject a clamp that is not positive and finite."""
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {eps}")
+
+
 def check_level(q, eps):
     """Reject a level outside the open interval (0, 1) or a clamp eps that
     is not positive and finite."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must be strictly inside (0, 1), got {q}")
-    if not 0.0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    check_eps(eps)
 
 
 def estimate_quantile(preds, q, eps=DEFAULT_EPS):
     """Evaluate the estimator at level q on ascending predictions.
 
-    ``preds`` is a SortedPredictions or an already-ascending 1-D array.
+    ``preds`` is a nonempty, already-ascending 1-D array.
     ``eps`` is the lower clamp applied to each value before its log.
     """
     values = _ascending_values(preds)

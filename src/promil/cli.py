@@ -18,6 +18,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -36,7 +37,13 @@ from .bagdata import (
     save_dataset,
     split_dataset,
 )
-from .bernstein import DEFAULT_EPS, QuantileParam, estimate_quantile, estimate_quantile_limit
+from .bernstein import (
+    DEFAULT_EPS,
+    QuantileParam,
+    check_eps,
+    estimate_quantile,
+    estimate_quantile_limit,
+)
 from .heads import HEADS
 from .metrics import evaluate
 from .network import NetArch, NetParams
@@ -211,31 +218,66 @@ def save_model(path, model):
         f.write("\n")
 
 
+def _finite_arrays(values, shapes):
+    """Nested lists as finite float64 arrays of the given shapes."""
+    arrays = [np.asarray(v, dtype=np.float64) for v in values]
+    if [a.shape for a in arrays] != shapes:
+        raise ValueError(f"shapes {[a.shape for a in arrays]} do not match {shapes}")
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("values must be finite")
+    return arrays
+
+
 def load_model(path):
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("schema") not in (MODEL_SCHEMA, LEGACY_MODEL_SCHEMA):
+    """Read a model file.  A file that is not JSON, or a field that is
+    missing or bad, raises ConfigError naming the path and the field."""
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema not in (MODEL_SCHEMA, LEGACY_MODEL_SCHEMA):
         raise ConfigError(
-            f"{path}: unsupported model schema {doc.get('schema')!r} "
+            f"{path}: unsupported model schema {schema!r} "
             f"(expected {MODEL_SCHEMA!r} or {LEGACY_MODEL_SCHEMA!r})"
         )
-    eps = float(doc["eps_clamp"]) if doc["schema"] == MODEL_SCHEMA else DEFAULT_EPS
-    arch = NetArch(
-        input_dim=int(doc["arch"]["input_dim"]),
-        hidden_dims=tuple(doc["arch"]["hidden_dims"]),
-        activation=doc["arch"]["activation"],
-    )
-    net = NetParams(
-        arch=arch,
-        weights=[np.asarray(w, dtype=np.float64) for w in doc["weights"]],
-        biases=[np.asarray(b, dtype=np.float64) for b in doc["biases"]],
-    )
-    meta = doc.get("metadata", {})
+    name = "eps_clamp"
+    try:
+        eps = float(doc[name]) if schema == MODEL_SCHEMA else DEFAULT_EPS
+        check_eps(eps)
+        name = "arch"
+        arch = NetArch(
+            input_dim=int(doc[name]["input_dim"]),
+            hidden_dims=tuple(doc[name]["hidden_dims"]),
+            activation=doc[name]["activation"],
+        )
+        dims = arch.layer_dims
+        name = "weights"
+        weights = _finite_arrays(doc[name], list(zip(dims[:-1], dims[1:])))
+        name = "biases"
+        biases = _finite_arrays(doc[name], [(n,) for n in dims[1:]])
+        name = "raw_q"
+        raw_q = float(doc[name])
+        if not math.isfinite(raw_q):
+            raise ValueError(f"must be finite, got {raw_q}")
+        name = "head"
+        head = doc.get(name, "promil")
+        if head not in HEADS:
+            raise ValueError(f"must be one of {HEADS}, got {head!r}")
+        name = "metadata"
+        meta = doc.get(name, {})
+        if not isinstance(meta, dict):
+            raise TypeError(f"must be an object, got {type(meta).__name__}")
+    except KeyError as exc:
+        raise ConfigError(f"{path}: invalid model field '{name}': missing {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: invalid model field '{name}': {exc}") from None
     return TrainedModel(
         arch=arch,
-        net=net,
-        q=QuantileParam(raw=float(doc["raw_q"])),
-        head=doc.get("head", "promil"),
+        net=NetParams(arch=arch, weights=weights, biases=biases),
+        q=QuantileParam(raw=raw_q),
+        head=head,
         val_metric=meta.get("val_metric", "auc"),
         best_epoch=meta.get("best_epoch", 0),
         best_value=meta.get("best_val_metric", float("nan")),

@@ -1,8 +1,11 @@
-"""Bag-level evaluation: rank AUC and balanced accuracy."""
+"""Bag-level evaluation: rank AUC, balanced accuracy, and the evaluation
+of a model over the one scoring path (``heads.score_bags``)."""
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .heads import decide, score_bags
 
 
 @dataclass
@@ -62,22 +65,15 @@ def evaluate(model, bags, head=None):
     """Score every bag with the chosen head and aggregate an EvalResult.
 
     ``model`` is a TrainedModel (or anything with .net, .q and .eps); ``head``
-    defaults to the head the model was trained with.  Bags are scored with
-    the clamp ``model.eps`` the model was trained with, as in validation.
+    defaults to the head the model was trained with.  Bags are scored by
+    ``score_bags`` with the clamp ``model.eps`` the model was trained with,
+    as in validation.
     """
-    from .heads import decide, score_bag
-    from .network import forward_bag
-
     if not bags:
         raise ValueError("cannot evaluate an empty bag list")
-    head = head or model.head
-    scores = np.empty(len(bags))
-    labels = np.empty(len(bags), dtype=np.int64)
-    for i, bag in enumerate(bags):
-        preds, _ = forward_bag(model.net, bag.instances)
-        scores[i] = score_bag(preds, head, q=model.q.q, eps=model.eps).score
-        labels[i] = int(bag.label)
-    hard = np.array([decide(s) for s in scores])
+    scores = score_bags(model.net, bags, head or model.head, model.q.q, model.eps)
+    labels = np.array([int(bag.label) for bag in bags])
+    hard = decide(scores)
     tp = int(((hard == 1) & (labels == 1)).sum())
     fp = int(((hard == 1) & (labels == 0)).sum())
     tn = int(((hard == 0) & (labels == 0)).sum())

@@ -152,15 +152,6 @@ def forward_bag(params, instances):
     return c, BagForwardTrace(layer_inputs=layer_inputs, preacts=preacts, predictions=c)
 
 
-def forward_instance(params, x):
-    """Score a single feature vector; returns a float in (0, 1)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("x must be a 1-D feature vector")
-    c, _ = forward_bag(params, x[None, :])
-    return float(c[0])
-
-
 def backward_bag(params, trace, upstream, out=None):
     """Parameter gradients of sum_i upstream[i] * c_i, upstream held constant.
 

@@ -2,10 +2,10 @@
 
 One optimization step processes a single bag (batch size 1): score the bag
 with the selected head, apply the binary cross-entropy cost, push gradients
-back through the quantile head's sort permutation into the instance network,
-and update the flat parameter vector (network weights and biases plus the
-raw quantile level) with one bias-corrected Adam call (decoupled weight
-decay on the weights only).
+back through the head (for the quantile head, through its sort
+permutation) into the instance network, and update the flat parameter
+vector (network weights and biases plus the raw quantile level) with one
+bias-corrected Adam call (decoupled weight decay on the weights only).
 
 For the quantile head the cost is
 
@@ -15,10 +15,10 @@ where c_q is the level-q estimate of the sorted predictions and c'_{1-q}
 is the level-(1-q) estimate of the complemented predictions.  By the flip
 identity of the estimator (complementing and reversing the values maps the
 level q to 1-q), c'_{1-q} = 1 - c_q, which is how it is computed; the cost
-is therefore ordinary BCE on c_q.  Training the negative class against the
-same-list level-(1-q) estimate instead leaves the instance network stuck
-with whatever class orientation the random init happened to pick, so that
-form is not used.
+is therefore ordinary BCE on c_q (``bag_cost``).  Training the negative
+class against the same-list level-(1-q) estimate instead leaves the
+instance network stuck with whatever class orientation the random init
+happened to pick, so that form is not used.
 
 The quantile level itself is trained through an unconstrained raw value
 with logistic squashing (dq/draw = q(1-q)), keeping q strictly inside
@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bernstein import DEFAULT_EPS, QuantileParam, quantile_value_grad
-from .heads import HEADS, score_bag
+from .bernstein import DEFAULT_EPS, QuantileParam, check_eps
+from .heads import head_function, score_bags
 from .metrics import auc as auc_metric
 from .network import NetParams, backward_bag, forward_bag, init_params, weight_count
 
@@ -58,18 +58,21 @@ class TrainConfig:
     val_metric: str = "auc"     # "auc" or "loss"
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, "
+                             f"got {self.learning_rate}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError(f"betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be nonnegative, got {self.weight_decay}")
-        if self.patience > self.max_epochs:
-            raise ValueError(
-                f"patience {self.patience} exceeds max_epochs {self.max_epochs}"
-            )
-        if self.eps_clamp <= 0:
-            raise ValueError(f"eps_clamp must be positive, got {self.eps_clamp}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be nonnegative and finite, "
+                             f"got {self.weight_decay}")
+        if not (isinstance(self.max_epochs, int) and self.max_epochs >= 1):
+            raise ValueError(f"max_epochs must be an integer >= 1, got {self.max_epochs!r}")
+        # patience 0 is allowed: it stops after the first epoch
+        if not (isinstance(self.patience, int) and 0 <= self.patience <= self.max_epochs):
+            raise ValueError(f"patience must be an integer in [0, max_epochs="
+                             f"{self.max_epochs}], got {self.patience!r}")
+        check_eps(self.eps_clamp, "eps_clamp")
         if self.q_init != "random" and not 0.0 < float(self.q_init) < 1.0:
             raise ValueError(f"q_init must be 'random' or in (0, 1), got {self.q_init}")
         if self.val_metric not in ("auc", "loss"):
@@ -135,34 +138,35 @@ class TrainedModel:
         return self.q.q
 
 
-def promil_cost(c_q, c_1mq, y):
-    """-y log(c_q) - (1-y) log(c_1mq); arguments in (0, 1] after clamping."""
-    if y not in (0, 1):
-        raise ValueError(f"y must be 0 or 1, got {y}")
-    c_q = min(c_q, 1.0)
-    c_1mq = min(c_1mq, 1.0)
-    return -y * math.log(c_q) - (1 - y) * math.log(c_1mq)
+def bag_cost(score, y, eps):
+    """The cost of a bag score against its label y in {0, 1}, and its
+    derivative in the score: (cost, d cost/d score).
 
-
-def cost_gradients(c_q, c_1mq, y):
-    """(d cost/d c_q, d cost/d c_1mq) = (-y/c_q, -(1-y)/c_1mq)."""
-    if y not in (0, 1):
+    The cost is -log p for p = score (y = 1) or p = 1 - score (y = 0),
+    with p clamped into [eps, 1]; where the clamp binds the derivative is 0.
+    """
+    if y == 1:
+        p, sign = score, -1.0
+    elif y == 0:
+        p, sign = 1.0 - score, 1.0
+    else:
         raise ValueError(f"y must be 0 or 1, got {y}")
-    return -y / c_q, -(1 - y) / c_1mq
+    if p < eps:
+        return -math.log(eps), 0.0
+    if p > 1.0:
+        return 0.0, 0.0
+    return -math.log(p), sign / p
 
 
 def adam_update(param, grad, moments, cfg, t, decay=False):
-    """One bias-corrected Adam step, in place on ``param`` and its moments.
+    """One bias-corrected Adam step, in place on the array ``param`` and its
+    moments.
 
     ``moments`` is an (m, v) pair matching param's shape.  Decoupled weight
     decay applies to ``param[decay]`` when ``decay`` is a slice, to all of
     param when it is True, and to none of it when False.  Returns
-    (param, m, v); a scalar param and its moments come back as floats.
+    (param, m, v).
     """
-    if np.ndim(param) == 0:
-        p, g, m, v = (np.array([x], dtype=np.float64) for x in (param, grad, *moments))
-        adam_update(p, g, (m, v), cfg, t, decay)
-        return float(p[0]), float(m[0]), float(v[0])
     # Two buffers hold every intermediate: at MNIST width a fresh array per
     # operation costs more than the arithmetic.  The roundings are those of
     # param -= lr * m_hat / (sqrt(v_hat) + eps).
@@ -187,55 +191,21 @@ def adam_update(param, grad, moments, cfg, t, decay=False):
     return param, m, v
 
 
-def _clip_unit(x, eps):
-    """Clamp into [eps, 1]; returns (clamped, pass_through) for the chain rule."""
-    if x < eps:
-        return eps, False
-    if x > 1.0:
-        return 1.0, False
-    return x, True
-
-
 def bag_cost_and_grads(net, q_param, bag, cfg, head="promil", out=None):
     """Cost of one bag and its gradients w.r.t. net params and raw q.
 
     Returns (cost, net_grads, grad_raw); net_grads is ``out``, a NetParams
     shaped like ``net``, when given.  This is the full composed chain:
-    instance forward -> head -> cost -> head backward (through the sort
-    permutation for the quantile head) -> instance backward, plus the
-    logistic-reparameterization factor on the quantile level.
+    instance forward -> head -> cost -> head backward -> instance backward,
+    plus the logistic-reparameterization factor on the quantile level.
     """
-    if head not in HEADS:
-        raise ValueError(f"head must be one of {HEADS}, got {head!r}")
-    y = int(bag.label)
+    score_fn = head_function(head)
     preds, trace = forward_bag(net, bag.instances)
-    eps = cfg.eps_clamp
-    if head == "promil":
-        q = q_param.q
-        perm = preds.argsort(kind="stable")
-        s, w_q, dval_dq = quantile_value_grad(preds[perm], q, eps)
-    elif head == "max":
-        j = int(np.argmax(preds))
-        s = float(preds[j])
-    else:
-        s = float(preds.mean())
-    s_pos, pos_open = _clip_unit(s, eps)
-    s_neg, neg_open = _clip_unit(1.0 - s, eps)
-    cost = promil_cost(s_pos, s_neg, y)
-    d_pos, d_neg = cost_gradients(s_pos, s_neg, y)
-    upstream = (d_pos if pos_open else 0.0) - (d_neg if neg_open else 0.0)
-    grad_raw = 0.0
-    if head == "promil":
-        grad_preds = np.empty_like(preds)
-        grad_preds[perm] = upstream * w_q
-        grad_raw = upstream * dval_dq * q * (1.0 - q)
-    elif head == "max":
-        grad_preds = np.zeros_like(preds)
-        grad_preds[j] = upstream
-    else:
-        grad_preds = np.full_like(preds, upstream / preds.size)
-    net_grads = backward_bag(net, trace, grad_preds, out=out)
-    return cost, net_grads, grad_raw
+    q = q_param.q
+    score, dscore_dpreds, dscore_dq = score_fn(preds, q, cfg.eps_clamp, True)
+    cost, upstream = bag_cost(score, int(bag.label), cfg.eps_clamp)
+    net_grads = backward_bag(net, trace, upstream * dscore_dpreds, out=out)
+    return cost, net_grads, upstream * dscore_dq * q * (1.0 - q)
 
 
 def bag_step(state, bag, cfg, head="promil"):
@@ -272,18 +242,12 @@ def init_train_state(arch, cfg):
 
 
 def _validation_stats(net, q, bags, cfg, head):
-    scores, labels, total = [], [], 0.0
-    eps = cfg.eps_clamp
-    for bag in bags:
-        preds, _ = forward_bag(net, bag.instances)
-        s = score_bag(preds, head, q=q, eps=eps).score
-        s_pos, _ = _clip_unit(s, eps)
-        s_neg, _ = _clip_unit(1.0 - s, eps)
-        total += promil_cost(s_pos, s_neg, int(bag.label))
-        scores.append(s)
-        labels.append(int(bag.label))
-    val_auc = auc_metric(scores, labels)
-    return val_auc, total / len(bags)
+    scores = score_bags(net, bags, head, q, cfg.eps_clamp)
+    labels = [int(bag.label) for bag in bags]
+    total = 0.0
+    for s, y in zip(scores.tolist(), labels):
+        total += bag_cost(s, y, cfg.eps_clamp)[0]
+    return auc_metric(scores, labels), total / len(bags)
 
 
 def train(state, splits, cfg, head="promil"):

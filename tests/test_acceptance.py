@@ -324,7 +324,7 @@ class TestCriterion8DeterminismPersistence:
             out = []
             for bag in bags:
                 preds, _ = forward_bag(m.net, bag.instances)
-                out.append(score_bag(preds, "promil", q=m.q.q).score)
+                out.append(score_bag(preds, "promil", q=m.q.q))
             return out
 
         roundtrip_ok = scores(model) == scores(reloaded)

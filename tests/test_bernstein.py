@@ -14,11 +14,8 @@ import pytest
 from promil.bernstein import (
     DEFAULT_EPS,
     QuantileParam,
-    SortedPredictions,
-    bernstein_log_weights,
     estimate_quantile,
     estimate_quantile_limit,
-    log_binomial,
     quantile_gradients,
 )
 
@@ -36,6 +33,19 @@ def direct_quantile(values, q, eps=DEFAULT_EPS):
         return float(total)
 
 
+def weights(n, q):
+    """The kernel's weights w_0..w_n at level q, read off quantile_gradients
+    on n + 1 values that the clamp leaves alone."""
+    grad_values, _ = quantile_gradients(np.full(n + 1, 0.5), q)
+    return grad_values
+
+
+def log_binomial(n, k):
+    """log C(n, k) from the kernel's log-factorial table: at q = 1/2 the
+    k-th weight is C(n, k) / 2^n."""
+    return math.log(weights(n, 0.5)[k]) + n * math.log(2.0)
+
+
 class TestLogBinomial:
     def test_edge_cases(self):
         assert log_binomial(5, 0) == pytest.approx(0.0, abs=1e-14)
@@ -51,43 +61,32 @@ class TestLogBinomial:
                     math.log(math.comb(n, k)), rel=1e-12, abs=1e-12
                 )
 
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            log_binomial(5, -1)
-        with pytest.raises(ValueError):
-            log_binomial(5, 6)
-        with pytest.raises(ValueError):
-            log_binomial(-1, 0)
-
 
 class TestLogWeights:
     def test_single_term(self):
-        np.testing.assert_allclose(bernstein_log_weights(0, 0.3), [0.0], atol=1e-14)
+        np.testing.assert_allclose(np.log(weights(0, 0.3)), [0.0], atol=1e-14)
 
     def test_symmetric_coin(self):
         np.testing.assert_allclose(
-            bernstein_log_weights(1, 0.5), [math.log(0.5)] * 2, rtol=1e-13
+            np.log(weights(1, 0.5)), [math.log(0.5)] * 2, rtol=1e-13
         )
 
     def test_hand_expanded_n2(self):
         # C(2,k) 0.3^(2-k) 0.7^k = [0.09, 0.42, 0.49]
-        w = np.exp(bernstein_log_weights(2, 0.3))
-        np.testing.assert_allclose(w, [0.09, 0.42, 0.49], rtol=1e-13)
+        np.testing.assert_allclose(weights(2, 0.3), [0.09, 0.42, 0.49], rtol=1e-13)
 
     def test_normalization_up_to_n200(self):
         for n in (1, 2, 3, 5, 10, 50, 100, 200):
             for q in np.arange(0.01, 1.0, 0.09):
-                log_w = bernstein_log_weights(n, q)
-                m = log_w.max()
-                lse = m + np.log(np.exp(log_w - m).sum())
-                assert abs(lse) < 1e-10, f"n={n} q={q}: logsumexp={lse}"
+                log_total = np.log(weights(n, q).sum())
+                assert abs(log_total) < 1e-10, f"n={n} q={q}: log of the sum={log_total}"
 
     def test_domain_errors(self):
         for q in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(ValueError):
-                bernstein_log_weights(3, q)
+                weights(3, q)
         with pytest.raises(ValueError):
-            bernstein_log_weights(-1, 0.5)
+            weights(-1, 0.5)
 
 
 class TestEstimateQuantile:
@@ -235,26 +234,6 @@ class TestQuantileLimit:
         values = np.sort(np.random.default_rng(3).uniform(size=12))
         assert estimate_quantile(values, 1e-9) == pytest.approx(values[-1], abs=1e-6)
         assert estimate_quantile(values, 1 - 1e-9) == pytest.approx(values[0], abs=1e-6)
-
-
-class TestSortedPredictions:
-    def test_from_raw_sorts_and_records_permutation(self):
-        raw = np.array([0.5, 0.1, 0.9, 0.1])
-        sp = SortedPredictions.from_raw(raw)
-        np.testing.assert_allclose(sp.values, [0.1, 0.1, 0.5, 0.9])
-        np.testing.assert_array_equal(raw[sp.permutation], sp.values)
-        # stable: tied 0.1s keep their original relative order
-        assert sp.permutation[0] == 1 and sp.permutation[1] == 3
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            SortedPredictions(values=np.array([0.9, 0.1]), permutation=np.array([0, 1]))
-        with pytest.raises(ValueError):
-            SortedPredictions(values=np.array([0.1, 1.5]), permutation=np.array([0, 1]))
-        with pytest.raises(ValueError):
-            SortedPredictions(values=np.array([0.1, 0.2]), permutation=np.array([0, 0]))
-        with pytest.raises(ValueError):
-            SortedPredictions(values=np.array([]), permutation=np.array([]))
 
 
 class TestQuantileParam:

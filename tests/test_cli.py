@@ -14,10 +14,10 @@ from promil.cli import (
     load_model,
     main,
 )
-from promil import metrics
+from promil import metrics, training
 from promil.bagdata import load_dataset
 from promil.bernstein import DEFAULT_EPS
-from promil.heads import score_bag
+from promil.heads import HEADS, score_bag
 from promil.metrics import evaluate
 from promil.network import forward_bag
 
@@ -196,7 +196,7 @@ class TestEval:
 
         def scores(eps):
             return [score_bag(forward_bag(model.net, b.instances)[0], "promil",
-                              q=model.q.q, eps=eps).score for b in val]
+                              q=model.q.q, eps=eps) for b in val]
 
         assert scores(1e-3) != scores(DEFAULT_EPS)
         seen = []
@@ -207,6 +207,30 @@ class TestEval:
                      "--out", str(tmp_path / "r.json")]) == EXIT_OK
         assert seen == [scores(1e-3)]
         assert model.eps == 1e-3
+
+    @pytest.mark.parametrize("head", HEADS)
+    def test_eval_scores_equal_validation_scores(self, head, tmp_path, monkeypatch):
+        cfg = small_config(
+            tmp_path, head=head,
+            dataset={"n_bags": 60, "threshold_qstar": 0.3, "bag_size_mean": 6,
+                     "bag_size_std": 2, "class_separation": 40.0},
+            train={"max_epochs": 3, "patience": 3, "q_init": 0.3, "val_metric": "loss",
+                   "eps_clamp": 1e-3, "learning_rate": 0.1})
+        data, model_path = str(tmp_path / "d.json"), str(tmp_path / "m.json")
+        assert main(["generate", "--config", cfg, "--out", data]) == EXIT_OK
+        per_epoch = []
+        real_auc = metrics.auc
+        monkeypatch.setattr(training, "auc_metric",
+                            lambda s, y: per_epoch.append(list(s)) or real_auc(s, y))
+        assert main(["train", data, "--config", cfg, "--out", model_path]) == EXIT_OK
+        seen = []
+        monkeypatch.setattr(metrics, "auc",
+                            lambda s, y: seen.append(list(s)) or real_auc(s, y))
+        assert main(["eval", model_path, data, "--split", "validation",
+                     "--out", str(tmp_path / "r.json")]) == EXIT_OK
+        model = load_model(model_path)
+        assert model.head == head and len(per_epoch) == model.epochs_run
+        assert seen == [per_epoch[model.best_epoch - 1]]
 
     def test_model_v1_reads_with_default_eps(self, trained, tmp_path):
         _, data, model_path = trained
@@ -234,6 +258,63 @@ class TestEval:
         data3 = str(tmp_path / "d3.json")
         main(["generate", "--config", cfg3, "--out", data3])
         assert main(["eval", model, data3]) == EXIT_USAGE
+
+
+def _drop_input_dim(doc):
+    del doc["arch"]["input_dim"]
+
+
+def _widen_first_weight(doc):
+    doc["weights"][0].append([0.0])
+
+
+class TestModelFiles:
+    @pytest.mark.parametrize("field, edit", [
+        ("weights", lambda doc: doc.pop("weights")),
+        ("raw_q", lambda doc: doc.pop("raw_q")),
+        ("arch", _drop_input_dim),
+        ("weights", _widen_first_weight),
+        ("biases", lambda doc: doc.update(biases=[[0.0, 1.0]])),
+        ("head", lambda doc: doc.update(head="median")),
+        ("eps_clamp", lambda doc: doc.update(eps_clamp=-1.0)),
+        ("raw_q", lambda doc: doc.update(raw_q="high")),
+        ("metadata", lambda doc: doc.update(metadata=[])),
+    ])
+    def test_bad_field_exits_2_naming_path_and_field(self, trained, tmp_path, capsys,
+                                                      field, edit):
+        _, data, model_path = trained
+        doc = json.loads(Path(model_path).read_text())
+        edit(doc)
+        bad = tmp_path / "bad-model.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["eval", str(bad), data]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert str(bad) in err and f"'{field}'" in err and "Traceback" not in err
+
+    def test_truncated_json_exits_2_naming_path(self, trained, tmp_path, capsys):
+        _, data, model_path = trained
+        bad = tmp_path / "cut-model.json"
+        bad.write_text(Path(model_path).read_text()[:100])
+        assert main(["eval", str(bad), data]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert str(bad) in err and "not valid JSON" in err
+
+
+class TestTrainConfigFields:
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("weight_decay", float("nan")), ("eps_clamp", float("inf")),
+        ("eps_clamp", float("nan")), ("max_epochs", 0), ("max_epochs", 2.5),
+        ("patience", -1), ("patience", 1.5),
+    ])
+    def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, field, value):
+        train = {"max_epochs": 4, "patience": 4, field: value}
+        cfg = small_config(tmp_path, train=train)
+        argv = ["train", FIXTURE_V1, "--config", cfg, "--out", str(tmp_path / "m.json")]
+        assert main(argv) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "'train'" in err and field in err
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestSweep:

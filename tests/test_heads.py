@@ -1,35 +1,54 @@
 import numpy as np
 import pytest
 
-from promil.bernstein import estimate_quantile, estimate_quantile_limit
-from promil.heads import decide, max_score, mean_score, promil_score, score_bag
+from promil.bernstein import (
+    DEFAULT_EPS,
+    estimate_quantile,
+    estimate_quantile_limit,
+    quantile_gradients,
+)
+from promil.heads import HEADS, decide, head_function, score_bag
 
 
 class TestPromilScore:
     def test_constant_list(self):
-        bs = promil_score(np.full(5, 0.9), q=0.3)
-        assert bs.score == pytest.approx(0.9, abs=1e-12)
+        bs = score_bag(np.full(5, 0.9), "promil", q=0.3)
+        assert bs == pytest.approx(0.9, abs=1e-12)
         # flip identity: the complemented bag at level 1-q scores 1 - 0.9
         assert estimate_quantile(np.full(5, 0.1), 0.7) == pytest.approx(0.1, abs=1e-12)
 
     def test_single_prediction(self):
-        bs = promil_score(np.array([0.2]), q=0.7)
-        assert bs.score == pytest.approx(0.2, abs=1e-14)
-        assert estimate_quantile(np.array([0.8]), 0.3) == pytest.approx(1.0 - bs.score,
+        bs = score_bag(np.array([0.2]), "promil", q=0.7)
+        assert bs == pytest.approx(0.2, abs=1e-14)
+        assert estimate_quantile(np.array([0.8]), 0.3) == pytest.approx(1.0 - bs,
                                                                         abs=1e-14)
 
     def test_sorts_before_estimating(self):
-        bs = promil_score(np.array([0.1, 0.9, 0.5]), q=0.25)
+        preds = np.array([0.1, 0.9, 0.5])
+        bs = score_bag(preds, "promil", q=0.25)
         want = estimate_quantile(np.array([0.1, 0.5, 0.9]), 0.25)
-        assert bs.score == pytest.approx(want, rel=1e-14)
-        np.testing.assert_array_equal(bs.permutation, [0, 2, 1])
+        assert bs == pytest.approx(want, rel=1e-14)
+        # the sort permutation is [0, 2, 1]: the k-th weight goes back to
+        # the prediction that sorted into place k
+        _, dpreds, _ = head_function("promil")(preds, 0.25, DEFAULT_EPS, True)
+        w, _ = quantile_gradients(np.array([0.1, 0.5, 0.9]), 0.25)
+        np.testing.assert_array_equal(dpreds, w[[0, 2, 1]])
+
+    def test_stable_sort_routes_tied_weights(self):
+        # the sort is stable: the tied 0.1s keep their order, so the weights
+        # of sorted places 0..3 go back to predictions 1, 3, 0, 2
+        raw = np.array([0.5, 0.1, 0.9, 0.1])
+        _, dpreds, _ = head_function("promil")(raw, 0.3, DEFAULT_EPS, True)
+        w, _ = quantile_gradients(np.array([0.1, 0.1, 0.5, 0.9]), 0.3)
+        np.testing.assert_array_equal(dpreds[[1, 3, 0, 2]], w)
+        assert w[0] != w[1]
 
     def test_flip_identity(self):
         # c_{1-q}(1 - p) = 1 - c_q(p): the complemented bag at the flipped level
         preds = np.array([0.15, 0.7, 0.4, 0.9])
-        bs = promil_score(preds, q=0.2)
+        bs = score_bag(preds, "promil", q=0.2)
         flipped = estimate_quantile(np.sort(1.0 - preds), 0.8)
-        assert flipped == pytest.approx(1.0 - bs.score, rel=1e-14)
+        assert flipped == pytest.approx(1.0 - bs, rel=1e-14)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
@@ -39,52 +58,52 @@ class TestPromilScore:
             for _ in range(5):
                 shuffled = rng.permutation(preds)
                 got = score_bag(shuffled, head, q=0.35)
-                assert got.score == pytest.approx(base.score, rel=1e-12)
+                assert got == pytest.approx(base, rel=1e-12)
 
     def test_bounded_by_extremes(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             preds = rng.uniform(size=int(rng.integers(1, 30)))
             q = float(rng.uniform(0.02, 0.98))
-            bs = promil_score(preds, q)
-            assert preds.min() - 1e-7 <= bs.score <= preds.max() + 1e-12
+            bs = score_bag(preds, "promil", q)
+            assert preds.min() - 1e-7 <= bs <= preds.max() + 1e-12
 
     def test_limit_behavior(self):
         rng = np.random.default_rng(2)
         preds = rng.uniform(size=9)
-        assert promil_score(preds, q=1e-9).score == pytest.approx(preds.max(), abs=1e-6)
-        assert promil_score(preds, q=1 - 1e-9).score == pytest.approx(preds.min(), abs=1e-6)
+        assert score_bag(preds, "promil", q=1e-9) == pytest.approx(preds.max(), abs=1e-6)
+        assert score_bag(preds, "promil", q=1 - 1e-9) == pytest.approx(preds.min(), abs=1e-6)
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            promil_score(np.array([]), q=0.5)
+            score_bag(np.array([]), "promil", q=0.5)
 
 
 class TestBaselineScores:
     def test_max(self):
-        assert max_score(np.array([0.1, 0.9, 0.5])).score == 0.9
-        assert max_score(np.array([0.42])).score == 0.42
+        assert score_bag(np.array([0.1, 0.9, 0.5]), "max") == 0.9
+        assert score_bag(np.array([0.42]), "max") == 0.42
 
     def test_max_equals_limit_at_zero(self):
         preds = np.array([0.3, 0.8, 0.05])
-        assert max_score(preds).score == estimate_quantile_limit(np.sort(preds), 0)
+        assert score_bag(preds, "max") == estimate_quantile_limit(np.sort(preds), 0)
 
     def test_mean(self):
-        assert mean_score(np.array([0.2, 0.4])).score == pytest.approx(0.3, abs=1e-15)
-        assert mean_score(np.full(7, 0.13)).score == pytest.approx(0.13, abs=1e-15)
+        assert score_bag(np.array([0.2, 0.4]), "mean") == pytest.approx(0.3, abs=1e-15)
+        assert score_bag(np.full(7, 0.13), "mean") == pytest.approx(0.13, abs=1e-15)
 
     def test_mean_matches_quantile_for_pairs(self):
         # n=1, q=0.5 gives weights (1/2, 1/2): the estimator is the mean
         preds = np.array([0.2, 0.4])
-        assert mean_score(preds).score == pytest.approx(
+        assert score_bag(preds, "mean") == pytest.approx(
             estimate_quantile(preds, 0.5), rel=1e-14
         )
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            max_score(np.array([]))
+            score_bag(np.array([]), "max")
         with pytest.raises(ValueError):
-            mean_score(np.array([]))
+            score_bag(np.array([]), "mean")
 
 
 class TestDecide:
@@ -100,4 +119,28 @@ class TestDecide:
         for _ in range(50):
             hidden = rng.integers(0, 2, size=int(rng.integers(1, 12)))
             preds = np.where(hidden == 1, 0.95, 0.03)
-            assert decide(max_score(preds).score) == int(hidden.any())
+            assert decide(score_bag(preds, "max")) == int(hidden.any())
+
+    def test_applies_to_a_whole_array(self):
+        scores = np.array([0.51, 0.5, 0.0, 1.0, np.nan])
+        np.testing.assert_array_equal(decide(scores), [1, 0, 0, 1, 0])
+        assert decide(scores).dtype == np.int64
+
+
+class TestHeadTable:
+    @pytest.mark.parametrize("size", [1, 2, 30, 10001])
+    @pytest.mark.parametrize("head", HEADS)
+    def test_value_with_and_without_grads_is_bitwise_equal(self, head, size):
+        preds = np.random.default_rng(size).uniform(1e-3, 1.0 - 1e-3, size=size)
+        fn = head_function(head)
+        value, dpreds, dq = fn(preds, 0.3, DEFAULT_EPS, True)
+        plain = fn(preds, 0.3, DEFAULT_EPS, False)
+        assert type(value) is float and type(plain) is float
+        assert value.hex() == plain.hex()
+        assert score_bag(preds, head, q=0.3) == plain
+        assert dpreds.shape == preds.shape
+        assert dq == 0.0 or head == "promil"
+
+    def test_unknown_head_rejected(self):
+        with pytest.raises(ValueError, match="head must be one of"):
+            score_bag(np.array([0.5]), "median", q=0.3)

@@ -16,7 +16,7 @@ from promil.bernstein import (
     quantile_gradients,
     quantile_value_grad,
 )
-from promil.heads import promil_score
+from promil.heads import score_bag
 
 LEVELS = st.floats(min_value=0.01, max_value=0.99)
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -32,7 +32,7 @@ def bag(size, seed, lo=1e-3, hi=1.0 - 1e-3):
 def test_bag_score_is_permutation_invariant(size, seed, q):
     p = bag(size, seed)
     shuffled = np.random.default_rng(seed + 1).permutation(p)
-    assert promil_score(shuffled, q).score == promil_score(p, q).score
+    assert score_bag(shuffled, "promil", q) == score_bag(p, "promil", q)
 
 
 @PROPERTY
@@ -41,8 +41,8 @@ def test_flip_identity(size, seed, q):
     # c_{1-q}(1 - p) = 1 - c_q(p): complementing reverses the order and
     # moves the binomial mass from index n(1-q) to index nq
     p = bag(size, seed)
-    c = promil_score(p, q).score
-    assert promil_score(1.0 - p, 1.0 - q).score == pytest.approx(1.0 - c, abs=1e-12)
+    c = score_bag(p, "promil", q)
+    assert score_bag(1.0 - p, "promil", 1.0 - q) == pytest.approx(1.0 - c, abs=1e-12)
 
 
 @PROPERTY
@@ -52,7 +52,7 @@ def test_monotone_in_each_value(size, seed, q, bump):
     i = int(np.random.default_rng(seed).integers(size))
     raised = p.copy()
     raised[i] += bump * (1.0 - p[i])
-    assert promil_score(raised, q).score >= promil_score(p, q).score - 1e-13
+    assert score_bag(raised, "promil", q) >= score_bag(p, "promil", q) - 1e-13
 
 
 @PROPERTY
@@ -60,7 +60,7 @@ def test_monotone_in_each_value(size, seed, q, bump):
 def test_nonincreasing_in_q(size, seed, q, r):
     p = bag(size, seed)
     lo, hi = min(q, r), max(q, r)
-    assert promil_score(p, hi).score <= promil_score(p, lo).score + 1e-13
+    assert score_bag(p, "promil", hi) <= score_bag(p, "promil", lo) + 1e-13
 
 
 @PROPERTY

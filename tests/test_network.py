@@ -7,9 +7,13 @@ from promil.network import (
     NetParams,
     backward_bag,
     forward_bag,
-    forward_instance,
     init_params,
 )
+
+
+def forward_one(params, x):
+    """The prediction for one feature vector, as a bag of one instance."""
+    return float(forward_bag(params, x[None, :])[0][0])
 
 
 def logistic_regression_params(w, b=0.0):
@@ -66,11 +70,11 @@ class TestInit:
 class TestForward:
     def test_zero_params_give_half(self):
         params = logistic_regression_params([0.0, 0.0])
-        assert forward_instance(params, np.array([3.0, -4.0])) == 0.5
+        assert forward_one(params, np.array([3.0, -4.0])) == 0.5
 
     def test_logistic_closed_form(self):
         params = logistic_regression_params([1.0, 0.0])
-        got = forward_instance(params, np.array([2.0, 5.0]))
+        got = forward_one(params, np.array([2.0, 5.0]))
         assert got == pytest.approx(float(expit(2.0)), rel=1e-12)
         assert got == pytest.approx(0.880797, abs=1e-6)
 
@@ -92,7 +96,7 @@ class TestForward:
         bag = rng.normal(size=(3, 4))
         preds, _ = forward_bag(params, bag)
         for i in range(3):
-            assert preds[i] == pytest.approx(forward_instance(params, bag[i]), rel=1e-14)
+            assert preds[i] == pytest.approx(forward_one(params, bag[i]), rel=1e-14)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(6)
@@ -110,7 +114,7 @@ class TestForward:
         with pytest.raises(ValueError):
             forward_bag(params, np.zeros((2, 4)))
         with pytest.raises(ValueError):
-            forward_instance(params, np.zeros((2, 3)))
+            forward_bag(params, np.zeros(3))
 
 
 class TestBackward:

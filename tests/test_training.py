@@ -5,17 +5,16 @@ import numpy as np
 import pytest
 
 from promil.bagdata import Bag, DatasetSplit, SyntheticSpec, generate_synthetic, split_dataset
-from promil.bernstein import QuantileParam
+from promil.bernstein import DEFAULT_EPS, QuantileParam
 from promil.network import NetArch, init_params
 from promil.training import (
     NumericalError,
     TrainConfig,
     adam_update,
+    bag_cost,
     bag_cost_and_grads,
     bag_step,
-    cost_gradients,
     init_train_state,
-    promil_cost,
     train,
 )
 
@@ -33,40 +32,42 @@ def tiny_split(qstar=0.3, n=60, seed=0):
 
 class TestCost:
     def test_zero_cost_cases(self):
-        assert promil_cost(1.0, 0.37, 1) == 0.0
-        assert promil_cost(0.37, 1.0, 0) == 0.0
+        assert bag_cost(1.0, 1, DEFAULT_EPS)[0] == 0.0
+        assert bag_cost(0.0, 0, DEFAULT_EPS)[0] == 0.0
 
     def test_log_two(self):
-        assert promil_cost(0.5, 0.8, 1) == pytest.approx(math.log(2), rel=1e-12)
+        assert bag_cost(0.5, 1, DEFAULT_EPS)[0] == pytest.approx(math.log(2), rel=1e-12)
+        assert bag_cost(0.5, 0, DEFAULT_EPS)[0] == pytest.approx(math.log(2), rel=1e-12)
 
     def test_nonnegative_with_clamped_args(self):
+        # scores just outside [0, 1] make the clamp bind at both ends
         rng = np.random.default_rng(0)
         for _ in range(200):
-            c_q = float(rng.uniform(1e-7, 1.0 + 1e-9))
-            c_1mq = float(rng.uniform(1e-7, 1.0 + 1e-9))
+            score = float(rng.uniform(-1e-9, 1.0 + 1e-9))
             y = int(rng.integers(0, 2))
-            assert promil_cost(c_q, c_1mq, y) >= 0.0
+            assert bag_cost(score, y, DEFAULT_EPS)[0] >= 0.0
 
     def test_y_validation(self):
         with pytest.raises(ValueError):
-            promil_cost(0.5, 0.5, 2)
+            bag_cost(0.5, 2, DEFAULT_EPS)
         with pytest.raises(ValueError):
-            cost_gradients(0.5, 0.5, 0.5)
+            bag_cost(0.5, 0.5, DEFAULT_EPS)
 
     def test_gradients(self):
-        assert cost_gradients(0.7, 0.2, 0)[0] == 0.0
-        assert cost_gradients(0.5, 0.9, 1)[0] == pytest.approx(-2.0, rel=1e-14)
+        # where the clamp binds, the cost is flat in the score
+        assert bag_cost(1e-9, 1, 1e-7)[1] == 0.0
+        assert bag_cost(1.0 - 1e-9, 0, 1e-7)[1] == 0.0
+        assert bag_cost(0.5, 1, DEFAULT_EPS)[1] == pytest.approx(-2.0, rel=1e-14)
+        assert bag_cost(0.75, 0, DEFAULT_EPS)[1] == pytest.approx(4.0, rel=1e-14)
         rng = np.random.default_rng(1)
         h = 1e-7
         for _ in range(50):
-            c_q = float(rng.uniform(0.05, 0.95))
-            c_1mq = float(rng.uniform(0.05, 0.95))
+            score = float(rng.uniform(0.05, 0.95))
             y = int(rng.integers(0, 2))
-            d_cq, d_c1mq = cost_gradients(c_q, c_1mq, y)
-            fd_cq = (promil_cost(c_q + h, c_1mq, y) - promil_cost(c_q - h, c_1mq, y)) / (2 * h)
-            fd_c1 = (promil_cost(c_q, c_1mq + h, y) - promil_cost(c_q, c_1mq - h, y)) / (2 * h)
-            assert d_cq == pytest.approx(fd_cq, rel=1e-6, abs=1e-9)
-            assert d_c1mq == pytest.approx(fd_c1, rel=1e-6, abs=1e-9)
+            d_score = bag_cost(score, y, DEFAULT_EPS)[1]
+            fd = (bag_cost(score + h, y, DEFAULT_EPS)[0]
+                  - bag_cost(score - h, y, DEFAULT_EPS)[0]) / (2 * h)
+            assert d_score == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
 class TestAdam:
@@ -97,11 +98,6 @@ class TestAdam:
             p, m, v = adam_update(p, np.array([1.0]), (m, v), cfg, t)
             assert p[0] < prev[0]
             prev = p.copy()
-
-    def test_scalar_param(self):
-        cfg = self.cfg()
-        p, m, v = adam_update(0.0, 2.0, (0.0, 0.0), cfg, t=1)
-        assert p == pytest.approx(-cfg.learning_rate * 2.0 / (2.0 + 1e-8), rel=1e-9)
 
 
 class TestConfigValidation:
