@@ -51,6 +51,11 @@ class Bag:
     hidden_instance_labels: np.ndarray = None
     positive_fraction: float = None
     split: str = None
+    # (instances, (whole, offsets), i), set by load_dataset: ``instances``
+    # was made as ``whole[offsets[i]:offsets[i + 1]]``, a view of the
+    # dataset's one instance array.  It holds for as long as ``instances``
+    # is that object.
+    loaded_rows: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.instances = np.asarray(self.instances, dtype=np.float64)
@@ -72,6 +77,11 @@ class Bag:
 
     def __len__(self):
         return self.instances.shape[0]
+
+    def __getstate__(self):
+        # a copied or unpickled bag's instances are no longer a view of the
+        # array it was loaded from
+        return {**self.__dict__, "loaded_rows": None}
 
 
 @dataclass
@@ -325,6 +335,44 @@ def split_dataset(bags, fractions, seed):
     return split
 
 
+def stack_instances(bags, width):
+    """A split's instances as one (N, width) float64 array, and each bag's
+    instance count as an int64 array.
+
+    The array is a view when the bags are consecutive row ranges of the
+    instance array ``load_dataset`` read them from, as the bags of every
+    split it returns are, and a copy otherwise.  A bag that is empty or not
+    ``width`` features wide raises ValueError naming it.
+    """
+    if not bags:
+        return np.empty((0, width)), np.empty(0, dtype=np.int64)
+    run = _loaded_run(bags)
+    if run is not None and run[0].shape[1] == width:
+        return run
+    arrays = [b.instances for b in bags]
+    for bag, x in zip(bags, arrays):
+        if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != width:
+            raise ValueError(f"bag {bag.id}: instances of shape {x.shape}, expected a "
+                             f"nonempty (bag_size, {width}) array")
+    lengths = np.array([x.shape[0] for x in arrays], dtype=np.int64)
+    return np.concatenate(arrays, dtype=np.float64), lengths
+
+
+def _loaded_run(bags):
+    """``(view, lengths)`` when ``bags`` are, in order, consecutive bags of
+    one dataset that ``load_dataset`` read; else None."""
+    if bags[0].loaded_rows is None:
+        return None
+    _, source, first = bags[0].loaded_rows
+    for i, bag in enumerate(bags, first):
+        rows = bag.loaded_rows
+        if rows is None or rows[0] is not bag.instances or rows[1] is not source or rows[2] != i:
+            return None
+    whole, offsets = source
+    bounds = offsets[first:first + len(bags) + 1]
+    return whole[bounds[0]:bounds[-1]], np.diff(bounds)
+
+
 def _bag_from_json(obj):
     return Bag(
         id=obj["id"],
@@ -456,6 +504,7 @@ def _load_npz(path):
     ids, labels, fractions = a["ids"].tolist(), a["labels"].tolist(), a["fractions"].tolist()
     codes, has_hidden, has_fraction = codes.tolist(), a["has_hidden"], a["has_fraction"]
     bounds, hidden = offsets.tolist(), a["hidden"]
+    instances = instances.astype(np.float64, copy=False)   # each bag a view of it
     try:
         bags = [Bag(id=ids[i], instances=instances[lo:hi], label=labels[i],
                     hidden_instance_labels=hidden[lo:hi] if has_hidden[i] else None,
@@ -464,4 +513,7 @@ def _load_npz(path):
                 for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
     except ValueError as exc:
         raise DatasetError(f"{path}: {exc}") from exc
+    source = (instances, offsets.astype(np.int64, copy=False))
+    for i, bag in enumerate(bags):
+        bag.loaded_rows = (bag.instances, source, i)
     return bags, header.get("spec"), header.get("seed")

@@ -7,13 +7,17 @@ estimate is
 
 a binomial mixture of order statistics that is differentiable in both the
 values and q.  The weights put their mass near index n*(1-q), so q -> 0
-approaches the maximum and q -> 1 the minimum.  Evaluation runs in the log
-domain (log-gamma binomial coefficients, logsumexp accumulation) so that
-bag sizes in the thousands stay finite.
+approaches the maximum and q -> 1 the minimum.  The weights are built in
+the log domain (log-factorial binomial coefficients), so bag sizes in the
+thousands stay finite, and the estimate is their direct sum with the
+values: the largest weight is at least 1/(n+1) and every clamped value at
+least eps, so the sum cannot underflow as a whole, and the weights that
+underflow one by one are negligible.
 
-Values are clamped below at ``eps`` before the log; clamped entries receive
-zero gradient.  One kernel (``quantile_value_grad``) serves training,
-validation, evaluation and the CLI.
+Values are clamped below at ``eps``; clamped entries receive zero
+gradient.  One kernel (``quantile_value_grad``) serves training,
+validation, evaluation and the CLI; ``quantile_rows`` applies the same
+weights to a block of bags at once, for scoring a whole split.
 """
 
 import math
@@ -71,17 +75,22 @@ def _tables(n):
     return _LOG_FACTORIAL, _K
 
 
-def _log_weights(n, q):
-    """log C(n,k) + (n-k) log q + k log(1-q) for k = 0..n: the log of the
-    Binomial(n, 1-q) pmf."""
-    lf, k = _tables(n)
-    return (lf[n] - lf[:n + 1] - lf[n::-1]
-            + k[n::-1] * np.log(q) + k[:n + 1] * np.log1p(-q))
+def _log_weights(tables, n, k, nk, q):
+    """log C(n,k) + (n-k) log q + k log(1-q): the log of the Binomial(n, 1-q)
+    pmf at k.
+
+    ``tables`` is ``_tables(top)`` for a top covering n; ``n`` is an int or
+    an int array, and ``k`` and ``nk`` (= n - k wherever the weight is
+    used) index the tables: slices for one bag's k = 0..n, index arrays
+    for a block of bags.
+    """
+    lf, kf = tables
+    return lf[n] - lf[k] - lf[nk] + kf[nk] * np.log(q) + kf[k] * np.log1p(-q)
 
 
 def quantile_value_grad(values, q, eps, grads=True):
-    """The kernel: the estimate at level q of ascending ``values``, in the
-    log domain, with unchecked arguments.
+    """The kernel: the estimate at level q of ascending ``values``, with
+    unchecked arguments.
 
     Returns ``(value, grad_values, grad_q)`` where ``grad_values[k]`` is the
     probability weight w_k (zero for entries clamped below eps) and
@@ -89,18 +98,33 @@ def quantile_value_grad(values, q, eps, grads=True):
     with ``grads=False`` only the value.
     """
     n = values.size - 1
-    log_w = _log_weights(n, q)
-    g = np.maximum(values, eps)
-    log_terms = log_w + np.log(g)
-    m = log_terms.max()
-    value = float(np.exp(m) * np.exp(log_terms - m).sum())
+    tables = _tables(n)
+    w = np.exp(_log_weights(tables, n, slice(n + 1), slice(n, None, -1), q))
+    wg = w * np.maximum(values, eps)
+    value = float(wg.sum())
     if not grads:
         return value
-    _, k = _tables(n)
-    w = np.exp(log_w)
+    k = tables[1]
     grad_values = np.where(values >= eps, w, 0.0)
-    grad_q = float((w * g * (k[n::-1] / q - k[:n + 1] / (1.0 - q))).sum())
+    grad_q = float((wg * (k[n::-1] / q - k[:n + 1] / (1.0 - q))).sum())
     return value, grad_values, grad_q
+
+
+def quantile_rows(block, n, q, eps):
+    """The estimate at level q of each row of a 2-D ``block`` whose leading
+    ``n[i] + 1`` entries are ascending; the entries after them are padding
+    and count for nothing.  Arguments are unchecked.  Each weight and term
+    is the one ``quantile_value_grad`` computes for that row alone.
+    """
+    cols = np.arange(block.shape[1])
+    n = n[:, None]
+    # k is the column.  In the padding, where k > n, n - k is taken as
+    # k - n: the log weight there is then at most 0, so exp cannot
+    # overflow before the padding is zeroed.
+    wg = np.exp(_log_weights(_tables(block.shape[1]), n, cols, np.abs(n - cols), q))
+    wg *= np.maximum(block, eps)
+    wg[cols > n] = 0.0
+    return wg.sum(axis=1)
 
 
 def _ascending_values(preds):

@@ -136,6 +136,9 @@ def load_config(path):
             doc = json.load(f)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: a config must be a JSON object, got "
+                          f"{type(doc).__name__}")
     if doc.get("schema") != CONFIG_SCHEMA:
         raise ConfigError(
             f"{path}: unsupported config schema {doc.get('schema')!r} "

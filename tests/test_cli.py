@@ -17,9 +17,8 @@ from promil.cli import (
 from promil import metrics, training
 from promil.bagdata import load_dataset
 from promil.bernstein import DEFAULT_EPS
-from promil.heads import HEADS, score_bag
+from promil.heads import HEADS, score_bags
 from promil.metrics import evaluate
-from promil.network import forward_bag
 
 FIXTURE_V1 = str(Path(__file__).parent / "data" / "bagdata1.json")
 
@@ -89,6 +88,16 @@ class TestGenerate:
         code = main(["generate", "--config", cfg, "--out", str(tmp_path / "d.json")])
         assert code == EXIT_IO
         assert "bananas" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[]", '"s"', "3"])
+    def test_config_that_is_not_an_object(self, text, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        assert main(["generate", "--config", str(cfg),
+                     "--out", str(tmp_path / "d.json")]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "JSON object" in err
+        assert not (tmp_path / "d.json").exists()
 
     def test_missing_config_file(self, tmp_path):
         assert main(["generate", "--config", str(tmp_path / "nope.json"),
@@ -195,8 +204,7 @@ class TestEval:
         val = [b for b in load_dataset(data)[0] if b.split == "validation"]
 
         def scores(eps):
-            return [score_bag(forward_bag(model.net, b.instances)[0], "promil",
-                              q=model.q.q, eps=eps) for b in val]
+            return list(score_bags(model.net, val, "promil", model.q.q, eps))
 
         assert scores(1e-3) != scores(DEFAULT_EPS)
         seen = []
