@@ -19,6 +19,14 @@ executes, so ``git rev-parse <commit>:src`` tells whether a commit holds
 the code that was measured, committed or not at the time.  Run it on an
 otherwise idle machine: the pairs share its cores with anything else
 running.
+
+A run that fails is kept in its pair as its exit code and the last lines
+of its stderr, and the pairs go on.  Medians and wins count only the pairs
+whose two runs completed; the file also gives, per side, the failed runs
+and the failed and attempted operations of the completed runs, since a
+rise in the share of failed operations matters as much as a slower median.
+The script exits 1 when any run failed or when ``src`` or ``e2ebench``
+changed while the pairs ran; the file is written either way.
 """
 
 import argparse
@@ -33,6 +41,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CODE = ("src", "e2ebench")
+STDERR_LINES = 20
 
 
 def git(*args, env=None):
@@ -62,15 +71,20 @@ def working_trees():
 
 
 def run_once(checkout, workload, seed, seconds):
-    """One benchmark run; returns its result, machine and calibration lines."""
+    """One benchmark run: its result, machine and calibration lines, or, when
+    it fails, its exit code and the tail of its stderr."""
     proc = subprocess.run(
         [sys.executable, "e2ebench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=False)
-    if proc.returncode != 0:
-        raise RuntimeError(f"run in {checkout} exited {proc.returncode}:\n{proc.stderr}")
     lines = proc.stdout.splitlines()
-    run = {"result": json.loads(lines[-1])}
+    try:
+        run = {"result": json.loads(lines[-1])}
+    except (IndexError, ValueError):
+        run = None
+    if proc.returncode != 0 or run is None:
+        return {"exit_code": proc.returncode,
+                "stderr_tail": proc.stderr.splitlines()[-STDERR_LINES:]}
     for line in lines[:-1]:
         key, _, rest = line.partition(" ")
         if key in ("machine", "calibration"):
@@ -81,20 +95,32 @@ def run_once(checkout, workload, seed, seconds):
 
 
 def summarize(pairs, better):
-    """Per-side medians of each end-to-end metric, and the pairs the change
-    won."""
-    medians = {}
-    for side in ("base", "change"):
-        medians[side] = {name: statistics.median(p[side]["result"]["metrics"][name]["value"]
-                                                 for p in pairs)
-                         for name in better}
+    """The per-side medians of each end-to-end metric and the pairs the
+    change won, by the direction in ``better`` (a tie wins nothing), both
+    over the pairs whose two runs completed; and per side, the runs that
+    failed and the failed and attempted operations of those that
+    completed."""
+    done = [p for p in pairs if "result" in p["base"] and "result" in p["change"]]
+
+    def value(run, name):
+        return run["result"]["metrics"][name]["value"]
+
+    medians = {side: {name: statistics.median(value(p[side], name) for p in done)
+                      for name in better} if done else {}
+               for side in ("base", "change")}
     wins = {}
     for name, direction in better.items():
         sign = 1.0 if direction == "higher" else -1.0
-        wins[name] = sum(sign * (p["change"]["result"]["metrics"][name]["value"]
-                                 - p["base"]["result"]["metrics"][name]["value"]) > 0
-                         for p in pairs)
-    return medians, wins
+        wins[name] = sum(sign * (value(p["change"], name) - value(p["base"], name)) > 0
+                         for p in done)
+    failures = {}
+    for side in ("base", "change"):
+        results = [p[side]["result"] for p in pairs if "result" in p[side]]
+        failures[side] = {"failed_runs": len(pairs) - len(results),
+                          "failed_operations": sum(r["failed"] for r in results),
+                          "attempted_operations": sum(r["attempted"] for r in results)}
+    return {"completed_pairs": len(done), "medians": medians,
+            "change_better_in_pairs": wins, "failures": failures}
 
 
 def main(argv=None):
@@ -124,32 +150,38 @@ def main(argv=None):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_once(checkouts[side], args.workload, seed, seconds)
-                metrics = pair[side]["result"]["metrics"]
-                print(f"pair {i + 1}/{args.pairs} seed {seed} {side}: total_s "
-                      f"{metrics['total_s']['value']:.4g}", file=sys.stderr)
+                run = pair[side] = run_once(checkouts[side], args.workload, seed, seconds)
+                status = (f"total_s {run['result']['metrics']['total_s']['value']:.4g}"
+                          if "result" in run else f"FAILED, exit {run['exit_code']}")
+                print(f"pair {i + 1}/{args.pairs} seed {seed} {side}: {status}",
+                      file=sys.stderr)
             pairs.append(pair)
     finally:
         shutil.rmtree(tmp)
-    if working_trees() != change["trees"]:
-        raise RuntimeError("src or e2ebench changed while the pairs ran")
-    medians, wins = summarize(pairs, better)
+    code_changed = working_trees() != change["trees"]
+    summary = summarize(pairs, better)
     doc = {
         "workload": args.workload,
         "command": ["python3", "e2ebench/run.py", "--workload", args.workload,
                     "--seed", "<seed>", "--seconds", str(seconds), "--trace", "0"],
         "base": base,
         "change": change,
+        "code_changed_while_running": code_changed,
         "pairs": pairs,
-        "medians": medians,
-        "change_better_in_pairs": wins,
+        **summary,
     }
     out = os.path.join(ROOT, f"BENCH_{args.workload}.json")
     with open(out, "w") as f:
         json.dump(doc, f, indent=1, sort_keys=True)
         f.write("\n")
     print(f"wrote {out}", file=sys.stderr)
-    return 0
+    for side, counts in summary["failures"].items():
+        print(f"{side}: {counts['failed_runs']} failed runs, {counts['failed_operations']}/"
+              f"{counts['attempted_operations']} failed operations", file=sys.stderr)
+    if code_changed:
+        print("src or e2ebench changed while the pairs ran", file=sys.stderr)
+    failed = any(counts["failed_runs"] for counts in summary["failures"].values())
+    return 1 if failed or code_changed else 0
 
 
 if __name__ == "__main__":

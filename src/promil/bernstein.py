@@ -18,6 +18,15 @@ Values are clamped below at ``eps``; clamped entries receive zero
 gradient.  One kernel (``quantile_value_grad``) serves training,
 validation, evaluation and the CLI; ``quantile_rows`` applies the same
 weights to a block of bags at once, for scoring a whole split.
+
+A training step calls the kernel on one bag, so the kernel does per call
+only what depends on q or on the values.  The q-free part of the log
+weights, log C(n, k) for k = 0..n, is kept per bag length n in a store
+that takes rows while it holds at most ``ROW_CACHE_FLOATS`` numbers; the
+weights built from it are the ones the uncached sum gives, bit for bit.
+The values ascend, so one comparison of the first with eps tells whether
+the clamp binds anywhere; when it does not, the clamp and the masking of
+the weights are skipped, which changes no bit either.
 """
 
 import math
@@ -64,6 +73,15 @@ class QuantileParam:
 _LOG_FACTORIAL = gammaln(np.arange(1.0, 1025.0))
 _K = np.arange(1024.0)
 
+# log C(n, k) for k = 0..n, per bag length n: the part of a bag's log
+# weights that does not depend on q.  A row is stored only while the store
+# stays within ROW_CACHE_FLOATS numbers (1 MiB); other lengths are computed
+# on each call.  Nothing is evicted: a split of more lengths than fit (140
+# near 3,000 on bigbag-sized splits) would otherwise compute and store rows
+# over and over.
+ROW_CACHE_FLOATS = 1 << 17
+_LOG_BINOMIAL_ROWS = {}
+
 
 def _tables(n):
     """The log-factorial and k tables, covering 0..n."""
@@ -75,17 +93,29 @@ def _tables(n):
     return _LOG_FACTORIAL, _K
 
 
-def _log_weights(tables, n, k, nk, q):
-    """log C(n,k) + (n-k) log q + k log(1-q): the log of the Binomial(n, 1-q)
-    pmf at k.
+def _log_binomial_row(n):
+    """log C(n, k) for k = 0..n, from the per-length store."""
+    row = _LOG_BINOMIAL_ROWS.get(n)
+    if row is None:
+        lf = _tables(n)[0]
+        row = lf[n] - lf[:n + 1] - lf[n::-1]
+        row.flags.writeable = False
+        # the row of length n holds n + 1 numbers, so the keys give the count
+        if sum(_LOG_BINOMIAL_ROWS) + len(_LOG_BINOMIAL_ROWS) + row.size <= ROW_CACHE_FLOATS:
+            _LOG_BINOMIAL_ROWS[n] = row
+    return row
 
-    ``tables`` is ``_tables(top)`` for a top covering n; ``n`` is an int or
-    an int array, and ``k`` and ``nk`` (= n - k wherever the weight is
-    used) index the tables: slices for one bag's k = 0..n, index arrays
-    for a block of bags.
-    """
-    lf, kf = tables
-    return lf[n] - lf[k] - lf[nk] + kf[nk] * np.log(q) + kf[k] * np.log1p(-q)
+
+def _log_weights(log_binomials, n_minus_k, k, q):
+    """log C(n,k) + (n-k) log q + k log(1-q): the log of the Binomial(n, 1-q)
+    pmf at k, from log C(n, k) and the float arrays n - k and k."""
+    # (n-k) log q + log C(n,k) is log C(n,k) + (n-k) log q bit for bit, as
+    # IEEE addition commutes; summing into the product's array keeps one
+    # array of the block's size alive besides the arguments
+    w = n_minus_k * np.log(q)
+    w += log_binomials
+    w += k * np.log1p(-q)
+    return w
 
 
 def quantile_value_grad(values, q, eps, grads=True):
@@ -98,15 +128,18 @@ def quantile_value_grad(values, q, eps, grads=True):
     with ``grads=False`` only the value.
     """
     n = values.size - 1
-    tables = _tables(n)
-    w = np.exp(_log_weights(tables, n, slice(n + 1), slice(n, None, -1), q))
-    wg = w * np.maximum(values, eps)
-    value = float(wg.sum())
+    k = _tables(n)[1]
+    n_minus_k, k = k[n::-1], k[:n + 1]
+    w = _log_weights(_log_binomial_row(n), n_minus_k, k, q)
+    np.exp(w, out=w)
+    # the values ascend, so the first tells whether the clamp binds anywhere
+    clamped = not values[0] >= eps
+    wg = w * (np.maximum(values, eps) if clamped else values)
+    value = float(np.add.reduce(wg))
     if not grads:
         return value
-    k = tables[1]
-    grad_values = np.where(values >= eps, w, 0.0)
-    grad_q = float((wg * (k[n::-1] / q - k[:n + 1] / (1.0 - q))).sum())
+    grad_values = np.where(values >= eps, w, 0.0) if clamped else w
+    grad_q = float(wg.dot(n_minus_k)) / q - float(wg.dot(k)) / (1.0 - q)
     return value, grad_values, grad_q
 
 
@@ -118,11 +151,21 @@ def quantile_rows(block, n, q, eps):
     """
     cols = np.arange(block.shape[1])
     n = n[:, None]
+    lf, kf = _tables(block.shape[1])
     # k is the column.  In the padding, where k > n, n - k is taken as
     # k - n: the log weight there is then at most 0, so exp cannot
     # overflow before the padding is zeroed.
-    wg = np.exp(_log_weights(_tables(block.shape[1]), n, cols, np.abs(n - cols), q))
-    wg *= np.maximum(block, eps)
+    # Each block-sized array is dropped once used (on bigbag-sized splits
+    # each is about 6 MB), which keeps the peak at four, the block included.
+    nk = np.abs(n - cols)
+    log_binomials = lf[n] - lf[cols]
+    log_binomials -= lf[nk]
+    n_minus_k = kf[nk]
+    del nk
+    wg = _log_weights(log_binomials, n_minus_k, kf[cols], q)
+    del n_minus_k
+    np.exp(wg, out=wg)
+    wg *= np.maximum(block, eps, out=log_binomials)
     wg[cols > n] = 0.0
     return wg.sum(axis=1)
 

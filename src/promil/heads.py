@@ -28,7 +28,7 @@ def _promil(preds, q, eps, grads):
     if not grads:
         return quantile_value_grad(preds[perm], q, eps, grads=False)
     value, w, dq = quantile_value_grad(preds[perm], q, eps)
-    dpreds = np.empty_like(preds)
+    dpreds = np.empty(preds.size)
     dpreds[perm] = w
     return value, dpreds, dq
 

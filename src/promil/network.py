@@ -144,7 +144,9 @@ def forward_bag(params, instances):
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         layer_inputs.append(a)
-        z = a @ w + b
+        # .dot is the product @ computes, with less call overhead on a bag
+        z = a.dot(w)
+        z += b
         preacts.append(z)
         a = _activate(z, act) if i < last else z
     c = expit(a[:, 0])
@@ -171,11 +173,13 @@ def backward_bag(params, trace, upstream, out=None):
         out = NetParams(arch=params.arch, flat=np.empty(params.flat.size))
     act = params.arch.activation
     c = trace.predictions
-    dz = (upstream * c * (1.0 - c))[:, None]
+    dz = upstream * c
+    dz *= 1.0 - c
+    dz = dz[:, None]
     for i in range(len(params.weights) - 1, -1, -1):
-        np.matmul(trace.layer_inputs[i].T, dz, out=out.weights[i])
+        trace.layer_inputs[i].T.dot(dz, out=out.weights[i])
         np.add.reduce(dz, axis=0, out=out.biases[i])
         if i > 0:
-            da = dz @ params.weights[i].T
+            da = dz.dot(params.weights[i].T)
             dz = da * _activate_grad(trace.preacts[i - 1], act)
     return out

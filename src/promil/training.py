@@ -23,6 +23,16 @@ happened to pick, so that form is not used.
 The quantile level itself is trained through an unconstrained raw value
 with logistic squashing (dq/draw = q(1-q)), keeping q strictly inside
 (0, 1) at every step.
+
+``train`` checks each split once, before the first step: every train and
+validation bag must hold a nonempty (bag_size, input_dim) float64 array
+and a label of 0 or 1, else ValueError names the split and the bag.  A
+step then does only what changes from step to step: ``forward_bag``, the
+head's per-bag function, ``bag_cost``, ``backward_bag`` into the state's
+gradient buffer, a finiteness test of the cost and the gradient, and
+one ``adam_update``.
+``forward_bag``, ``backward_bag`` and ``bag_cost`` keep their own argument
+checks, for callers that pass unchecked arrays.
 """
 
 import math
@@ -101,7 +111,7 @@ class TrainState:
 
     @property
     def q(self):
-        return QuantileParam(float(self.theta[-1]))
+        return QuantileParam(self.theta.item(-1))
 
 
 @dataclass
@@ -199,11 +209,10 @@ def bag_cost_and_grads(net, q_param, bag, cfg, head="promil", out=None):
     instance forward -> head -> cost -> head backward -> instance backward,
     plus the logistic-reparameterization factor on the quantile level.
     """
-    score_fn = head_function(head)
     preds, trace = forward_bag(net, bag.instances)
     q = q_param.q
-    score, dscore_dpreds, dscore_dq = score_fn(preds, q, cfg.eps_clamp, True)
-    cost, upstream = bag_cost(score, int(bag.label), cfg.eps_clamp)
+    score, dscore_dpreds, dscore_dq = head_function(head)(preds, q, cfg.eps_clamp, True)
+    cost, upstream = bag_cost(score, bag.label, cfg.eps_clamp)
     net_grads = backward_bag(net, trace, upstream * dscore_dpreds, out=out)
     return cost, net_grads, upstream * dscore_dq * q * (1.0 - q)
 
@@ -217,7 +226,11 @@ def bag_step(state, bag, cfg, head="promil"):
     cost, _, grad_raw = bag_cost_and_grads(state.net, state.q, bag, cfg, head,
                                            out=state.net_grads)
     state.grad[-1] = grad_raw
-    if not (math.isfinite(cost) and np.isfinite(state.grad).all()):
+    # a finite squared norm means every entry is finite; only a norm that is
+    # not needs the entrywise test, since finite squares can overflow
+    grad = state.grad
+    if not (math.isfinite(cost)
+            and (math.isfinite(grad.dot(grad)) or np.isfinite(grad).all())):
         raise NumericalError(f"non-finite cost {cost} or gradient on bag {bag.id!r} "
                              f"at step {state.t + 1}")
     state.t += 1
@@ -250,6 +263,23 @@ def _validation_stats(net, q, bags, cfg, head):
     return auc_metric(scores, labels), total / len(bags)
 
 
+def _check_split(name, bags, width):
+    """Reject, naming the bag, a bag whose instances are not a nonempty
+    (bag_size, width) float64 array or whose label is not 0 or 1."""
+    for bag in bags:
+        x = bag.instances
+        dtype = getattr(x, "dtype", None)
+        if dtype != np.float64:
+            raise ValueError(f"{name} split: bag {bag.id}: instances of dtype {dtype}, "
+                             f"expected float64")
+        if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != width:
+            raise ValueError(f"{name} split: bag {bag.id}: instances of shape {x.shape}, "
+                             f"expected a nonempty (bag_size, {width}) array")
+        if bag.label not in (0, 1):
+            raise ValueError(f"{name} split: bag {bag.id}: label must be 0 or 1, "
+                             f"got {bag.label!r}")
+
+
 def train(state, splits, cfg, head="promil"):
     """Epoch loop with seeded shuffling, early stopping, and best snapshot.
 
@@ -262,6 +292,9 @@ def train(state, splits, cfg, head="promil"):
     val_bags = splits.validation
     if not train_bags or not val_bags:
         raise ValueError("train and validation splits must both be nonempty")
+    head_function(head)
+    for name, bags in (("train", train_bags), ("validation", val_bags)):
+        _check_split(name, bags, state.net.arch.input_dim)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2]))
     higher_better = cfg.val_metric == "auc"
     best_value = -math.inf if higher_better else math.inf
@@ -274,8 +307,8 @@ def train(state, splits, cfg, head="promil"):
         epochs_run = epoch
         order = shuffle_rng.permutation(len(train_bags))
         total = 0.0
-        for i in order:
-            state, cost = bag_step(state, train_bags[int(i)], cfg, head)
+        for i in order.tolist():
+            state, cost = bag_step(state, train_bags[i], cfg, head)
             total += cost
         train_cost = total / len(train_bags)
         q = state.q

@@ -10,6 +10,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from promil.bernstein import (
     DEFAULT_EPS,
@@ -17,6 +18,7 @@ from promil.bernstein import (
     estimate_quantile,
     estimate_quantile_limit,
     quantile_gradients,
+    quantile_value_grad,
 )
 
 Q_GRID = [0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75, 0.85, 0.95]
@@ -248,3 +250,37 @@ class TestQuantileParam:
             QuantileParam.from_q(0.0)
         with pytest.raises(ValueError):
             QuantileParam.from_q(1.0)
+
+
+def former_kernel(values, q, eps):
+    """``quantile_value_grad`` before the per-length rows, the clamp-free
+    branch and the dot products for grad_q, kept as its reference."""
+    n = values.size - 1
+    lf = gammaln(np.arange(1.0, n + 2.0))
+    k = np.arange(n + 1.0)
+    w = np.exp(lf[n] - lf[k.astype(int)] - lf[n::-1] + k[::-1] * np.log(q)
+               + k * np.log1p(-q))
+    wg = w * np.maximum(values, eps)
+    grad_q = float((wg * (k[::-1] / q - k / (1.0 - q))).sum())
+    return float(wg.sum()), np.where(values >= eps, w, 0.0), grad_q, wg
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 30, 31, 301, 3001, 10001])
+def test_kernel_against_its_former_form(size):
+    # value and weights bit for bit, with and without clamped values, also
+    # when the length's row is served from the store; grad_q to within the
+    # rounding of an (n + 1)-term sum
+    rng = np.random.default_rng(size)
+    for q in (1e-3, 0.05, 0.3, 0.5, 0.9, 0.999):
+        for low in (0, max(1, size // 10)):
+            values = rng.uniform(size=size)
+            values[:low] = rng.uniform(0.0, DEFAULT_EPS, size=low)
+            values.sort()
+            value, w, grad_q, wg = former_kernel(values, q, DEFAULT_EPS)
+            for _ in range(2):
+                got = quantile_value_grad(values, q, DEFAULT_EPS)
+                assert got[0] == value
+                np.testing.assert_array_equal(got[1], w)
+                k = np.arange(size)
+                scale = np.abs(wg * ((size - 1 - k) / q - k / (1.0 - q))).sum()
+                assert abs(got[2] - grad_q) <= (size + 8) * 2.0 ** -52 * scale

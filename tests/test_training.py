@@ -1,12 +1,24 @@
 import copy
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from promil.bagdata import Bag, DatasetSplit, SyntheticSpec, generate_synthetic, split_dataset
+from promil import bernstein
+from promil.bagdata import (
+    Bag,
+    DatasetSplit,
+    SyntheticSpec,
+    generate_synthetic,
+    load_dataset,
+    save_dataset,
+    split_dataset,
+)
 from promil.bernstein import DEFAULT_EPS, QuantileParam
-from promil.network import NetArch, init_params
+from promil.heads import HEADS, head_function
+from promil.network import NetArch, NetParams, backward_bag, forward_bag, init_params, weight_count
 from promil.training import (
     NumericalError,
     TrainConfig,
@@ -289,6 +301,20 @@ class TestTrainLoop:
         for was, now in zip(before, (state.theta, state.m, state.v)):
             np.testing.assert_array_equal(now, was)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_finite_gradient_whose_square_overflows_still_steps(self):
+        # features near 1e200 against a weight near 1e-200 give moderate
+        # predictions and a weight gradient near 1e200: every entry is
+        # finite, though its square is not
+        cfg = TrainConfig(seed=0, q_init=0.3)
+        state = init_train_state(NetArch(input_dim=1), cfg)
+        state.net.weights[0][0, 0] = 1e-200
+        bag = make_bag([[1e200], [-2e200], [3e200]], label=1)
+        _, cost = bag_step(state, bag, cfg)
+        assert state.t == 1 and math.isfinite(cost)
+        assert np.isfinite(state.grad).all() and not math.isfinite(state.grad.dot(state.grad))
+        assert np.isfinite(state.theta).all()
+
     def test_nan_bag_stops_training_in_its_first_epoch(self):
         split = tiny_split()
         bad = copy.deepcopy(split)
@@ -307,3 +333,155 @@ class TestTrainLoop:
             assert model.head == head
             # baselines never touch the quantile level
             assert model.learned_q == pytest.approx(0.3, rel=1e-12)
+
+
+class TestSplitChecks:
+    """A bag the steps would trip over fails before the first step, with a
+    message naming its split and id."""
+
+    def assert_rejected_before_step_one(self, split, match):
+        cfg = TrainConfig(seed=0, max_epochs=2, patience=2)
+        state = init_train_state(NetArch(input_dim=2), cfg)
+        before = state.theta.copy()
+        with pytest.raises(ValueError, match=match):
+            train(state, split, cfg)
+        assert state.t == 0
+        np.testing.assert_array_equal(state.theta, before)
+
+    @pytest.mark.parametrize("name", ["train", "validation"])
+    def test_wrong_width(self, name):
+        split = tiny_split()
+        bags = getattr(split, name)
+        bags[3] = make_bag(np.zeros((4, 3)), bags[3].label, bag_id="wide")
+        self.assert_rejected_before_step_one(
+            split, rf"^{name} split: bag wide: instances of shape \(4, 3\)")
+
+    @pytest.mark.parametrize("name", ["train", "validation"])
+    def test_label_changed_after_construction(self, name):
+        split = tiny_split()
+        bag = getattr(split, name)[4]
+        bag.label = 2
+        self.assert_rejected_before_step_one(
+            split, rf"^{name} split: bag {re.escape(bag.id)}: label must be 0 or 1, got 2$")
+
+    def test_instances_that_are_not_float64(self):
+        split = tiny_split()
+        bag = split.train[2]
+        bag.instances = bag.instances.astype(np.float32)
+        self.assert_rejected_before_step_one(
+            split, rf"^train split: bag {re.escape(bag.id)}: instances of dtype float32")
+
+
+def former_adam_update(param, grad, moments, cfg, t, decay):
+    """The Adam update written out as the reference for the step's update,
+    so that any change to ``adam_update``'s roundings fails the reference
+    test."""
+    m, v = moments
+    step = np.multiply(grad, 1.0 - cfg.beta1)
+    m *= cfg.beta1
+    m += step
+    np.square(grad, out=step)
+    step *= 1.0 - cfg.beta2
+    v *= cfg.beta2
+    v += step
+    np.divide(m, 1.0 - cfg.beta1 ** t, out=step)
+    denom = np.divide(v, 1.0 - cfg.beta2 ** t)
+    np.sqrt(denom, out=denom)
+    denom += 1e-8
+    step *= cfg.learning_rate
+    step /= denom
+    param -= step
+    w = param[decay]
+    w -= cfg.learning_rate * cfg.weight_decay * w
+
+
+def reference_step(arch, theta, moments, t, bag, cfg, head):
+    """One step composed from the public pieces; returns (cost, whether the
+    clamp bound on the bag's predictions)."""
+    net = NetParams(arch=arch, flat=theta[:-1])
+    q = QuantileParam(float(theta[-1])).q
+    preds, trace = forward_bag(net, bag.instances)
+    score, dscore_dpreds, dscore_dq = head_function(head)(preds, q, cfg.eps_clamp, True)
+    cost, upstream = bag_cost(score, int(bag.label), cfg.eps_clamp)
+    grads = backward_bag(net, trace, upstream * dscore_dpreds)
+    grad = np.append(grads.flat, upstream * dscore_dq * q * (1.0 - q))
+    assert math.isfinite(cost) and np.isfinite(grad).all()
+    former_adam_update(theta, grad, moments, cfg, t, slice(0, weight_count(arch)))
+    return cost, bool(preds.min() < cfg.eps_clamp)
+
+
+class TestStepAgainstReference:
+    """``bag_step`` against a step composed from forward_bag, the head
+    table's per-bag entry, bag_cost, backward_bag and the Adam update
+    written out: theta, m and v agree bit for bit over 300 steps."""
+
+    def bags(self):
+        # plain bags, bags whose large features saturate the scaled-up
+        # network so that predictions fall below eps, and bags of one
+        # instance (n = 0)
+        rng = np.random.default_rng(2)
+        bags = []
+        for i in range(12):
+            n = int(rng.integers(2, 40))
+            bags.append(make_bag(0.05 * rng.normal(size=(n, 2)), i % 2, f"plain{i}"))
+            bags.append(make_bag(10.0 * rng.normal(size=(n, 2)), i % 2, f"saturated{i}"))
+        bags += [make_bag(rng.normal(size=(1, 2)), y, f"single{y}") for y in (0, 1)]
+        return bags
+
+    @pytest.mark.parametrize("head", HEADS)
+    @pytest.mark.parametrize("hidden, activation", [((), "relu"), ((8,), "relu"), ((8,), "tanh")])
+    def test_300_steps(self, head, hidden, activation):
+        arch = NetArch(input_dim=2, hidden_dims=hidden, activation=activation)
+        cfg = TrainConfig(seed=4, q_init=0.3, learning_rate=1e-2)
+        state = init_train_state(arch, cfg)
+        for w in state.net.weights[:-1]:
+            w *= 50.0
+        state.net.weights[-1] *= 200.0
+        theta, m, v = state.theta.copy(), state.m.copy(), state.v.copy()
+        bags = self.bags()
+        order = np.random.default_rng(5).integers(len(bags), size=300)
+        clamped = []
+        for t, i in enumerate(order.tolist(), 1):
+            _, cost = bag_step(state, bags[i], cfg, head)
+            want, bound = reference_step(arch, theta, (m, v), t, bags[i], cfg, head)
+            assert cost == want, f"step {t}"
+            clamped.append(bound)
+        assert state.t == 300
+        for got, want in ((state.theta, theta), (state.m, m), (state.v, v)):
+            np.testing.assert_array_equal(got, want)
+        assert 0 < sum(clamped) < 300
+        assert {bags[i].id for i in order.tolist()} >= {"single0", "single1"}
+
+
+def test_per_length_rows_stay_within_their_bound(tmp_path):
+    # 160 distinct bag lengths up to 10,001: one stored row per length would
+    # hold 6.4 MB; the store keeps at most ROW_CACHE_FLOATS numbers (1 MiB)
+    rng = np.random.default_rng(3)
+    lengths = np.unique(np.linspace(1, 10001, 160).astype(int))
+    bags = [Bag(id=f"t{i}", instances=rng.normal(size=(n, 1)), label=i % 2, split="train")
+            for i, n in enumerate(lengths.tolist())]
+    bags += [Bag(id=f"v{i}", instances=rng.normal(size=(5, 1)), label=i % 2,
+                 split="validation") for i in range(4)]
+    path = str(tmp_path / "d.npz")
+    save_dataset(path, bags)
+    loaded = load_dataset(path)[0]
+    split = DatasetSplit(train=[b for b in loaded if b.split == "train"],
+                         validation=[b for b in loaded if b.split == "validation"])
+    naive_bytes = 8 * int((lengths + 1).sum())
+    bound_bytes = 8 * bernstein.ROW_CACHE_FLOATS
+    assert naive_bytes > 6 * bound_bytes
+    cfg = TrainConfig(seed=0, max_epochs=1, patience=1)
+    state = init_train_state(NetArch(input_dim=1), cfg)
+    bernstein._tables(int(lengths.max()))
+    bernstein._LOG_BINOMIAL_ROWS.clear()
+    tracemalloc.start()
+    try:
+        train(state, split, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.t == len(lengths)
+    stored = sum(row.size for row in bernstein._LOG_BINOMIAL_ROWS.values())
+    assert 0 < stored <= bernstein.ROW_CACHE_FLOATS
+    # the bound plus one step's arrays on the largest bag
+    assert peak < 3 * bound_bytes
