@@ -12,6 +12,8 @@ sees them.
 """
 
 import json
+import math
+import numbers
 import struct
 import zipfile
 import zlib
@@ -97,6 +99,14 @@ class SyntheticSpec:
     rebalance: bool = False
 
     def __post_init__(self):
+        for name in ("n_bags", "feature_dim"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("threshold_qstar", "bag_size_mean", "bag_size_std", "class_separation",
+                     "noise_std"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.n_bags < 2:
             raise ValueError(f"n_bags must be at least 2, got {self.n_bags}")
         if not 0.0 < self.threshold_qstar < 1.0:
@@ -113,6 +123,8 @@ class SyntheticSpec:
             raise ValueError(f"noise_std must be positive, got {self.noise_std}")
         if self.label_rule not in LABEL_RULES:
             raise ValueError(f"label_rule must be one of {LABEL_RULES}, got {self.label_rule!r}")
+        if not isinstance(self.rebalance, (bool, np.bool_)):
+            raise ValueError(f"rebalance must be true or false, got {self.rebalance!r}")
 
 
 @dataclass
@@ -297,17 +309,27 @@ def make_mnist_bags(images, labels, spec, seed, positive_digit=9, split=None):
     return bags
 
 
+def check_fractions(fractions, name="fractions"):
+    """``fractions`` as a tuple of three floats; ValueError naming ``name``
+    unless they are three nonnegative reals that sum to 1."""
+    try:
+        checked = tuple(float(f) for f in fractions)
+    except (TypeError, ValueError):
+        checked = ()
+    if len(checked) != 3 or not all(f >= 0 for f in checked):
+        raise ValueError(f"{name} must be three nonnegative reals, got {fractions!r}")
+    if abs(sum(checked) - 1.0) > 1e-9:
+        raise ValueError(f"{name} must sum to 1, got {sum(checked)}")
+    return checked
+
+
 def split_dataset(bags, fractions, seed):
     """Seeded stratified split into (train, validation, test).
 
     Fractions must be nonnegative and sum to 1.  Every nonempty split must
     receive both classes.
     """
-    fractions = tuple(float(f) for f in fractions)
-    if len(fractions) != 3 or any(f < 0 for f in fractions):
-        raise ValueError(f"fractions must be three nonnegative reals, got {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {sum(fractions)}")
+    fractions = check_fractions(fractions)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x59711]))
     split = DatasetSplit()
     buckets = (split.train, split.validation, split.test)
@@ -447,14 +469,23 @@ def load_dataset(path):
 
 
 def _load_json(path):
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("schema") != LEGACY_SCHEMA:
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DatasetError(f"{path}: not valid JSON: {exc}") from exc
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != LEGACY_SCHEMA:
         raise DatasetError(
-            f"{path}: unsupported dataset schema {doc.get('schema')!r} "
+            f"{path}: unsupported dataset schema {schema!r} "
             f"(expected {DATASET_SCHEMA!r} or {LEGACY_SCHEMA!r})"
         )
-    bags = [_bag_from_json(b) for b in doc["bags"]]
+    try:
+        bags = [_bag_from_json(obj) for obj in doc["bags"]]
+    except KeyError as exc:
+        raise DatasetError(f"{path}: field {exc} is missing") from None
+    except (TypeError, ValueError) as exc:
+        raise DatasetError(f"{path}: {exc}") from None
     return bags, doc.get("spec"), doc.get("seed")
 
 

@@ -40,27 +40,33 @@ _TINY = np.nextafter(0.0, 1.0)
 _ALMOST_ONE = np.nextafter(1.0, 0.0)
 
 
+def level(raw):
+    """The quantile level logistic(raw) of a raw value.
+
+    The float logistic saturates to exact 0.0/1.0 around |raw| > 37, so the
+    level is clipped back into the open interval (0, 1).
+    """
+    if raw >= 0.0:
+        q = 1.0 / (1.0 + math.exp(-raw))
+    else:
+        e = math.exp(raw)
+        q = e / (1.0 + e)
+    return min(max(q, _TINY), _ALMOST_ONE)
+
+
 @dataclass
 class QuantileParam:
     """Trainable quantile level stored as an unconstrained real.
 
-    ``q = logistic(raw)`` is strictly inside (0, 1) for every finite raw
+    ``q = level(raw)`` is strictly inside (0, 1) for every finite raw
     value, so gradient steps can never push the level onto a boundary.
-    The float logistic saturates to exact 0.0/1.0 around |raw| > 37, so the
-    derived level is clipped back into the open interval.
     """
 
     raw: float = field(default=0.0)
 
     @property
     def q(self):
-        raw = self.raw
-        if raw >= 0.0:
-            q = 1.0 / (1.0 + math.exp(-raw))
-        else:
-            e = math.exp(raw)
-            q = e / (1.0 + e)
-        return min(max(q, _TINY), _ALMOST_ONE)
+        return level(self.raw)
 
     @classmethod
     def from_q(cls, q):
@@ -118,14 +124,13 @@ def _log_weights(log_binomials, n_minus_k, k, q):
     return w
 
 
-def quantile_value_grad(values, q, eps, grads=True):
+def quantile_value_grad(values, q, eps):
     """The kernel: the estimate at level q of ascending ``values``, with
     unchecked arguments.
 
     Returns ``(value, grad_values, grad_q)`` where ``grad_values[k]`` is the
     probability weight w_k (zero for entries clamped below eps) and
-    ``grad_q = sum_k w_k * max(values[k], eps) * ((n-k)/q - k/(1-q))``;
-    with ``grads=False`` only the value.
+    ``grad_q = sum_k w_k * max(values[k], eps) * ((n-k)/q - k/(1-q))``.
     """
     n = values.size - 1
     k = _tables(n)[1]
@@ -136,8 +141,6 @@ def quantile_value_grad(values, q, eps, grads=True):
     clamped = not values[0] >= eps
     wg = w * (np.maximum(values, eps) if clamped else values)
     value = float(np.add.reduce(wg))
-    if not grads:
-        return value
     grad_values = np.where(values >= eps, w, 0.0) if clamped else w
     grad_q = float(wg.dot(n_minus_k)) / q - float(wg.dot(k)) / (1.0 - q)
     return value, grad_values, grad_q
@@ -201,7 +204,7 @@ def estimate_quantile(preds, q, eps=DEFAULT_EPS):
     """
     values = _ascending_values(preds)
     check_level(q, eps)
-    return quantile_value_grad(values, float(q), float(eps), grads=False)
+    return quantile_value_grad(values, float(q), float(eps))[0]
 
 
 def quantile_gradients(preds, q, eps=DEFAULT_EPS):

@@ -10,8 +10,13 @@ Identical (config, seed) inputs reproduce output files byte for byte; the
 model file keeps its timestamp in a separate metadata field so everything
 else stays reproducible.
 
-Exit codes: 0 success, 1 usage error, 2 I/O or parse error, 3 numerical
-failure (NaN detected).
+A config is checked when it is read: each section (dataset, mnist, train),
+then the config itself, is built as its dataclass, which checks each of its
+own fields.  The top-level seed, or ``--seed``, overrides train.seed in
+``train`` and ``sweep``.
+
+Exit codes: 0 success, 1 usage error, 2 I/O or parse error (a bad config
+field among them), 3 numerical failure (NaN detected).
 """
 
 import argparse
@@ -30,6 +35,7 @@ from .bagdata import (
     DatasetSplit,
     IdxParseError,
     SyntheticSpec,
+    check_fractions,
     generate_synthetic,
     load_dataset,
     load_idx,
@@ -66,7 +72,10 @@ EXIT_NUMERIC = 3
 
 SWEEP_COLUMNS = ("axis", "value", "method", "seed", "auc",
                  "balanced_accuracy", "learned_q", "status")
-SWEEP_AXES = ("threshold", "bag_size", "n_bags")
+# each sweep axis: the dataset field it sets, and that field's type
+_AXIS_FIELDS = {"threshold": ("threshold_qstar", float), "bag_size": ("bag_size_mean", float),
+                "n_bags": ("n_bags", int)}
+SWEEP_AXES = tuple(_AXIS_FIELDS)
 EPOCH_LOG_COLUMNS = ("epoch", "train_cost", "val_auc", "val_loss", "q")
 
 
@@ -86,6 +95,13 @@ class MnistPaths:
     test_labels: str = None
     n_test_bags: int = 250
 
+    def __post_init__(self):
+        for name in ("train_images", "train_labels", "test_images", "test_labels"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ValueError(f"{name} must be a path, got {getattr(self, name)!r}")
+        if not (isinstance(self.n_test_bags, int) and self.n_test_bags >= 2):
+            raise ValueError(f"n_test_bags must be an integer >= 2, got {self.n_test_bags!r}")
+
 
 @dataclass
 class ExperimentConfig:
@@ -102,95 +118,73 @@ class ExperimentConfig:
     repeats: int = 5
 
     def __post_init__(self):
+        if not (isinstance(self.seed, int) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.head not in HEADS:
-            raise ConfigError(f"invalid config field 'head': must be one of {HEADS}")
+            raise ValueError(f"head must be one of {HEADS}, got {self.head!r}")
         if self.source not in ("synthetic", "mnist"):
-            raise ConfigError("invalid config field 'source': must be synthetic or mnist")
-        if self.repeats < 1:
-            raise ConfigError("invalid config field 'repeats': must be >= 1")
+            raise ValueError(f"source must be synthetic or mnist, got {self.source!r}")
+        self.split_fractions = check_fractions(self.split_fractions, "split_fractions")
+        # the input width comes with the dataset; any width checks the rest
+        self.hidden_dims = NetArch(1, self.hidden_dims, self.activation).hidden_dims
+        if not (isinstance(self.repeats, int) and self.repeats >= 1):
+            raise ValueError(f"repeats must be an integer >= 1, got {self.repeats!r}")
 
     def net_arch(self, input_dim):
-        return NetArch(input_dim=input_dim, hidden_dims=tuple(self.hidden_dims),
+        return NetArch(input_dim=input_dim, hidden_dims=self.hidden_dims,
                        activation=self.activation)
 
 
-def _build_section(cls, obj, section):
-    """Construct a dataclass from a config dict, naming bad fields."""
+# the config's sections, each built as its dataclass before the config itself
+_SECTIONS = {"dataset": SyntheticSpec, "mnist": MnistPaths, "train": TrainConfig}
+
+
+def _read_json(path, kind):
+    """The JSON object in the file ``path``; ConfigError naming the path
+    when the file is not UTF-8 JSON text holding an object."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: a {kind} must be a JSON object, got "
+                          f"{type(doc).__name__}")
+    return doc
+
+
+def _build_section(cls, obj, path, section=None):
+    """``cls`` built from the config object ``obj``, which checks each of
+    its fields; a field that is unknown or bad raises ConfigError naming
+    the path, the section (none for the top level) and the field."""
     if not isinstance(obj, dict):
-        raise ConfigError(f"invalid config field '{section}': expected an object")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(obj) - known
+        raise ConfigError(f"{path}: invalid config field '{section}': expected an object")
+    unknown = sorted(set(obj) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
-        raise ConfigError(
-            f"invalid config field '{section}.{sorted(unknown)[0]}': unknown field"
-        )
+        name = f"{section}.{unknown[0]}" if section else unknown[0]
+        raise ConfigError(f"{path}: invalid config field '{name}': unknown field")
     try:
         return cls(**obj)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config field in '{section}': {exc}") from exc
+        where = f" in '{section}'" if section else ""
+        raise ConfigError(f"{path}: invalid config field{where}: {exc}") from exc
 
 
 def load_config(path):
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: a config must be a JSON object, got "
-                          f"{type(doc).__name__}")
+    """Read a config file: each section, then the config itself, is built
+    as its dataclass.  A file that is not a JSON object, or a field that is
+    unknown or bad, raises ConfigError naming the path and the field."""
+    doc = _read_json(path, "config")
     if doc.get("schema") != CONFIG_SCHEMA:
         raise ConfigError(
             f"{path}: unsupported config schema {doc.get('schema')!r} "
             f"(expected {CONFIG_SCHEMA!r})"
         )
-    doc = dict(doc)
-    doc.pop("schema")
-    kwargs = {}
-    for key in ("seed", "head", "source", "repeats", "activation"):
-        if key in doc:
-            kwargs[key] = doc.pop(key)
-    if "split_fractions" in doc:
-        kwargs["split_fractions"] = tuple(doc.pop("split_fractions"))
-    if "hidden_dims" in doc:
-        kwargs["hidden_dims"] = tuple(doc.pop("hidden_dims"))
-    if "dataset" in doc:
-        kwargs["dataset"] = _build_section(SyntheticSpec, doc.pop("dataset"), "dataset")
-    if "mnist" in doc:
-        kwargs["mnist"] = _build_section(MnistPaths, doc.pop("mnist"), "mnist")
-    if "train" in doc:
-        tr = doc.pop("train")
-        if isinstance(tr, dict) and "q_init" in tr and tr["q_init"] != "random":
-            tr["q_init"] = float(tr["q_init"])
-        kwargs["train"] = _build_section(TrainConfig, tr, "train")
-    if doc:
-        raise ConfigError(f"invalid config field '{sorted(doc)[0]}': unknown field")
-    try:
-        return ExperimentConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"invalid config: {exc}") from exc
-
-
-def config_to_dict(cfg):
-    return {
-        "schema": CONFIG_SCHEMA,
-        "seed": cfg.seed,
-        "head": cfg.head,
-        "source": cfg.source,
-        "dataset": dataclasses.asdict(cfg.dataset),
-        "mnist": dataclasses.asdict(cfg.mnist),
-        "split_fractions": list(cfg.split_fractions),
-        "hidden_dims": list(cfg.hidden_dims),
-        "activation": cfg.activation,
-        "train": dataclasses.asdict(cfg.train),
-        "repeats": cfg.repeats,
-    }
-
-
-def save_config(path, cfg):
-    with open(path, "w") as f:
-        json.dump(config_to_dict(cfg), f, sort_keys=True, indent=2)
-        f.write("\n")
+    fields = {key: value for key, value in doc.items() if key != "schema"}
+    for section, cls in _SECTIONS.items():
+        if section in fields:
+            fields[section] = _build_section(cls, fields[section], path, section)
+    return _build_section(ExperimentConfig, fields, path)
 
 
 def save_model(path, model):
@@ -234,12 +228,8 @@ def _finite_arrays(values, shapes):
 def load_model(path):
     """Read a model file.  A file that is not JSON, or a field that is
     missing or bad, raises ConfigError naming the path and the field."""
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    schema = doc.get("schema") if isinstance(doc, dict) else None
+    doc = _read_json(path, "model")
+    schema = doc.get("schema")
     if schema not in (MODEL_SCHEMA, LEGACY_MODEL_SCHEMA):
         raise ConfigError(
             f"{path}: unsupported model schema {schema!r} "
@@ -290,81 +280,75 @@ def load_model(path):
     )
 
 
-def _generate_bags(cfg, seed):
-    """Produce the tagged bag list for a config (synthetic or MNIST)."""
+def _generate_split(cfg, seed):
+    """The config's bags (synthetic or MNIST) as a DatasetSplit, each bag
+    tagged with the split it is in."""
     if cfg.source == "synthetic":
-        bags = generate_synthetic(cfg.dataset, seed)
-        split = split_dataset(bags, cfg.split_fractions, seed)
-        for name, bucket in (("train", split.train), ("validation", split.validation),
-                             ("test", split.test)):
-            for b in bucket:
-                b.split = name
-        return split.train + split.validation + split.test
-    m = cfg.mnist
-    for fieldname in ("train_images", "train_labels", "test_images", "test_labels"):
-        if getattr(m, fieldname) is None:
-            raise ConfigError(f"invalid config field 'mnist.{fieldname}': required "
-                              f"when source is mnist")
-    tr_images, tr_labels = load_idx(m.train_images, m.train_labels)
-    te_images, te_labels = load_idx(m.test_images, m.test_labels)
-    frac_train, frac_val, _ = cfg.split_fractions
-    pool = make_mnist_bags(tr_images, tr_labels, cfg.dataset, seed, split=None)
-    denom = frac_train + frac_val
-    inner = (frac_train / denom, frac_val / denom, 0.0) if denom > 0 else (1.0, 0.0, 0.0)
-    split = split_dataset(pool, inner, seed)
-    for b in split.train:
-        b.split = "train"
-    for b in split.validation:
-        b.split = "validation"
-    test_spec = dataclasses.replace(cfg.dataset, n_bags=m.n_test_bags)
-    test = make_mnist_bags(te_images, te_labels, test_spec, seed + 1, split="test")
-    return split.train + split.validation + test
+        split = split_dataset(generate_synthetic(cfg.dataset, seed), cfg.split_fractions, seed)
+    else:
+        m = cfg.mnist
+        for fieldname in ("train_images", "train_labels", "test_images", "test_labels"):
+            if getattr(m, fieldname) is None:
+                raise ConfigError(f"invalid config field 'mnist.{fieldname}': required "
+                                  f"when source is mnist")
+        tr_images, tr_labels = load_idx(m.train_images, m.train_labels)
+        te_images, te_labels = load_idx(m.test_images, m.test_labels)
+        frac_train, frac_val, _ = cfg.split_fractions
+        pool = make_mnist_bags(tr_images, tr_labels, cfg.dataset, seed, split=None)
+        denom = frac_train + frac_val
+        inner = (frac_train / denom, frac_val / denom, 0.0) if denom > 0 else (1.0, 0.0, 0.0)
+        split = split_dataset(pool, inner, seed)
+        test_spec = dataclasses.replace(cfg.dataset, n_bags=m.n_test_bags)
+        split.test = make_mnist_bags(te_images, te_labels, test_spec, seed + 1, split="test")
+    for name in ("train", "validation", "test"):
+        for bag in getattr(split, name):
+            bag.split = name
+    return split
 
 
 def _split_from_tags(bags):
     split = DatasetSplit()
     for b in bags:
-        if b.split == "train":
-            split.train.append(b)
-        elif b.split == "validation":
-            split.validation.append(b)
-        elif b.split == "test":
-            split.test.append(b)
+        if b.split in ("train", "validation", "test"):
+            getattr(split, b.split).append(b)
     return split
 
 
-def _train_once(cfg, bags, head=None):
-    split = _split_from_tags(bags)
+def _train_once(cfg, split, head):
     if not split.train or not split.validation:
         raise UsageError("dataset has no train/validation split tags; regenerate it")
     input_dim = split.train[0].instances.shape[1]
     state = init_train_state(cfg.net_arch(input_dim), cfg.train)
-    return train(state, split, cfg.train, head=head or cfg.head), split
+    return train(state, split, cfg.train, head=head)
+
+
+def _config(args):
+    """The config file named in ``args``, with ``--seed``, when given, as
+    its seed."""
+    cfg = load_config(args.config)
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, seed=args.seed)
+    return cfg
 
 
 def cmd_generate(args):
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    bags = _generate_bags(cfg, cfg.seed)
+    cfg = _config(args)
+    split = _generate_split(cfg, cfg.seed)
+    bags = split.train + split.validation + split.test
     save_dataset(args.out, bags, spec=cfg.dataset, seed=cfg.seed)
     n_pos = sum(b.label for b in bags)
     print(f"wrote {len(bags)} bags to {args.out} "
           f"(positive rate {n_pos / len(bags):.3f}, "
           f"splits train/val/test = "
-          f"{sum(b.split == 'train' for b in bags)}/"
-          f"{sum(b.split == 'validation' for b in bags)}/"
-          f"{sum(b.split == 'test' for b in bags)})")
+          f"{len(split.train)}/{len(split.validation)}/{len(split.test)})")
     return EXIT_OK
 
 
 def cmd_train(args):
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    cfg = _config(args)
     cfg.train.seed = cfg.seed
     bags, _, _ = load_dataset(args.dataset)
-    model, _ = _train_once(cfg, bags)
+    model = _train_once(cfg, _split_from_tags(bags), cfg.head)
     save_model(args.out, model)
     log_path = args.log or (args.out + ".log.csv")
     with open(log_path, "w", newline="") as f:
@@ -417,66 +401,39 @@ def cmd_eval(args):
     return EXIT_OK
 
 
-def _apply_axis(cfg, axis, value):
-    ds = cfg.dataset
-    if axis == "threshold":
-        return dataclasses.replace(ds, threshold_qstar=float(value))
-    if axis == "bag_size":
-        return dataclasses.replace(ds, bag_size_mean=float(value))
-    if axis == "n_bags":
-        return dataclasses.replace(ds, n_bags=int(value))
-    raise UsageError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
-
-
 def cmd_sweep(args):
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    cfg = _config(args)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
         raise UsageError(f"--values must be comma-separated numbers: {exc}") from exc
     if not values:
         raise UsageError("--values must contain at least one number")
+    name, kind = _AXIS_FIELDS[args.axis]
     rows = []
     for vi, value in enumerate(values):
-        try:
-            dataset_spec = _apply_axis(cfg, args.axis, value)
-        except Exception as exc:   # noqa: BLE001 - rows record the failure
-            for rep in range(cfg.repeats):
-                cell_seed = cfg.seed * 1_000_000 + vi * 1_000 + rep
-                for method in HEADS:
-                    rows.append([args.axis, value, method, cell_seed, "", "", "",
-                                 f"error:{type(exc).__name__}"])
-            continue
         for rep in range(cfg.repeats):
             cell_seed = cfg.seed * 1_000_000 + vi * 1_000 + rep
-            cell_cfg = dataclasses.replace(
-                cfg,
-                dataset=dataset_spec,
-                train=dataclasses.replace(cfg.train, seed=cell_seed),
-                seed=cell_seed,
-            )
-            try:
-                bags = _generate_bags(cell_cfg, cell_seed)
-            except Exception as exc:   # noqa: BLE001 - row records the failure
-                for method in HEADS:
-                    rows.append([args.axis, value, method, cell_seed, "", "", "",
-                                 f"error:{type(exc).__name__}"])
-                continue
+            split = None
             for method in HEADS:
+                # every failure takes the one row path below: a cell whose
+                # dataset cannot be made fails the same way for each head
                 try:
-                    model, split = _train_once(cell_cfg, bags, head=method)
+                    if split is None:
+                        cell_cfg = dataclasses.replace(
+                            cfg,
+                            dataset=dataclasses.replace(cfg.dataset, **{name: kind(value)}),
+                            train=dataclasses.replace(cfg.train, seed=cell_seed),
+                            seed=cell_seed,
+                        )
+                        split = _generate_split(cell_cfg, cell_seed)
+                    model = _train_once(cell_cfg, split, method)
                     result = evaluate(model, split.test, head=method)
-                    rows.append([
-                        args.axis, value, method, cell_seed,
-                        repr(result.auc), repr(result.balanced_accuracy),
-                        repr(model.learned_q) if method == "promil" else "",
-                        "ok",
-                    ])
-                except Exception as exc:   # noqa: BLE001
-                    rows.append([args.axis, value, method, cell_seed, "", "", "",
-                                 f"error:{type(exc).__name__}"])
+                    outcome = [repr(result.auc), repr(result.balanced_accuracy),
+                               repr(model.learned_q) if method == "promil" else "", "ok"]
+                except Exception as exc:   # noqa: BLE001 - the row records the failure
+                    outcome = ["", "", "", f"error:{type(exc).__name__}"]
+                rows.append([args.axis, value, method, cell_seed, *outcome])
     with open(args.out, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(SWEEP_COLUMNS)
@@ -562,7 +519,7 @@ def main(argv=None):
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ConfigError, IdxParseError, DatasetError, FileNotFoundError, IsADirectoryError,
-            PermissionError, json.JSONDecodeError, KeyError) as exc:
+            PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except NumericalError as exc:

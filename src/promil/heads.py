@@ -1,8 +1,7 @@
 """Bag-level scoring heads, the one scoring path, and the bag decision rule.
 
 One table maps each head name to two functions.  The first scores one bag,
-``(preds, q, eps, grads)``: with ``grads=False`` it returns the bag score;
-with ``grads=True`` it returns ``(score, d score/d preds, d score/d q)``.
+``(preds, q, eps)``, and returns ``(score, d score/d preds, d score/d q)``.
 Training uses it bag by bag.  The second scores a whole split at once,
 ``(preds, lengths, q, eps)`` on the predictions of consecutive bags, and
 gives each bag the score of the first to within rounding.  The quantile
@@ -23,10 +22,8 @@ from .bernstein import DEFAULT_EPS, check_level, quantile_rows, quantile_value_g
 from .network import forward_bag
 
 
-def _promil(preds, q, eps, grads):
+def _promil(preds, q, eps):
     perm = preds.argsort(kind="stable")
-    if not grads:
-        return quantile_value_grad(preds[perm], q, eps, grads=False)
     value, w, dq = quantile_value_grad(preds[perm], q, eps)
     dpreds = np.empty(preds.size)
     dpreds[perm] = w
@@ -57,10 +54,8 @@ def _promil_split(preds, lengths, q, eps):
     return scores
 
 
-def _max(preds, q, eps, grads):
+def _max(preds, q, eps):
     j = int(np.argmax(preds))
-    if not grads:
-        return float(preds[j])
     dpreds = np.zeros_like(preds)
     dpreds[j] = 1.0
     return float(preds[j]), dpreds, 0.0
@@ -70,9 +65,7 @@ def _max_split(preds, lengths, q, eps):
     return np.maximum.reduceat(preds, np.cumsum(lengths) - lengths)
 
 
-def _mean(preds, q, eps, grads):
-    if not grads:
-        return float(preds.mean())
+def _mean(preds, q, eps):
     return float(preds.mean()), np.full_like(preds, 1.0 / preds.size), 0.0
 
 
@@ -107,7 +100,7 @@ def score_bag(predictions, head, q=None, eps=DEFAULT_EPS):
     """
     if predictions.size == 0:
         raise ValueError("a bag needs at least one prediction")
-    return head_function(head)(predictions, q, eps, False)
+    return head_function(head)(predictions, q, eps)[0]
 
 
 def score_bags(net, bags, head, q, eps):

@@ -29,11 +29,15 @@ class NetArch:
     activation: str = "relu"
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
+        try:
+            dims = tuple(int(h) for h in self.hidden_dims)
+        except (TypeError, ValueError):
+            dims = None
+        if dims is None or dims != tuple(self.hidden_dims) or any(h < 1 for h in dims):
+            raise ValueError(f"hidden_dims must be positive integers, got {self.hidden_dims!r}")
+        object.__setattr__(self, "hidden_dims", dims)
         if self.input_dim < 1:
             raise ValueError(f"input_dim must be positive, got {self.input_dim}")
-        if any(h < 1 for h in self.hidden_dims):
-            raise ValueError(f"hidden_dims must be positive, got {self.hidden_dims}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
 

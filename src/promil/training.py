@@ -36,11 +36,12 @@ checks, for callers that pass unchecked arrays.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bernstein import DEFAULT_EPS, QuantileParam, check_eps
+from .bernstein import DEFAULT_EPS, QuantileParam, check_eps, level
 from .heads import head_function, score_bags
 from .metrics import auc as auc_metric
 from .network import NetParams, backward_bag, forward_bag, init_params, weight_count
@@ -68,6 +69,11 @@ class TrainConfig:
     val_metric: str = "auc"     # "auc" or "loss"
 
     def __post_init__(self):
+        for name in ("learning_rate", "beta1", "beta2", "weight_decay", "eps_clamp"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be positive and finite, "
                              f"got {self.learning_rate}")
@@ -83,8 +89,14 @@ class TrainConfig:
             raise ValueError(f"patience must be an integer in [0, max_epochs="
                              f"{self.max_epochs}], got {self.patience!r}")
         check_eps(self.eps_clamp, "eps_clamp")
-        if self.q_init != "random" and not 0.0 < float(self.q_init) < 1.0:
-            raise ValueError(f"q_init must be 'random' or in (0, 1), got {self.q_init}")
+        if self.q_init != "random":
+            try:
+                q_init = float(self.q_init)
+            except (TypeError, ValueError):
+                q_init = math.nan
+            if not 0.0 < q_init < 1.0:
+                raise ValueError(f"q_init must be 'random' or in (0, 1), got {self.q_init!r}")
+            self.q_init = q_init
         if self.val_metric not in ("auc", "loss"):
             raise ValueError(f"val_metric must be 'auc' or 'loss', got {self.val_metric!r}")
 
@@ -108,10 +120,6 @@ class TrainState:
         self.decayed = slice(0, weight_count(arch))
         self.t = 0
         self.epoch = 0
-
-    @property
-    def q(self):
-        return QuantileParam(self.theta.item(-1))
 
 
 @dataclass
@@ -173,9 +181,8 @@ def adam_update(param, grad, moments, cfg, t, decay=False):
     moments.
 
     ``moments`` is an (m, v) pair matching param's shape.  Decoupled weight
-    decay applies to ``param[decay]`` when ``decay`` is a slice, to all of
-    param when it is True, and to none of it when False.  Returns
-    (param, m, v).
+    decay applies to ``param[decay]`` when ``decay`` is a slice, and to none
+    of param when it is False.  Returns (param, m, v).
     """
     # Two buffers hold every intermediate: at MNIST width a fresh array per
     # operation costs more than the arithmetic.  The roundings are those of
@@ -196,13 +203,14 @@ def adam_update(param, grad, moments, cfg, t, decay=False):
     step /= denom
     param -= step
     if decay is not False:
-        w = param if decay is True else param[decay]
+        w = param[decay]
         w -= cfg.learning_rate * cfg.weight_decay * w
     return param, m, v
 
 
-def bag_cost_and_grads(net, q_param, bag, cfg, head="promil", out=None):
-    """Cost of one bag and its gradients w.r.t. net params and raw q.
+def bag_cost_and_grads(net, q, bag, cfg, head="promil", out=None):
+    """Cost of one bag at quantile level ``q`` (a float) and its gradients
+    w.r.t. net params and raw q.
 
     Returns (cost, net_grads, grad_raw); net_grads is ``out``, a NetParams
     shaped like ``net``, when given.  This is the full composed chain:
@@ -210,8 +218,7 @@ def bag_cost_and_grads(net, q_param, bag, cfg, head="promil", out=None):
     plus the logistic-reparameterization factor on the quantile level.
     """
     preds, trace = forward_bag(net, bag.instances)
-    q = q_param.q
-    score, dscore_dpreds, dscore_dq = head_function(head)(preds, q, cfg.eps_clamp, True)
+    score, dscore_dpreds, dscore_dq = head_function(head)(preds, q, cfg.eps_clamp)
     cost, upstream = bag_cost(score, bag.label, cfg.eps_clamp)
     net_grads = backward_bag(net, trace, upstream * dscore_dpreds, out=out)
     return cost, net_grads, upstream * dscore_dq * q * (1.0 - q)
@@ -223,8 +230,8 @@ def bag_step(state, bag, cfg, head="promil"):
     A NaN or infinite cost or gradient raises NumericalError, naming the
     bag and the step, before the update: the parameters stay as they were.
     """
-    cost, _, grad_raw = bag_cost_and_grads(state.net, state.q, bag, cfg, head,
-                                           out=state.net_grads)
+    cost, _, grad_raw = bag_cost_and_grads(state.net, level(state.theta.item(-1)), bag,
+                                           cfg, head, out=state.net_grads)
     state.grad[-1] = grad_raw
     # a finite squared norm means every entry is finite; only a norm that is
     # not needs the entrywise test, since finite squares can overflow
@@ -250,7 +257,7 @@ def init_train_state(arch, cfg):
         lo, hi = Q_INIT_RANGE
         q0 = float(np.random.default_rng(np.random.SeedSequence([cfg.seed, 1])).uniform(lo, hi))
     else:
-        q0 = float(cfg.q_init)
+        q0 = cfg.q_init
     return TrainState(arch, np.append(net.flat, QuantileParam.from_q(q0).raw))
 
 
@@ -298,7 +305,7 @@ def train(state, splits, cfg, head="promil"):
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2]))
     higher_better = cfg.val_metric == "auc"
     best_value = -math.inf if higher_better else math.inf
-    best_net, best_q, best_epoch = state.net.copy(), state.q, 0
+    best_net, best_q, best_epoch = state.net.copy(), QuantileParam(state.theta.item(-1)), 0
     since_improve = 0
     history = []
     epochs_run = 0
@@ -311,7 +318,7 @@ def train(state, splits, cfg, head="promil"):
             state, cost = bag_step(state, train_bags[i], cfg, head)
             total += cost
         train_cost = total / len(train_bags)
-        q = state.q
+        q = QuantileParam(state.theta.item(-1))
         val_auc, val_loss = _validation_stats(state.net, q.q, val_bags, cfg, head)
         if math.isnan(val_auc) or math.isnan(val_loss):
             raise NumericalError(

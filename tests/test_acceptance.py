@@ -90,10 +90,10 @@ class TestCriterion1Gradients:
             bag = Bag(id=f"g{trial}", instances=rng.normal(size=(int(rng.integers(2, 10)), 4)),
                       label=int(rng.integers(0, 2)))
             q_param = QuantileParam.from_q(float(rng.uniform(0.1, 0.9)))
-            _, grads, grad_raw = bag_cost_and_grads(net, q_param, bag, cfg)
+            _, grads, grad_raw = bag_cost_and_grads(net, q_param.q, bag, cfg)
 
             def cost():
-                return bag_cost_and_grads(net, q_param, bag, cfg)[0]
+                return bag_cost_and_grads(net, q_param.q, bag, cfg)[0]
 
             for arr, garr in zip(net.weights + net.biases,
                                  grads.weights + grads.biases):
@@ -107,8 +107,9 @@ class TestCriterion1Gradients:
                     flat[idx] = orig
                     fd = (up - down) / (2 * h)
                     worst = max(worst, abs(gflat[idx] - fd) / max(abs(fd), abs(gflat[idx]), 1e-4))
-            fd_raw = (bag_cost_and_grads(net, QuantileParam(q_param.raw + h), bag, cfg)[0]
-                      - bag_cost_and_grads(net, QuantileParam(q_param.raw - h), bag, cfg)[0]) / (2 * h)
+            q_up, q_down = QuantileParam(q_param.raw + h).q, QuantileParam(q_param.raw - h).q
+            fd_raw = (bag_cost_and_grads(net, q_up, bag, cfg)[0]
+                      - bag_cost_and_grads(net, q_down, bag, cfg)[0]) / (2 * h)
             worst = max(worst, abs(grad_raw - fd_raw) / max(abs(fd_raw), abs(grad_raw), 1e-4))
             configs += 1
         ok = worst < 1e-4 and configs >= 20

@@ -157,6 +157,27 @@ class TestDatasetFiles:
         err = capsys.readouterr().err
         assert str(bad) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("field, edit", [
+        ("not valid JSON", lambda text: text[:33].encode()),
+        ("'bags'", lambda text: json.dumps(
+            {k: v for k, v in json.loads(text).items() if k != "bags"}).encode()),
+        ("'instances'", lambda text: json.dumps(
+            {**json.loads(text), "bags": [{"id": "a", "label": 1}]}).encode()),
+        ("label", lambda text: json.dumps(
+            {**json.loads(text), "bags": [{"id": "a", "instances": [[0.0, 1.0]],
+                                          "label": 3}]}).encode()),
+        ("utf-8", lambda text: text.encode().replace(b"bag-000000", b"bag-\xff")),
+    ])
+    def test_bad_bagdata1_file_exits_2_naming_path(self, tmp_path, capsys, field, edit):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(edit(Path(FIXTURE_V1).read_text()))
+        cfg = small_config(tmp_path)
+        assert main(["train", str(bad), "--config", cfg,
+                     "--out", str(tmp_path / "m.json")]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert str(bad) in err and field in err and "Traceback" not in err
+        assert not (tmp_path / "m.json").exists()
+
     def test_train_and_eval_on_bagdata1_file(self, tmp_path):
         cfg = small_config(tmp_path)
         model, report = str(tmp_path / "m.json"), str(tmp_path / "r.json")
@@ -323,6 +344,46 @@ class TestTrainConfigFields:
         err = capsys.readouterr().err
         assert "'train'" in err and field in err
         assert not (tmp_path / "m.json").exists()
+
+
+# (field as the message names it, config key, bad value)
+MALFORMED_CONFIGS = [
+    ("hidden_dims", "hidden_dims", 5),
+    ("hidden_dims", "hidden_dims", [0]),
+    ("split_fractions", "split_fractions", 0.5),
+    ("split_fractions", "split_fractions", [0.5, 0.5]),
+    ("repeats", "repeats", "x"),
+    ("seed", "seed", "abc"),
+    ("seed", "seed", -1),
+    ("q_init", "train", {"q_init": "abc"}),
+    ("activation", "activation", "gelu"),
+    ("bananas", "bananas", 1),
+    ("n_bags", "dataset", {"n_bags": "x", "threshold_qstar": 0.3}),
+    ("learning_rate", "train", {"learning_rate": "x"}),
+    ("n_test_bags", "mnist", {"n_test_bags": 1}),
+    ("train_images", "mnist", {"train_images": 5}),
+]
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("command", ["generate", "train", "sweep"])
+    @pytest.mark.parametrize("field, key, value", MALFORMED_CONFIGS)
+    def test_exits_2_at_load_naming_the_field(self, tmp_path, capsys, command,
+                                               field, key, value):
+        cfg = small_config(tmp_path, **{key: value})
+        out = tmp_path / "out"
+        argv = {
+            "generate": ["generate", "--config", cfg, "--out", str(out)],
+            "train": ["train", FIXTURE_V1, "--config", cfg, "--out", str(out)],
+            "sweep": ["sweep", "--config", cfg, "--axis", "threshold", "--values", "0.3",
+                      "--out", str(out)],
+        }[command]
+        assert main(argv) == EXIT_IO
+        err = capsys.readouterr().err
+        assert field in err and str(cfg) in err and "Traceback" not in err
+        if key in ("train", "dataset", "mnist"):
+            assert f"'{key}'" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 class TestSweep:

@@ -69,7 +69,7 @@ def test_cost_gradients_match_finite_differences(size, seed, head, hidden, label
         top = np.sort(forward_bag(net, b.instances)[0])[-2:]
         assume(top[1] - top[0] > 1e-4)
     cfg = TrainConfig(seed=0)
-    q = QuantileParam.from_q(0.3)
+    q = QuantileParam.from_q(0.3).q
     _, grads, grad_raw = bag_cost_and_grads(net, q, b, cfg, head=head)
     assert grad_raw == 0.0
     d = rng.uniform(-1.0, 1.0, size=net.flat.size)

@@ -80,4 +80,4 @@ def test_gradients_match_finite_differences(size, seed, q):
 
 def _in_given_order(values, q):
     """The estimate with the k-th weight on values[k], without re-sorting."""
-    return quantile_value_grad(values, q, DEFAULT_EPS, grads=False)
+    return quantile_value_grad(values, q, DEFAULT_EPS)[0]

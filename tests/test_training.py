@@ -136,7 +136,7 @@ class TestBagStep:
         bag = make_bag([[1.0, 2.0]], label=1)
         from promil.network import forward_bag
         c = forward_bag(net, bag.instances)[0][0]
-        cost, grads, grad_raw = bag_cost_and_grads(net, QuantileParam.from_q(0.3), bag, cfg)
+        cost, grads, grad_raw = bag_cost_and_grads(net, QuantileParam.from_q(0.3).q, bag, cfg)
         assert cost == pytest.approx(-math.log(c), rel=1e-12)
         upstream = -1.0 / c
         expect_w = upstream * c * (1 - c) * bag.instances[0]
@@ -164,10 +164,10 @@ class TestBagStep:
                 # max head: keep away from argmax ties where the FD kinks
                 if head != "max" or len(preds) == 1 or preds[-1] - preds[-2] > 1e-3:
                     break
-            _, grads, grad_raw = bag_cost_and_grads(net, q_param, bag, cfg, head=head)
+            _, grads, grad_raw = bag_cost_and_grads(net, q_param.q, bag, cfg, head=head)
 
             def cost_at():
-                return bag_cost_and_grads(net, q_param, bag, cfg, head=head)[0]
+                return bag_cost_and_grads(net, q_param.q, bag, cfg, head=head)[0]
 
             h = 1e-6
             for arrays, garrays in ((net.weights, grads.weights),
@@ -187,8 +187,8 @@ class TestBagStep:
                             f"trial {trial} head={head}"
             if head == "promil":
                 raw = q_param.raw
-                fd = (bag_cost_and_grads(net, QuantileParam(raw + h), bag, cfg)[0]
-                      - bag_cost_and_grads(net, QuantileParam(raw - h), bag, cfg)[0]) / (2 * h)
+                fd = (bag_cost_and_grads(net, QuantileParam(raw + h).q, bag, cfg)[0]
+                      - bag_cost_and_grads(net, QuantileParam(raw - h).q, bag, cfg)[0]) / (2 * h)
                 scale = max(abs(fd), abs(grad_raw), 1e-4)
                 assert abs(grad_raw - fd) / scale < 1e-4, f"trial {trial}: raw q"
             checked += 1
@@ -201,12 +201,12 @@ class TestBagStep:
         for w in net.weights:
             w += rng.normal(size=w.shape) * 0.5
         instances = rng.normal(size=(7, 2))
-        q_param = QuantileParam.from_q(0.35)
+        q = QuantileParam.from_q(0.35).q
         cost0, grads0, graw0 = bag_cost_and_grads(
-            net, q_param, make_bag(instances, 1), cfg)
+            net, q, make_bag(instances, 1), cfg)
         perm = rng.permutation(7)
         cost1, grads1, graw1 = bag_cost_and_grads(
-            net, q_param, make_bag(instances[perm], 1), cfg)
+            net, q, make_bag(instances[perm], 1), cfg)
         assert cost1 == pytest.approx(cost0, rel=1e-12)
         assert graw1 == pytest.approx(graw0, rel=1e-12)
         for g0, g1 in zip(grads0.weights, grads1.weights):
@@ -229,7 +229,7 @@ class TestBagStep:
         for i in range(200):
             bag = make_bag(rng.normal(size=(4, 1)), label=int(rng.integers(0, 2)))
             state, _ = bag_step(state, bag, cfg)
-            assert 0.0 < state.q.q < 1.0
+            assert 0.0 < QuantileParam(state.theta.item(-1)).q < 1.0
 
 
 class TestTrainLoop:
@@ -401,7 +401,7 @@ def reference_step(arch, theta, moments, t, bag, cfg, head):
     net = NetParams(arch=arch, flat=theta[:-1])
     q = QuantileParam(float(theta[-1])).q
     preds, trace = forward_bag(net, bag.instances)
-    score, dscore_dpreds, dscore_dq = head_function(head)(preds, q, cfg.eps_clamp, True)
+    score, dscore_dpreds, dscore_dq = head_function(head)(preds, q, cfg.eps_clamp)
     cost, upstream = bag_cost(score, int(bag.label), cfg.eps_clamp)
     grads = backward_bag(net, trace, upstream * dscore_dpreds)
     grad = np.append(grads.flat, upstream * dscore_dq * q * (1.0 - q))
