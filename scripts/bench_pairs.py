@@ -70,6 +70,14 @@ def working_trees():
         return {path: git("write-tree", f"--prefix={path}/", env=env) for path in CODE}
 
 
+def make_tmpdir(workdir):
+    """A fresh temporary directory inside ``workdir``, which is created when
+    missing, or in the system's temporary directory when it is None."""
+    if workdir is not None:
+        os.makedirs(workdir, exist_ok=True)
+    return tempfile.mkdtemp(prefix="bench_pairs_", dir=workdir)
+
+
 def run_once(checkout, workload, seed, seconds):
     """One benchmark run: its result, machine and calibration lines, or, when
     it fails, its exit code and the tail of its stderr."""
@@ -129,7 +137,8 @@ def main(argv=None):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
-    parser.add_argument("--workdir", help="where to unpack the base (default: a temp dir)")
+    parser.add_argument("--workdir", help="where to unpack the base, created if "
+                        "missing (default: a temp dir)")
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         benchmark = json.load(f)
@@ -141,7 +150,7 @@ def main(argv=None):
     change = {"revision": git("rev-parse", "HEAD"),
               "uncommitted_changes": bool(git("status", "--porcelain")),
               "trees": working_trees()}
-    tmp = tempfile.mkdtemp(prefix="bench_pairs_", dir=args.workdir)
+    tmp = make_tmpdir(args.workdir)
     try:
         checkouts = {"base": export(args.base, os.path.join(tmp, "base")), "change": ROOT}
         pairs = []

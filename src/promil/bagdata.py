@@ -14,6 +14,7 @@ sees them.
 import json
 import math
 import numbers
+import os
 import struct
 import zipfile
 import zlib
@@ -207,28 +208,32 @@ def load_idx(images_path, labels_path):
     Returns (images, labels) with images shaped (count, rows, cols) uint8
     and labels shaped (count,) uint8.
     """
+    # The pixels are read straight into the returned array: checking the
+    # header's count against the file size first keeps a corrupt count from
+    # allocating, and no second copy of the pixel bytes is ever held.
     with open(images_path, "rb") as f:
-        img_data = f.read()
+        header = f.read(16)
+        magic = _read_be32(header, 0, images_path)
+        if magic != IDX_IMAGES_MAGIC:
+            raise IdxParseError(
+                f"{images_path}: bad magic 0x{magic:08x} at byte offset 0 "
+                f"(expected 0x{IDX_IMAGES_MAGIC:08x})"
+            )
+        count = _read_be32(header, 4, images_path)
+        rows = _read_be32(header, 8, images_path)
+        cols = _read_be32(header, 12, images_path)
+        need = 16 + count * rows * cols
+        size = os.fstat(f.fileno()).st_size
+        if size >= need:
+            images = np.empty((count, rows, cols), dtype=np.uint8)
+            size = 16 + f.readinto(images)
+        if size < need:
+            raise IdxParseError(
+                f"{images_path}: truncated pixel data at byte offset {size} "
+                f"(expected {need} bytes)"
+            )
     with open(labels_path, "rb") as f:
         lab_data = f.read()
-
-    magic = _read_be32(img_data, 0, images_path)
-    if magic != IDX_IMAGES_MAGIC:
-        raise IdxParseError(
-            f"{images_path}: bad magic 0x{magic:08x} at byte offset 0 "
-            f"(expected 0x{IDX_IMAGES_MAGIC:08x})"
-        )
-    count = _read_be32(img_data, 4, images_path)
-    rows = _read_be32(img_data, 8, images_path)
-    cols = _read_be32(img_data, 12, images_path)
-    need = 16 + count * rows * cols
-    if len(img_data) < need:
-        raise IdxParseError(
-            f"{images_path}: truncated pixel data at byte offset {len(img_data)} "
-            f"(expected {need} bytes)"
-        )
-    images = np.frombuffer(img_data, dtype=np.uint8, count=count * rows * cols,
-                           offset=16).reshape(count, rows, cols).copy()
 
     magic = _read_be32(lab_data, 0, labels_path)
     if magic != IDX_LABELS_MAGIC:

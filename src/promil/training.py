@@ -108,6 +108,8 @@ class TrainState:
     and ``net`` views its leading part.  The gradient buffer ``grad``
     (viewed by ``net_grads``) and the Adam moments ``m`` and ``v`` share
     that layout; weight decay applies to ``theta[decayed]``, the weights.
+    ``m`` and ``v`` hold the moments divided by (1 - beta1) and
+    (1 - beta2), the form ``adam_update`` keeps them in.
     """
 
     def __init__(self, arch, theta):
@@ -180,31 +182,31 @@ def adam_update(param, grad, moments, cfg, t, decay=False):
     """One bias-corrected Adam step, in place on the array ``param`` and its
     moments.
 
-    ``moments`` is an (m, v) pair matching param's shape.  Decoupled weight
-    decay applies to ``param[decay]`` when ``decay`` is a slice, and to none
-    of param when it is False.  Returns (param, m, v).
+    ``moments`` is an (m, v) pair matching param's shape, holding the first
+    and second moments divided by (1 - beta1) and (1 - beta2).  Decoupled
+    weight decay applies to ``param[decay]`` when ``decay`` is a slice, and
+    to none of param when it is False.  Returns (param, m, v).
     """
-    # Two buffers hold every intermediate: at MNIST width a fresh array per
-    # operation costs more than the arithmetic.  The roundings are those of
-    # param -= lr * m_hat / (sqrt(v_hat) + eps).
+    # Kingma & Ba (2015, section 2) fold both bias corrections into the step
+    # size and eps: with c = sqrt((1 - beta2^t) / (1 - beta2)),
+    # lr * m_hat / (sqrt(v_hat) + eps) = lr c (1 - beta1) / (1 - beta1^t)
+    # * m / (sqrt(v) + eps c), so a step takes one sqrt, one divide and one
+    # temporary array.
     m, v = moments
-    step = np.multiply(grad, 1.0 - cfg.beta1)
-    m *= cfg.beta1
-    m += step
-    np.square(grad, out=step)
-    step *= 1.0 - cfg.beta2
-    v *= cfg.beta2
+    b1, b2 = cfg.beta1, cfg.beta2
+    c = math.sqrt((1.0 - b2 ** t) / (1.0 - b2))
+    m *= b1
+    m += grad
+    step = np.square(grad)
+    v *= b2
     v += step
-    np.divide(m, 1.0 - cfg.beta1 ** t, out=step)
-    denom = np.divide(v, 1.0 - cfg.beta2 ** t)
-    np.sqrt(denom, out=denom)
-    denom += ADAM_EPS
-    step *= cfg.learning_rate
-    step /= denom
+    np.sqrt(v, out=step)
+    step += ADAM_EPS * c
+    np.divide(m, step, out=step)
+    step *= cfg.learning_rate * c * (1.0 - b1) / (1.0 - b1 ** t)
     param -= step
     if decay is not False:
-        w = param[decay]
-        w -= cfg.learning_rate * cfg.weight_decay * w
+        param[decay] *= 1.0 - cfg.learning_rate * cfg.weight_decay
     return param, m, v
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import struct
 import tracemalloc
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 
 from promil.bagdata import (
     Bag,
+    IDX_IMAGES_MAGIC,
     DatasetError,
     IdxParseError,
     SyntheticSpec,
@@ -156,6 +158,30 @@ class TestIdx:
         write_idx_labels(lp, np.zeros(4, dtype=np.uint8))
         with pytest.raises(IdxParseError, match="does not match"):
             load_idx(ip, lp)
+
+
+class TestIdxSizeCheck:
+    def test_huge_count_on_short_file_names_offset(self, tmp_path):
+        # 2^31 images of 28 x 28 would take 1.7 TB: the file size is checked
+        # before any pixel array is allocated
+        ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
+        ip.write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, 2 ** 31, 28, 28)
+                       + b"\x00" * 100)
+        write_idx_labels(lp, np.zeros(0, dtype=np.uint8))
+        with pytest.raises(IdxParseError, match="truncated pixel data at byte offset 116 "):
+            load_idx(ip, lp)
+
+    def test_trailing_bytes_are_ignored(self, tmp_path):
+        rng = np.random.default_rng(1)
+        images = rng.integers(0, 256, size=(3, 4, 5), dtype=np.uint8)
+        ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
+        write_idx_images(ip, images)
+        write_idx_labels(lp, np.arange(3, dtype=np.uint8))
+        with open(ip, "ab") as f:
+            f.write(b"\xff" * 9)
+        got_images, got_labels = load_idx(ip, lp)
+        np.testing.assert_array_equal(got_images, images)
+        np.testing.assert_array_equal(got_labels, [0, 1, 2])
 
 
 class TestMnistBags:

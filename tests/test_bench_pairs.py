@@ -73,3 +73,15 @@ def test_no_completed_pair(bench_pairs):
     assert s["completed_pairs"] == 0
     assert s["medians"] == {"base": {}, "change": {}}
     assert s["change_better_in_pairs"] == {"total_s": 0, "train_steps_per_s": 0}
+
+
+def test_missing_workdir_is_created(bench_pairs, tmp_path):
+    root_before = sorted(os.listdir(os.path.dirname(os.path.dirname(SCRIPT))))
+    workdir = tmp_path / "not" / "yet"
+    tmp = bench_pairs.make_tmpdir(str(workdir))
+    assert os.path.isdir(tmp)
+    assert os.path.dirname(tmp) == str(workdir)
+    assert os.path.basename(tmp).startswith("bench_pairs_")
+    # an existing workdir is used as it is
+    assert os.path.dirname(bench_pairs.make_tmpdir(str(workdir))) == str(workdir)
+    assert sorted(os.listdir(os.path.dirname(os.path.dirname(SCRIPT)))) == root_before

@@ -112,6 +112,49 @@ class TestAdam:
             prev = p.copy()
 
 
+def textbook_adam_update(param, grad, m, v, cfg, t, decay):
+    """Adam as usually written: unscaled moments, both bias corrections
+    applied to them, then param -= lr * m_hat / (sqrt(v_hat) + eps)."""
+    m[:] = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
+    v[:] = cfg.beta2 * v + (1.0 - cfg.beta2) * grad ** 2
+    m_hat = m / (1.0 - cfg.beta1 ** t)
+    v_hat = v / (1.0 - cfg.beta2 ** t)
+    param -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+    if decay is not False:
+        param[decay] -= cfg.learning_rate * cfg.weight_decay * param[decay]
+
+
+class TestAdamAgainstTextbook:
+    """``adam_update`` keeps the moments pre-scaled and folds the bias
+    corrections into the step size and eps; over 2,000 steps it agrees with
+    the textbook form to rtol 1e-9 on the parameters and on the moments."""
+
+    @pytest.mark.parametrize("n", [4, 25154])
+    @pytest.mark.parametrize("betas", [(0.99, 0.999), (0.9, 0.999), (0.0, 0.0)])
+    @pytest.mark.parametrize("decayed", [True, False])
+    def test_2000_steps(self, n, betas, decayed):
+        cfg = TrainConfig(learning_rate=1e-3, beta1=betas[0], beta2=betas[1],
+                          weight_decay=1e-2)
+        decay = slice(0, n // 2) if decayed else False
+        rng = np.random.default_rng(n)
+        # each entry keeps the sign of its gradient, so no moment passes
+        # near 0, where a relative tolerance would measure cancellation;
+        # the scales span 1e-6 to 1e2, around eps and well above it
+        scale = rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-6, 2, size=n)
+        theta = 10.0 + rng.normal(size=n)
+        m, v = np.zeros(n), np.zeros(n)
+        want, want_m, want_v = theta.copy(), np.zeros(n), np.zeros(n)
+        grads = scale * rng.uniform(0.1, 1.9, size=(7, n))
+        for t in range(1, 2001):
+            grad = grads[t % 7]
+            adam_update(theta, grad, (m, v), cfg, t, decay)
+            textbook_adam_update(want, grad, want_m, want_v, cfg, t, decay)
+        np.testing.assert_allclose(theta, want, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(m * (1.0 - cfg.beta1), want_m, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(v * (1.0 - cfg.beta2), want_v, rtol=1e-9, atol=0)
+        assert np.abs(theta - 10.0).max() > 0.5   # the run moved the parameters
+
+
 class TestConfigValidation:
     def test_bad_fields(self):
         with pytest.raises(ValueError):
@@ -374,25 +417,21 @@ class TestSplitChecks:
 
 def former_adam_update(param, grad, moments, cfg, t, decay):
     """The Adam update written out as the reference for the step's update,
-    so that any change to ``adam_update``'s roundings fails the reference
-    test."""
+    with the moments held divided by (1 - beta1) and (1 - beta2), so that
+    any change to ``adam_update``'s roundings fails the reference test."""
     m, v = moments
-    step = np.multiply(grad, 1.0 - cfg.beta1)
+    c = math.sqrt((1.0 - cfg.beta2 ** t) / (1.0 - cfg.beta2))
     m *= cfg.beta1
-    m += step
-    np.square(grad, out=step)
-    step *= 1.0 - cfg.beta2
+    m += grad
+    step = np.square(grad)
     v *= cfg.beta2
     v += step
-    np.divide(m, 1.0 - cfg.beta1 ** t, out=step)
-    denom = np.divide(v, 1.0 - cfg.beta2 ** t)
-    np.sqrt(denom, out=denom)
-    denom += 1e-8
-    step *= cfg.learning_rate
-    step /= denom
+    np.sqrt(v, out=step)
+    step += 1e-8 * c
+    np.divide(m, step, out=step)
+    step *= cfg.learning_rate * c * (1.0 - cfg.beta1) / (1.0 - cfg.beta1 ** t)
     param -= step
-    w = param[decay]
-    w -= cfg.learning_rate * cfg.weight_decay * w
+    param[decay] *= 1.0 - cfg.learning_rate * cfg.weight_decay
 
 
 def reference_step(arch, theta, moments, t, bag, cfg, head):
