@@ -4,8 +4,10 @@ and a standalone quantile utility.
 Configs and models are JSON with explicit schema-version fields
 (promil-config/1, promil-model/2, which adds the training eps_clamp;
 promil-model/1 is still read, with the default eps).  Datasets are one
-deflated .npz whatever the file's extension (bagdata/2; the JSON bagdata/1
-is still read).  Sweep results and per-epoch training logs are CSV.
+deflated .npz whatever the file's extension (bagdata/3, which keeps the
+instance matrix as a bit mask of its nonzero cells and their values; the
+dense bagdata/2 and the JSON bagdata/1 are still read).  Sweep results and
+per-epoch training logs are CSV.
 Identical (config, seed) inputs reproduce output files byte for byte; the
 model file keeps its timestamp in a separate metadata field so everything
 else stays reproducible.
@@ -210,9 +212,10 @@ def save_model(path, model):
             "created_unix": int(time.time()),
         },
     }
+    # one dumps call takes the C encoder; json.dump would take the Python one
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
+        f.write(text)
 
 
 def _finite_arrays(values, shapes):
@@ -280,25 +283,34 @@ def load_model(path):
     )
 
 
-def _generate_split(cfg, seed):
-    """The config's bags (synthetic or MNIST) as a DatasetSplit, each bag
-    tagged with the split it is in."""
-    if cfg.source == "synthetic":
+def _read_digits(cfg):
+    """The MNIST source's ((train images, labels), (test images, labels)),
+    read from its IDX files; None for a synthetic source.  An unset path
+    raises ConfigError naming its field."""
+    if cfg.source != "mnist":
+        return None
+    m = cfg.mnist
+    for fieldname in ("train_images", "train_labels", "test_images", "test_labels"):
+        if getattr(m, fieldname) is None:
+            raise ConfigError(f"invalid config field 'mnist.{fieldname}': required "
+                              f"when source is mnist")
+    return load_idx(m.train_images, m.train_labels), load_idx(m.test_images, m.test_labels)
+
+
+def _generate_split(cfg, seed, digits):
+    """The config's bags (synthetic, or MNIST from ``digits``, what
+    _read_digits gave) as a DatasetSplit, each bag tagged with the split it
+    is in."""
+    if digits is None:
         split = split_dataset(generate_synthetic(cfg.dataset, seed), cfg.split_fractions, seed)
     else:
-        m = cfg.mnist
-        for fieldname in ("train_images", "train_labels", "test_images", "test_labels"):
-            if getattr(m, fieldname) is None:
-                raise ConfigError(f"invalid config field 'mnist.{fieldname}': required "
-                                  f"when source is mnist")
-        tr_images, tr_labels = load_idx(m.train_images, m.train_labels)
-        te_images, te_labels = load_idx(m.test_images, m.test_labels)
+        (tr_images, tr_labels), (te_images, te_labels) = digits
         frac_train, frac_val, _ = cfg.split_fractions
         pool = make_mnist_bags(tr_images, tr_labels, cfg.dataset, seed, split=None)
         denom = frac_train + frac_val
         inner = (frac_train / denom, frac_val / denom, 0.0) if denom > 0 else (1.0, 0.0, 0.0)
         split = split_dataset(pool, inner, seed)
-        test_spec = dataclasses.replace(cfg.dataset, n_bags=m.n_test_bags)
+        test_spec = dataclasses.replace(cfg.dataset, n_bags=cfg.mnist.n_test_bags)
         split.test = make_mnist_bags(te_images, te_labels, test_spec, seed + 1, split="test")
     for name in ("train", "validation", "test"):
         for bag in getattr(split, name):
@@ -333,7 +345,7 @@ def _config(args):
 
 def cmd_generate(args):
     cfg = _config(args)
-    split = _generate_split(cfg, cfg.seed)
+    split = _generate_split(cfg, cfg.seed, _read_digits(cfg))
     bags = split.train + split.validation + split.test
     save_dataset(args.out, bags, spec=cfg.dataset, seed=cfg.seed)
     n_pos = sum(b.label for b in bags)
@@ -410,6 +422,7 @@ def cmd_sweep(args):
     if not values:
         raise UsageError("--values must contain at least one number")
     name, kind = _AXIS_FIELDS[args.axis]
+    digits = _read_digits(cfg)   # once: every cell takes its bags from the same files
     rows = []
     for vi, value in enumerate(values):
         for rep in range(cfg.repeats):
@@ -426,7 +439,7 @@ def cmd_sweep(args):
                             train=dataclasses.replace(cfg.train, seed=cell_seed),
                             seed=cell_seed,
                         )
-                        split = _generate_split(cell_cfg, cell_seed)
+                        split = _generate_split(cell_cfg, cell_seed, digits)
                     model = _train_once(cell_cfg, split, method)
                     result = evaluate(model, split.test, head=method)
                     outcome = [repr(result.auc), repr(result.balanced_accuracy),

@@ -168,6 +168,7 @@ class TestCriterion3ExactIdentities:
                              f"constant bags fixed: {const_ok}")
 
 
+@pytest.mark.slow
 class TestCriterion4ThresholdRecovery:
     def test_learned_q_near_generator_threshold(self):
         split = default_dataset(qstar=0.3, seed=42)
@@ -188,6 +189,7 @@ class TestCriterion4ThresholdRecovery:
                              f"(need >= 4); values: {[f'{q:.3f}' for q in learned]}")
 
 
+@pytest.mark.slow
 class TestCriterion5MethodOrdering:
     def test_promil_auc_floor_and_margins(self):
         results = {}

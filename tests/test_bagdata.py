@@ -2,6 +2,8 @@ import dataclasses
 import json
 import struct
 import tracemalloc
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -312,6 +314,8 @@ class TestSplit:
 
 
 FIXTURE_V1 = Path(__file__).parent / "data" / "bagdata1.json"
+# container_bags() with its spec and seed 9, as the bagdata/2 writer saved it
+FIXTURE_V2 = Path(__file__).parent / "data" / "bagdata2.npz"
 
 
 def assert_same_bags(got, want):
@@ -343,17 +347,49 @@ def container_bags():
     return spec, bags
 
 
-def saved_members(tmp_path):
-    """A saved bagdata/2 file and its members, read back as arrays."""
-    path = tmp_path / "good"
-    save_dataset(path, container_bags()[1])
+def read_members(path):
     with np.load(path, allow_pickle=False) as npz:
-        return path, {name: npz[name] for name in npz.files}
+        return {name: npz[name] for name in npz.files}
+
+
+def saved_members(tmp_path, bags=None):
+    """A saved bagdata/3 file and its members, read back as arrays."""
+    path = tmp_path / "good"
+    save_dataset(path, container_bags()[1] if bags is None else bags)
+    return path, read_members(path)
 
 
 def write_members(path, arrays):
     with open(path, "wb") as f:
         np.savez(f, **arrays)
+
+
+def with_header(**fields):
+    """A change to the header member that sets ``fields``; None deletes one."""
+    def change(header):
+        doc = json.loads(header.item())
+        doc.update(fields)
+        return np.array(json.dumps({k: v for k, v in doc.items() if v is not None}))
+    return change
+
+
+def cell(index, value):
+    """A change that sets the ``index``-th cell of an array, in row-major order."""
+    def change(a):
+        a = a.copy()
+        a.reshape(-1)[index] = value
+        return a
+    return change
+
+
+def assert_rejected(tmp_path, arrays, member, change, message, field=None):
+    """Loading ``arrays`` with ``member`` changed fails naming ``field``
+    (by default the member) and matching ``message``."""
+    arrays[member] = change(arrays[member])
+    bad = tmp_path / "bad.json"
+    write_members(bad, arrays)
+    with pytest.raises(DatasetError, match=f"bad.json: field '{field or member}' .*{message}"):
+        load_dataset(bad)
 
 
 class TestContainer:
@@ -416,8 +452,6 @@ class TestContainer:
     @pytest.mark.parametrize("field, change, message", [
         ("offsets", lambda a: a + 1, "starting at 0"),
         ("offsets", lambda a: np.r_[a[:2], a[1], a[2:]], "increase strictly"),
-        ("offsets", lambda a: np.r_[a[:-1], a[-1] - 1], "end at"),
-        ("offsets", lambda a: a[:-1], "end at"),
         ("labels", lambda a: a[:-1], "shape"),
         ("ids", lambda a: np.r_[a, a[:1]], "shape"),
         ("hidden", lambda a: a[1:], "shape"),
@@ -425,21 +459,12 @@ class TestContainer:
         ("labels", lambda a: a.astype(np.float64), "dtype"),
         ("splits", lambda a: np.r_[4, a[1:]].astype(np.int8), "split code"),
         ("splits", lambda a: np.r_[-1, a[1:]].astype(np.int8), "split code"),
-        ("instances", lambda a: np.where(np.arange(a.size).reshape(a.shape) == 3, np.nan, a),
-         "NaN or infinity"),
-        ("instances", lambda a: np.where(np.arange(a.size).reshape(a.shape) == 5, -np.inf, a),
-         "NaN or infinity"),
-        ("instances", lambda a: a.ravel(), "N_total x d"),
         ("header", lambda a: np.array('{"schema": "bagdata/1"}'), "schema"),
         ("header", lambda a: np.array("not json"), "JSON"),
     ])
     def test_load_rejects_inconsistent_fields(self, tmp_path, field, change, message):
         _, arrays = saved_members(tmp_path)
-        arrays[field] = change(arrays[field])
-        bad = tmp_path / "bad.json"
-        write_members(bad, arrays)
-        with pytest.raises(DatasetError, match=f"bad.json: field '{field}' .*{message}"):
-            load_dataset(bad)
+        assert_rejected(tmp_path, arrays, field, change, message)
 
     def test_load_rejects_missing_member(self, tmp_path):
         _, arrays = saved_members(tmp_path)
@@ -464,15 +489,189 @@ class TestContainer:
         with pytest.raises(DatasetError, match="cut.json"):
             load_dataset(bad)
 
-    def test_corrupt_member_names_path(self, tmp_path):
-        good, _ = saved_members(tmp_path)
+    @pytest.mark.parametrize("source, member", [
+        (None, "instance_values.npy"), (None, "instance_mask.npy"),
+        (FIXTURE_V2, "instances.npy"),
+    ])
+    def test_corrupt_member_names_path(self, tmp_path, source, member):
+        good = source or saved_members(tmp_path)[0]
         data = bytearray(good.read_bytes())
-        at = data.index(b"instances.npy") + 60
+        at = data.index(member.encode()) + len(member) + 24   # in its deflated bytes
         data[at:at + 8] = bytes(255 - x for x in data[at:at + 8])
         bad = tmp_path / "flipped.json"
         bad.write_bytes(bytes(data))
         with pytest.raises(DatasetError, match="flipped.json"):
             load_dataset(bad)
+
+
+def deflate(data, level):
+    """``data`` as a raw deflate stream, the form a zip member stores."""
+    packer = zlib.compressobj(level, zlib.DEFLATED, -zlib.MAX_WBITS)
+    return packer.compress(data) + packer.flush()
+
+
+def odd_bags():
+    """Bags whose 5 cells leave 3 pad bits in the mask's last byte, with a
+    zero cell among them."""
+    return [Bag(id="a", instances=[[1.5], [0.0], [-2.0]], label=1),
+            Bag(id="b", instances=[[0.25], [3.0]], label=0)]
+
+
+class TestSparseInstances:
+    """bagdata/3 keeps the instances as the packed bits of the nonzero
+    cells and the values of those cells."""
+
+    def test_members(self, tmp_path):
+        x = np.array([[0.0, -0.0, 1.5], [0.0, 0.0, 0.0], [2.0, 0.0, -3.0]])
+        _, arrays = saved_members(tmp_path, [Bag(id="a", instances=x, label=1)])
+        assert "instances" not in arrays
+        assert json.loads(arrays["header"].item())["width"] == 3
+        np.testing.assert_array_equal(np.unpackbits(arrays["instance_mask"])[:9],
+                                      [0, 1, 1, 0, 0, 0, 1, 0, 1])
+        assert arrays["instance_values"].tobytes() == np.array([-0.0, 1.5, 2.0, -3.0]).tobytes()
+
+    def test_instance_members_deflated_at_level_1(self, tmp_path):
+        # pixel-like cells, sparse and with few distinct values, which level
+        # 1 and the default level deflate differently
+        rng = np.random.default_rng(3)
+        cells = rng.integers(0, 256, size=(400, 64)) * (rng.random((400, 64)) < 0.2) / 255.0
+        good, _ = saved_members(tmp_path, [Bag(id=f"b{i}", instances=cells[i::8], label=i % 2)
+                                           for i in range(8)])
+        data = good.read_bytes()
+        levels = {}
+        with zipfile.ZipFile(good) as zf:
+            for info in zf.infolist():
+                assert info.compress_type == zipfile.ZIP_DEFLATED
+                name_len, extra_len = struct.unpack_from("<HH", data, info.header_offset + 26)
+                at = info.header_offset + 30 + name_len + extra_len
+                stored = data[at:at + info.compress_size]
+                plain = zf.read(info)
+                levels[info.filename] = [level for level in (1, 6)
+                                         if stored == deflate(plain, level)]
+        assert levels.pop("instance_mask.npy") == levels.pop("instance_values.npy") == [1]
+        assert all(6 in level for level in levels.values()), levels   # zlib's default
+
+    @pytest.mark.parametrize("x", [
+        np.array([[-0.0, 0.0], [0.0, -0.0]]),
+        np.array([[5e-324, -5e-324], [0.0, 2.2250738585072014e-308]]),
+        np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 2.0], [0.0, 0.0, 0.0]]),
+        np.zeros((4, 3)),
+        np.arange(1.0, 13.0).reshape(4, 3) * np.pi,
+        np.array([[np.finfo(float).max, -np.finfo(float).tiny, 1e-300]]),
+    ], ids=["negative-zero", "subnormal", "zero-rows", "all-zero", "no-zero-cell", "extremes"])
+    def test_round_trip_bit_exact(self, tmp_path, x):
+        bags = [Bag(id="a", instances=x[:1], label=0, split="train"),
+                Bag(id="b", instances=x[1:], label=1)] if len(x) > 1 else \
+            [Bag(id="a", instances=x, label=0)]
+        save_dataset(tmp_path / "d", bags)
+        loaded, _, _ = load_dataset(tmp_path / "d")
+        assert_same_bags(loaded, bags)
+        np.testing.assert_array_equal(np.signbit(np.vstack([b.instances for b in loaded])),
+                                      np.signbit(x))
+
+    def test_odd_cell_count_round_trip(self, tmp_path):
+        save_dataset(tmp_path / "d", odd_bags())
+        assert_same_bags(load_dataset(tmp_path / "d")[0], odd_bags())
+
+    def test_equal_bags_give_equal_bytes(self, tmp_path):
+        save_dataset(tmp_path / "a", container_bags()[1])
+        save_dataset(tmp_path / "b", container_bags()[1])
+        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+    @pytest.mark.parametrize("member, change, field, message", [
+        ("offsets", lambda a: np.r_[a[:-1], a[-1] - 1], "hidden", r"expected \(59,\)"),
+        ("offsets", lambda a: np.r_[a[:-1], a[-1] + 4], "hidden", r"expected \(64,\)"),
+        ("offsets", lambda a: a[:-1], "ids", r"expected \(11,\) from 'offsets'"),
+        ("instance_mask", lambda a: a[:-1], "instance_mask", r"take uint8 of shape \(15,\)"),
+        ("instance_mask", lambda a: np.append(a, np.uint8(0)), "instance_mask",
+         r"take uint8 of shape \(15,\)"),
+        ("instance_mask", lambda a: a.astype(np.uint16), "instance_mask", "dtype uint16"),
+        ("instance_mask", lambda a: a.astype(np.float64), "instance_mask", "dtype float64"),
+        ("instance_mask", cell(0, 0x7F), "instance_values",
+         "holds 120 values, but 'instance_mask' marks 119 cells"),
+        ("instance_values", lambda a: a[:-1], "instance_values",
+         "holds 119 values, but 'instance_mask' marks 120 cells"),
+        ("instance_values", lambda a: np.r_[a, 1.0], "instance_values", "holds 121 values"),
+        ("instance_values", cell(3, np.nan), "instance_values", "NaN or infinity"),
+        ("instance_values", cell(5, np.inf), "instance_values", "NaN or infinity"),
+        ("instance_values", cell(7, -np.inf), "instance_values", "NaN or infinity"),
+        ("instance_values", lambda a: a.reshape(-1, 2), "instance_values",
+         "expected a 1-D array"),
+        ("instance_values", lambda a: a.astype(np.int64), "instance_values", "dtype int64"),
+        ("instance_values", lambda a: np.array(a.tolist(), dtype=str), "instance_values",
+         "dtype"),
+        ("header", with_header(width=None), "header", "width must be an integer >= 0, got None"),
+        ("header", with_header(width="2"), "header", "width must be an integer"),
+        ("header", with_header(width=2.0), "header", "width must be an integer"),
+        ("header", with_header(width=True), "header", "width must be an integer"),
+        ("header", with_header(width=-2), "header", "width must be an integer"),
+        ("header", with_header(schema="bagdata/4"), "header", "schema"),
+    ])
+    def test_load_rejects_inconsistent_fields(self, tmp_path, member, change, field, message):
+        _, arrays = saved_members(tmp_path)
+        assert json.loads(arrays["header"].item())["width"] == 2
+        assert arrays["offsets"][-1] == 60
+        assert_rejected(tmp_path, arrays, member, change, message, field)
+
+    @pytest.mark.parametrize("width, message", [
+        (3, r"60 rows \('offsets'\) of the header's width 3 take uint8 of shape \(23,\)"),
+        (1, r"width 1 take uint8 of shape \(8,\)"),
+        (0, r"width 0 take uint8 of shape \(0,\)"),
+    ])
+    def test_header_width_that_does_not_fit(self, tmp_path, width, message):
+        _, arrays = saved_members(tmp_path)
+        arrays["header"] = with_header(width=width)(arrays["header"])
+        assert_rejected(tmp_path, arrays, "instance_mask", lambda a: a, message)
+
+    def test_load_rejects_nonzero_pad_bit(self, tmp_path):
+        _, arrays = saved_members(tmp_path, odd_bags())
+        assert arrays["instance_mask"].shape == (1,)
+        assert_rejected(tmp_path, arrays, "instance_mask", lambda a: a | 0b001,
+                        "nonzero pad bit after its 5 cells")
+
+    @pytest.mark.parametrize("name", ["instance_mask", "instance_values"])
+    def test_load_rejects_missing_instance_member(self, tmp_path, name):
+        _, arrays = saved_members(tmp_path)
+        del arrays[name]
+        write_members(tmp_path / "bad", arrays)
+        with pytest.raises(DatasetError, match=f"bad: field '{name}' is missing"):
+            load_dataset(tmp_path / "bad")
+
+
+class TestDenseV2:
+    """Files of the dense bagdata/2 format, which nothing writes any more."""
+
+    def test_fixture_loads_bit_for_bit(self):
+        spec, bags = container_bags()
+        loaded, spec_dict, seed = load_dataset(FIXTURE_V2)
+        assert read_members(FIXTURE_V2)["instances"].shape == (60, 2)
+        assert (spec_dict, seed) == (dataclasses.asdict(spec), 9)
+        assert_same_bags(loaded, bags)
+        base = loaded[0].instances.base
+        assert base is not None and all(b.instances.base is base for b in loaded)
+
+    def test_resaved_as_v3_gives_equal_bags(self, tmp_path):
+        bags, spec, seed = load_dataset(FIXTURE_V2)
+        save_dataset(tmp_path / "v3", bags, seed=seed)
+        arrays = read_members(tmp_path / "v3")
+        assert json.loads(arrays["header"].item())["schema"] == "bagdata/3"
+        again, _, seed_again = load_dataset(tmp_path / "v3")
+        assert seed_again == seed
+        assert_same_bags(again, bags)
+
+    @pytest.mark.parametrize("field, change, message", [
+        ("offsets", lambda a: np.r_[a[:-1], a[-1] - 1], "end at"),
+        ("offsets", lambda a: a[:-1], "end at"),
+        ("instances", lambda a: np.where(np.arange(a.size).reshape(a.shape) == 3, np.nan, a),
+         "NaN or infinity"),
+        ("instances", lambda a: np.where(np.arange(a.size).reshape(a.shape) == 5, -np.inf, a),
+         "NaN or infinity"),
+        ("instances", lambda a: a.ravel(), "N_total x d"),
+        ("instances", lambda a: a.astype(np.int64), "dtype"),
+        ("header", with_header(schema="bagdata/1"), "schema"),
+    ])
+    def test_load_rejects_inconsistent_fields(self, tmp_path, field, change, message):
+        assert_rejected(tmp_path, read_members(FIXTURE_V2), field, change, message)
 
 
 class TestLegacyJson:
@@ -496,9 +695,9 @@ class TestLegacyJson:
         assert {b.positive_fraction is None for b in bags} == {True, False}
         assert {b.hidden_instance_labels is None for b in bags} == {True, False}
 
-    def test_resaved_as_v2_gives_equal_bags(self, tmp_path):
+    def test_resaved_as_v3_gives_equal_bags(self, tmp_path):
         bags, spec, seed = load_dataset(FIXTURE_V1)
-        out = tmp_path / "v2.json"
+        out = tmp_path / "v3.json"
         save_dataset(out, bags, seed=seed)
         assert out.read_bytes()[:4] == b"PK\x03\x04"
         again, _, seed_again = load_dataset(out)

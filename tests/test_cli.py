@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from promil import cli, metrics, training
 from promil.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -13,12 +15,13 @@ from promil.cli import (
     SWEEP_COLUMNS,
     load_model,
     main,
+    save_model,
 )
-from promil import metrics, training
-from promil.bagdata import load_dataset
-from promil.bernstein import DEFAULT_EPS
+from promil.bagdata import load_dataset, write_idx_images, write_idx_labels
+from promil.bernstein import DEFAULT_EPS, QuantileParam
 from promil.heads import HEADS, score_bags
 from promil.metrics import evaluate
+from promil.network import NetArch, init_params
 
 FIXTURE_V1 = str(Path(__file__).parent / "data" / "bagdata1.json")
 
@@ -53,6 +56,27 @@ def small_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def mnist_config(tmp_path, **mnist):
+    """A small config over tiny IDX files of 4 x 4 digits; ``mnist`` sets
+    fields of its mnist section, a None value dropping the field."""
+    rng = np.random.default_rng(0)
+    paths = {}
+    for prefix, n in (("train", 160), ("test", 80)):
+        images = rng.integers(0, 256, size=(n, 4, 4), dtype=np.uint8)
+        labels = rng.integers(0, 10, size=n, dtype=np.uint8)
+        labels[::4] = 9
+        images[labels == 9, 0] = 255   # a digit 9 is learnable from its first row
+        paths[f"{prefix}_images"] = str(tmp_path / f"{prefix}-images")
+        paths[f"{prefix}_labels"] = str(tmp_path / f"{prefix}-labels")
+        write_idx_images(paths[f"{prefix}_images"], images)
+        write_idx_labels(paths[f"{prefix}_labels"], labels)
+    paths.update(mnist, n_test_bags=12)
+    return small_config(tmp_path, source="mnist", repeats=2,
+                        mnist={k: v for k, v in paths.items() if v is not None},
+                        dataset={"n_bags": 40, "threshold_qstar": 0.3, "bag_size_mean": 6,
+                                 "bag_size_std": 2})
 
 
 class TestGenerate:
@@ -297,7 +321,31 @@ def _widen_first_weight(doc):
     doc["weights"][0].append([0.0])
 
 
+def random_model(input_dim, hidden_dims, best_value):
+    arch = NetArch(input_dim=input_dim, hidden_dims=hidden_dims)
+    net = init_params(arch, np.random.SeedSequence([3, 0]))
+    net.flat[:] = np.random.default_rng(4).normal(size=net.flat.size)   # biases too
+    return training.TrainedModel(arch=arch, net=net, q=QuantileParam.from_q(0.3125), head="promil",
+                                 val_metric="loss", best_epoch=7, best_value=best_value,
+                                 epochs_run=9, seed=3, eps=1e-7)
+
+
 class TestModelFiles:
+    @pytest.mark.parametrize("input_dim, hidden_dims, best_value", [
+        (2, (), 0.6931471805599453), (784, (32,), float("nan"))])
+    def test_bytes_equal_the_former_json_dump_form(self, tmp_path, monkeypatch, input_dim,
+                                                   hidden_dims, best_value):
+        path = tmp_path / "m.json"
+        with monkeypatch.context() as m:
+            m.setattr(cli.time, "time", lambda: 1_700_000_000.75)
+            save_model(str(path), random_model(input_dim, hidden_dims, best_value))
+        doc = json.loads(path.read_text())
+        assert doc["metadata"]["created_unix"] == 1_700_000_000
+        former = io.StringIO()   # the streaming encoder save_model used to take
+        json.dump(doc, former, sort_keys=True, separators=(",", ":"))
+        former.write("\n")
+        assert path.read_bytes() == former.getvalue().encode()
+
     @pytest.mark.parametrize("field, edit", [
         ("weights", lambda doc: doc.pop("weights")),
         ("raw_q", lambda doc: doc.pop("raw_q")),
@@ -415,6 +463,38 @@ class TestSweep:
         good = [r for r in rows if float(r[1]) == 0.4]
         assert len(bad) == 3 and all(r[-1].startswith("error:") for r in bad)
         assert len(good) == 3 and all(r[-1] == "ok" for r in good)
+
+    def test_reads_the_idx_files_once(self, tmp_path, monkeypatch):
+        cfg = mnist_config(tmp_path)
+        calls = []
+        real_load_idx = cli.load_idx
+        monkeypatch.setattr(cli, "load_idx", lambda *paths: calls.append(paths)
+                            or real_load_idx(*paths))
+        out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
+        argv = ["sweep", "--config", cfg, "--axis", "threshold", "--values", "0.3,0.4",
+                "--out", str(out1)]
+        assert main(argv) == EXIT_OK
+        assert [Path(p).name for pair in calls for p in pair] == [
+            "train-images", "train-labels", "test-images", "test-labels"]
+        rows = list(csv.reader(out1.open()))[1:]
+        assert len(rows) == 2 * 2 * 3 and all(r[-1] == "ok" for r in rows)
+        assert main(argv[:-1] + [str(out2)]) == EXIT_OK
+        assert len(calls) == 4
+        assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("mnist, named", [
+        ({"test_labels": "missing-labels"}, "missing-labels"),
+        ({"train_images": None}, "mnist.train_images"),
+    ])
+    def test_bad_idx_path_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch,
+                                                  mnist, named):
+        cfg = mnist_config(tmp_path, **mnist)
+        monkeypatch.setattr(cli, "_train_once", lambda *a: pytest.fail("a cell ran"))
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", cfg, "--axis", "threshold", "--values", "0.3",
+                     "--out", str(out)]) == EXIT_IO
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_axis_values_validation(self, tmp_path):
         cfg = small_config(tmp_path)
