@@ -30,10 +30,11 @@ the weights are skipped, which changes no bit either.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
-from scipy.special import gammaln, logit
 
 DEFAULT_EPS = 1e-7
 _TINY = np.nextafter(0.0, 1.0)
@@ -54,6 +55,19 @@ def level(raw):
     return min(max(q, _TINY), _ALMOST_ONE)
 
 
+def logit(q):
+    """log(q / (1 - q)) for q in (0, 1), the inverse of ``level``.
+
+    Near q = 0.5 the rounding of the quotient would dominate a logit close
+    to 0, so on [0.3, 0.65], where s = 2(q - 0.5) is exact, it is taken as
+    log1p(s) - log1p(-s).
+    """
+    if 0.3 <= q <= 0.65:
+        s = 2.0 * (q - 0.5)
+        return math.log1p(s) - math.log1p(-s)
+    return math.log(q / (1.0 - q))
+
+
 @dataclass
 class QuantileParam:
     """Trainable quantile level stored as an unconstrained real.
@@ -72,11 +86,25 @@ class QuantileParam:
     def from_q(cls, q):
         if not 0.0 < q < 1.0:
             raise ValueError(f"q must be in (0, 1), got {q}")
-        return cls(raw=float(logit(q)))
+        return cls(raw=logit(float(q)))
+
+
+def _log_factorials(size):
+    """log k! for k = 0..size-1.
+
+    While k! is below the float maximum (k <= 170) the entry is the log of
+    the exact integer k!, correctly rounded; beyond, it is lgamma(k + 1).
+    The tests hold every entry up to k = 20,000 within 2 ulp of the exact
+    value, which lgamma alone would miss at k = 2 (over 3 ulp).
+    """
+    table = np.fromiter(map(math.lgamma, range(1, size + 1)), np.float64, size)
+    exact = min(size, 171)
+    table[:exact] = list(map(math.log, accumulate(range(1, exact), operator.mul, initial=1)))
+    return table
 
 
 # log k! for k = 0, 1, ... and the same k as floats, grown on demand.
-_LOG_FACTORIAL = gammaln(np.arange(1.0, 1025.0))
+_LOG_FACTORIAL = _log_factorials(1024)
 _K = np.arange(1024.0)
 
 # log C(n, k) for k = 0..n, per bag length n: the part of a bag's log
@@ -94,7 +122,7 @@ def _tables(n):
     global _LOG_FACTORIAL, _K
     if _K.size <= n:
         size = max(n + 1, 2 * _K.size)
-        _LOG_FACTORIAL = gammaln(np.arange(1.0, size + 1.0))
+        _LOG_FACTORIAL = _log_factorials(size)
         _K = np.arange(float(size))
     return _LOG_FACTORIAL, _K
 

@@ -8,10 +8,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
-_TINY = np.nextafter(0.0, 1.0)
-_ALMOST_ONE = np.nextafter(1.0, 0.0)
+# The output pre-activation z is held in [-708, 36.7] for the logistic
+# 1 / (1 + exp(-z)).  There exp(-z) is a normal float, below exp(708), and
+# above 2^-53, so 1 + exp(-z) does not round to 1: the logistic is a normal
+# float strictly inside (0, 1), at most 1 - 2^-52, and computing it raises
+# no floating-point flag.  Only outputs that would round to 1.0 move.
+# The constants are 0-d arrays: a ufunc takes them with less overhead than
+# Python floats, which counts on bags of a few dozen instances.
+_NEG_PREACT_MIN = np.array(-36.7)
+_NEG_PREACT_MAX = np.array(708.0)
+_ONE = np.array(1.0)
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -97,7 +104,7 @@ class BagForwardTrace:
     """Cached activations from forward_bag, consumed by backward_bag."""
 
     layer_inputs: list   # input to each layer, (bag_size, fan_in)
-    preacts: list        # pre-activation of each layer, (bag_size, fan_out)
+    preacts: list        # pre-activation of each hidden layer, (bag_size, fan_out)
     predictions: np.ndarray
 
     def __len__(self):
@@ -131,9 +138,10 @@ def _activate_grad(z, kind):
 def forward_bag(params, instances):
     """Score every instance; returns (predictions, trace).
 
-    ``instances`` is (bag_size, input_dim).  Predictions are clipped into
-    the open interval (0, 1): the logistic saturates to exact 0.0/1.0 in
-    float64 for |logit| > ~37.
+    ``instances`` is (bag_size, input_dim).  A prediction is the logistic
+    1 / (1 + exp(-z)) of the output pre-activation z held in [-708, 36.7],
+    so it lies strictly inside (0, 1) even where the float logistic of z
+    would round to 0.0 or 1.0.
     """
     x = np.asarray(instances, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -143,19 +151,27 @@ def forward_bag(params, instances):
             f"instance dimension {x.shape[1]} does not match input_dim {params.arch.input_dim}"
         )
     act = params.arch.activation
-    layer_inputs, preacts = [], []
+    weights, biases = params.weights, params.biases
+    layer_inputs, preacts = [x], []
     a = x
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        layer_inputs.append(a)
+    for i in range(len(weights) - 1):
         # .dot is the product @ computes, with less call overhead on a bag
-        z = a.dot(w)
-        z += b
+        z = a.dot(weights[i])
+        z += biases[i]
         preacts.append(z)
-        a = _activate(z, act) if i < last else z
-    c = expit(a[:, 0])
-    np.minimum(np.maximum(c, _TINY, out=c), _ALMOST_ONE, out=c)
-    return c, BagForwardTrace(layer_inputs=layer_inputs, preacts=preacts, predictions=c)
+        a = _activate(z, act)
+        layer_inputs.append(a)
+    # the logistic, in place on the output layer's (bag_size, 1) array,
+    # which starts as -z: -b - a.w is -(a.w + b) bit for bit
+    c = a.dot(weights[-1])
+    np.subtract(-biases[-1].item(), c, out=c)
+    np.maximum(c, _NEG_PREACT_MIN, out=c)
+    np.minimum(c, _NEG_PREACT_MAX, out=c)
+    np.exp(c, out=c)
+    c += _ONE
+    np.reciprocal(c, out=c)
+    c = c[:, 0]
+    return c, BagForwardTrace(layer_inputs, preacts, c)
 
 
 def backward_bag(params, trace, upstream, out=None):

@@ -10,8 +10,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import gammaln
 
+from promil import bernstein
 from promil.bernstein import (
     DEFAULT_EPS,
     QuantileParam,
@@ -62,6 +62,31 @@ class TestLogBinomial:
                 assert log_binomial(n, k) == pytest.approx(
                     math.log(math.comb(n, k)), rel=1e-12, abs=1e-12
                 )
+
+
+def ulps_from(got, exact):
+    """How many float spacings at ``exact`` separate ``got`` from the
+    mpmath value ``exact``."""
+    nearest = float(exact)
+    if got == nearest:
+        return 0.0
+    return float(abs(mpmath.mpf(got) - exact) / np.spacing(abs(nearest)))
+
+
+class TestLogFactorialTable:
+    @staticmethod
+    def worst_ulps(table, size):
+        with mpmath.workdps(40):
+            return max(ulps_from(float(table[k]), mpmath.loggamma(k + 1)) for k in range(size))
+
+    def test_within_two_ulp_of_mpmath(self):
+        assert self.worst_ulps(bernstein._LOG_FACTORIAL, 1024) <= 2.0
+
+    def test_grown_table_within_two_ulp_of_mpmath(self):
+        lf, k = bernstein._tables(20000)
+        assert lf.size >= 20001 and k.size == lf.size
+        np.testing.assert_array_equal(k, np.arange(float(k.size)))
+        assert self.worst_ulps(lf, 20001) <= 2.0
 
 
 class TestLogWeights:
@@ -251,12 +276,23 @@ class TestQuantileParam:
         with pytest.raises(ValueError):
             QuantileParam.from_q(1.0)
 
+    def test_from_q_against_mpmath(self):
+        # both sides of each edge of the log1p branch [0.3, 0.65]
+        qs = [0.5]
+        for edge in (0.3, 0.65):
+            qs += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0)]
+        with mpmath.workdps(40):
+            for q in qs:
+                exact = mpmath.log(mpmath.mpf(q) / (1 - mpmath.mpf(q)))
+                assert ulps_from(QuantileParam.from_q(q).raw, exact) <= 2.0, q
+        assert QuantileParam.from_q(0.5).raw == 0.0
+
 
 def former_kernel(values, q, eps):
     """``quantile_value_grad`` before the per-length rows, the clamp-free
     branch and the dot products for grad_q, kept as its reference."""
     n = values.size - 1
-    lf = gammaln(np.arange(1.0, n + 2.0))
+    lf = bernstein._log_factorials(n + 1)
     k = np.arange(n + 1.0)
     w = np.exp(lf[n] - lf[k.astype(int)] - lf[n::-1] + k[::-1] * np.log(q)
                + k * np.log1p(-q))

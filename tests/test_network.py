@@ -1,6 +1,7 @@
+import math
+
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from promil.network import (
     NetArch,
@@ -14,6 +15,11 @@ from promil.network import (
 def forward_one(params, x):
     """The prediction for one feature vector, as a bag of one instance."""
     return float(forward_bag(params, x[None, :])[0][0])
+
+
+def logistic(x):
+    """The logistic of a float by its textbook formula, in math."""
+    return 1.0 / (1.0 + math.exp(-x))
 
 
 def logistic_regression_params(w, b=0.0):
@@ -75,7 +81,7 @@ class TestForward:
     def test_logistic_closed_form(self):
         params = logistic_regression_params([1.0, 0.0])
         got = forward_one(params, np.array([2.0, 5.0]))
-        assert got == pytest.approx(float(expit(2.0)), rel=1e-12)
+        assert got == pytest.approx(logistic(2.0), rel=1e-12)
         assert got == pytest.approx(0.880797, abs=1e-6)
 
     def test_range_strictly_open(self):
@@ -88,6 +94,21 @@ class TestForward:
             x = rng.normal(size=(10, 3)) * 10
             preds, _ = forward_bag(params, x)
             assert np.all(preds > 0.0) and np.all(preds < 1.0)
+
+    def test_extreme_and_nan_logits(self):
+        # no floating-point flag is raised on the way: exp neither
+        # overflows nor underflows, and the logistic stays a normal float
+        logits = np.array([-800.0, -40.0, 0.0, 40.0, 800.0, np.nan])
+        params = logistic_regression_params([1.0])
+        with np.errstate(all="raise"):
+            preds, trace = forward_bag(params, logits[:, None])
+            backward_bag(params, trace, np.ones(logits.size))
+        finite = preds[:-1]
+        assert np.all(finite > 0.0) and np.all(finite < 1.0)
+        assert np.isnan(preds[-1])
+        for x, c in zip(logits[1:-1], preds[1:-1]):
+            assert c == pytest.approx(logistic(x), rel=1e-15, abs=0.0)
+        assert preds[0] < 1e-300
 
     def test_bag_matches_instance_loop(self):
         rng = np.random.default_rng(5)
