@@ -21,7 +21,6 @@ from .bagdata import (
     split_dataset,
 )
 from .bernstein import (
-    QuantileParam,
     estimate_quantile,
     estimate_quantile_limit,
     quantile_gradients,
@@ -58,7 +57,6 @@ __all__ = [
     "HEADS",
     "NetArch",
     "NetParams",
-    "QuantileParam",
     "SyntheticSpec",
     "TrainConfig",
     "TrainState",

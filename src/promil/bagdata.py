@@ -49,6 +49,17 @@ IDX_LABELS_MAGIC = 0x00000801
 LABEL_RULES = ("percentage", "standard")
 
 
+def is_integer(x):
+    """True for an integer other than a bool: JSON true and false are read
+    as bools, which Python counts as the integers 1 and 0."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def is_number(x):
+    """True for a real number other than a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 class IdxParseError(ValueError):
     """IDX file violated the format; the message names the byte offset."""
 
@@ -113,12 +124,12 @@ class SyntheticSpec:
 
     def __post_init__(self):
         for name in ("n_bags", "feature_dim"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+            if not is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("threshold_qstar", "bag_size_mean", "bag_size_std", "class_separation",
                      "noise_std"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            if not (is_number(value) and math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.n_bags < 2:
             raise ValueError(f"n_bags must be at least 2, got {self.n_bags}")
@@ -330,7 +341,8 @@ def check_fractions(fractions, name="fractions"):
     """``fractions`` as a tuple of three floats; ValueError naming ``name``
     unless they are three nonnegative reals that sum to 1."""
     try:
-        checked = tuple(float(f) for f in fractions)
+        # a bool is dropped, so that the count below rejects it
+        checked = tuple(float(f) for f in fractions if not isinstance(f, bool))
     except (TypeError, ValueError):
         checked = ()
     if len(checked) != 3 or not all(f >= 0 for f in checked):
@@ -595,7 +607,7 @@ def _decode_instances(mask, values, n_rows, width, bad):
     """The (n_rows, width) float64 instances of a bagdata/3 file: zero but
     for the cells ``mask`` marks, which hold ``values`` in row-major order.
     ``bad(field, why)`` makes the error for a member that does not fit."""
-    if not (isinstance(width, int) and not isinstance(width, bool) and width >= 0):
+    if not (is_integer(width) and width >= 0):
         raise bad("header", f"width must be an integer >= 0, got {width!r}")
     cells = n_rows * width
     if mask.dtype != np.uint8 or mask.shape != (-(-cells // 8),):

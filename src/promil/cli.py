@@ -39,23 +39,20 @@ from .bagdata import (
     SyntheticSpec,
     check_fractions,
     generate_synthetic,
+    is_integer,
+    is_number,
     load_dataset,
     load_idx,
     make_mnist_bags,
     save_dataset,
     split_dataset,
 )
-from .bernstein import (
-    DEFAULT_EPS,
-    QuantileParam,
-    check_eps,
-    estimate_quantile,
-    estimate_quantile_limit,
-)
+from .bernstein import DEFAULT_EPS, check_eps, estimate_quantile, estimate_quantile_limit
 from .heads import HEADS
 from .metrics import evaluate
 from .network import NetArch, NetParams
 from .training import (
+    EpochStats,
     NumericalError,
     TrainConfig,
     TrainedModel,
@@ -78,7 +75,7 @@ SWEEP_COLUMNS = ("axis", "value", "method", "seed", "auc",
 _AXIS_FIELDS = {"threshold": ("threshold_qstar", float), "bag_size": ("bag_size_mean", float),
                 "n_bags": ("n_bags", int)}
 SWEEP_AXES = tuple(_AXIS_FIELDS)
-EPOCH_LOG_COLUMNS = ("epoch", "train_cost", "val_auc", "val_loss", "q")
+EPOCH_LOG_COLUMNS = tuple(f.name for f in dataclasses.fields(EpochStats))
 
 
 class UsageError(Exception):
@@ -101,7 +98,7 @@ class MnistPaths:
         for name in ("train_images", "train_labels", "test_images", "test_labels"):
             if not isinstance(getattr(self, name), (str, type(None))):
                 raise ValueError(f"{name} must be a path, got {getattr(self, name)!r}")
-        if not (isinstance(self.n_test_bags, int) and self.n_test_bags >= 2):
+        if not (is_integer(self.n_test_bags) and self.n_test_bags >= 2):
             raise ValueError(f"n_test_bags must be an integer >= 2, got {self.n_test_bags!r}")
 
 
@@ -120,7 +117,7 @@ class ExperimentConfig:
     repeats: int = 5
 
     def __post_init__(self):
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        if not (is_integer(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.head not in HEADS:
             raise ValueError(f"head must be one of {HEADS}, got {self.head!r}")
@@ -129,7 +126,7 @@ class ExperimentConfig:
         self.split_fractions = check_fractions(self.split_fractions, "split_fractions")
         # the input width comes with the dataset; any width checks the rest
         self.hidden_dims = NetArch(1, self.hidden_dims, self.activation).hidden_dims
-        if not (isinstance(self.repeats, int) and self.repeats >= 1):
+        if not (is_integer(self.repeats) and self.repeats >= 1):
             raise ValueError(f"repeats must be an integer >= 1, got {self.repeats!r}")
 
     def net_arch(self, input_dim):
@@ -190,17 +187,18 @@ def load_config(path):
 
 
 def save_model(path, model):
+    arch = model.net.arch
     doc = {
         "schema": MODEL_SCHEMA,
         "arch": {
-            "input_dim": model.arch.input_dim,
-            "hidden_dims": list(model.arch.hidden_dims),
-            "activation": model.arch.activation,
+            "input_dim": arch.input_dim,
+            "hidden_dims": list(arch.hidden_dims),
+            "activation": arch.activation,
         },
         "weights": [w.tolist() for w in model.net.weights],
         "biases": [b.tolist() for b in model.net.biases],
-        "raw_q": float(model.q.raw),
-        "q": float(model.q.q),
+        "raw_q": float(model.raw_q),
+        "q": float(model.learned_q),
         "head": model.head,
         "eps_clamp": float(model.eps),
         "metadata": {
@@ -216,6 +214,13 @@ def save_model(path, model):
     text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     with open(path, "w") as f:
         f.write(text)
+
+
+def _number(value):
+    """``value`` as a float; TypeError unless it is a number (not a bool)."""
+    if not is_number(value):
+        raise TypeError(f"must be a number, got {value!r}")
+    return float(value)
 
 
 def _finite_arrays(values, shapes):
@@ -240,12 +245,12 @@ def load_model(path):
         )
     name = "eps_clamp"
     try:
-        eps = float(doc[name]) if schema == MODEL_SCHEMA else DEFAULT_EPS
+        eps = _number(doc[name]) if schema == MODEL_SCHEMA else DEFAULT_EPS
         check_eps(eps)
         name = "arch"
         arch = NetArch(
-            input_dim=int(doc[name]["input_dim"]),
-            hidden_dims=tuple(doc[name]["hidden_dims"]),
+            input_dim=doc[name]["input_dim"],
+            hidden_dims=doc[name]["hidden_dims"],
             activation=doc[name]["activation"],
         )
         dims = arch.layer_dims
@@ -254,7 +259,7 @@ def load_model(path):
         name = "biases"
         biases = _finite_arrays(doc[name], [(n,) for n in dims[1:]])
         name = "raw_q"
-        raw_q = float(doc[name])
+        raw_q = _number(doc[name])
         if not math.isfinite(raw_q):
             raise ValueError(f"must be finite, got {raw_q}")
         name = "head"
@@ -270,9 +275,8 @@ def load_model(path):
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: invalid model field '{name}': {exc}") from None
     return TrainedModel(
-        arch=arch,
-        net=NetParams(arch=arch, weights=weights, biases=biases),
-        q=QuantileParam(raw=raw_q),
+        net=NetParams(arch, flat=np.concatenate([a.ravel() for a in (*weights, *biases)])),
+        raw_q=raw_q,
         head=head,
         val_metric=meta.get("val_metric", "auc"),
         best_epoch=meta.get("best_epoch", 0),
@@ -367,8 +371,7 @@ def cmd_train(args):
         writer = csv.writer(f)
         writer.writerow(EPOCH_LOG_COLUMNS)
         for row in model.history:
-            writer.writerow([row.epoch, repr(row.train_cost), repr(row.val_auc),
-                             repr(row.val_loss), repr(row.q)])
+            writer.writerow([repr(value) for value in dataclasses.astuple(row)])
     print(f"trained {model.head} for {model.epochs_run} epochs "
           f"(best epoch {model.best_epoch}, val_{model.val_metric} "
           f"{model.best_value:.6f}); learned q = {model.learned_q:.6f}")
@@ -383,9 +386,9 @@ def cmd_eval(args):
         bags = [b for b in bags if b.split == args.split]
         if not bags:
             raise UsageError(f"dataset has no bags tagged split={args.split!r}")
-    if bags and bags[0].instances.shape[1] != model.arch.input_dim:
+    if bags and bags[0].instances.shape[1] != model.net.arch.input_dim:
         raise UsageError(
-            f"model expects input_dim {model.arch.input_dim} but dataset has "
+            f"model expects input_dim {model.net.arch.input_dim} but dataset has "
             f"{bags[0].instances.shape[1]}"
         )
     head = args.head or model.head

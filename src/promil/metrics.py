@@ -64,14 +64,14 @@ def balanced_accuracy(pred_labels, labels):
 def evaluate(model, bags, head=None):
     """Score every bag with the chosen head and aggregate an EvalResult.
 
-    ``model`` is a TrainedModel (or anything with .net, .q and .eps); ``head``
-    defaults to the head the model was trained with.  Bags are scored by
-    ``score_bags`` with the clamp ``model.eps`` the model was trained with,
-    as in validation.
+    ``model`` is a TrainedModel (or anything with .net, .learned_q and
+    .eps); ``head`` defaults to the head the model was trained with.  Bags
+    are scored by ``score_bags`` with the clamp ``model.eps`` the model was
+    trained with, as in validation.
     """
     if not bags:
         raise ValueError("cannot evaluate an empty bag list")
-    scores = score_bags(model.net, bags, head or model.head, model.q.q, model.eps)
+    scores = score_bags(model.net, bags, head or model.head, model.learned_q, model.eps)
     labels = np.array([int(bag.label) for bag in bags])
     hard = decide(scores)
     tp = int(((hard == 1) & (labels == 1)).sum())

@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bagdata import is_integer
+
 # The output pre-activation z is held in [-708, 36.7] for the logistic
 # 1 / (1 + exp(-z)).  There exp(-z) is a normal float, below exp(708), and
 # above 2^-53, so 1 + exp(-z) does not round to 1: the logistic is a normal
@@ -36,15 +38,12 @@ class NetArch:
     activation: str = "relu"
 
     def __post_init__(self):
-        try:
-            dims = tuple(int(h) for h in self.hidden_dims)
-        except (TypeError, ValueError):
-            dims = None
-        if dims is None or dims != tuple(self.hidden_dims) or any(h < 1 for h in dims):
+        dims = self.hidden_dims
+        if not (isinstance(dims, (tuple, list)) and all(is_integer(h) and h >= 1 for h in dims)):
             raise ValueError(f"hidden_dims must be positive integers, got {self.hidden_dims!r}")
-        object.__setattr__(self, "hidden_dims", dims)
-        if self.input_dim < 1:
-            raise ValueError(f"input_dim must be positive, got {self.input_dim}")
+        object.__setattr__(self, "hidden_dims", tuple(map(int, dims)))
+        if not (is_integer(self.input_dim) and self.input_dim >= 1):
+            raise ValueError(f"input_dim must be a positive integer, got {self.input_dim!r}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
 
@@ -63,29 +62,22 @@ def weight_count(arch):
 class NetParams:
     """Per-layer weight matrices (fan_in, fan_out) and bias vectors.
 
-    All of them are views into one flat vector laid out as
-    [W_0, ..., W_L, b_0, ..., b_L], so an optimizer can update the whole
-    network with one call and the weights form its leading block.  Built
-    from ``weights`` and ``biases`` the arrays are copied into a new flat
-    vector; built from ``flat`` they view that vector.  Gradients use the
-    same container.
+    ``weights`` and ``biases`` are views into the one flat vector ``flat``,
+    laid out as [W_0, ..., W_L, b_0, ..., b_L], so an optimizer can update
+    the whole network with one call and the weights form its leading
+    block.  ``flat`` defaults to a new zero vector.  Gradients use the same
+    container.
     """
 
     arch: NetArch
-    weights: list = None
-    biases: list = None
     flat: np.ndarray = None
 
     def __post_init__(self):
         dims = self.arch.layer_dims
         shapes = [*zip(dims[:-1], dims[1:]), *((fan_out,) for fan_out in dims[1:])]
-        if self.flat is None:
-            arrays = [np.asarray(a, dtype=np.float64) for a in (*self.weights, *self.biases)]
-            if [a.shape for a in arrays] != shapes:
-                raise ValueError(f"parameter shapes {[a.shape for a in arrays]} do not "
-                                 f"match layers {dims}")
-            self.flat = np.concatenate([a.ravel() for a in arrays])
         sizes = [math.prod(shape) for shape in shapes]
+        if self.flat is None:
+            self.flat = np.zeros(sum(sizes))
         if self.flat.shape != (sum(sizes),):
             raise ValueError(f"flat parameters of shape {self.flat.shape} do not match "
                              f"layers {dims}")
@@ -94,9 +86,6 @@ class NetParams:
             views.append(self.flat[offset:offset + size].reshape(shape))
             offset += size
         self.weights, self.biases = views[:len(dims) - 1], views[len(dims) - 1:]
-
-    def copy(self):
-        return NetParams(arch=self.arch, flat=self.flat.copy())
 
 
 @dataclass
@@ -107,19 +96,15 @@ class BagForwardTrace:
     preacts: list        # pre-activation of each hidden layer, (bag_size, fan_out)
     predictions: np.ndarray
 
-    def __len__(self):
-        return self.predictions.size
-
 
 def init_params(arch, seed):
     """Uniform(-s, s) weights with s = INIT_GAIN/sqrt(fan_in); zero biases."""
     rng = np.random.default_rng(seed)
-    dims = arch.layer_dims
-    weights = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        s = INIT_GAIN / np.sqrt(fan_in)
-        weights.append(rng.uniform(-s, s, size=(fan_in, fan_out)))
-    return NetParams(arch=arch, weights=weights, biases=[np.zeros(n) for n in dims[1:]])
+    params = NetParams(arch)
+    for w in params.weights:
+        s = INIT_GAIN / np.sqrt(w.shape[0])
+        w[...] = rng.uniform(-s, s, size=w.shape)
+    return params
 
 
 def _activate(z, kind):
@@ -190,7 +175,7 @@ def backward_bag(params, trace, upstream, out=None):
     if len(trace.layer_inputs) != len(params.weights):
         raise ValueError("trace does not match params layer count")
     if out is None:
-        out = NetParams(arch=params.arch, flat=np.empty(params.flat.size))
+        out = NetParams(params.arch)
     act = params.arch.activation
     c = trace.predictions
     dz = upstream * c

@@ -36,12 +36,12 @@ checks, for callers that pass unchecked arrays.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bernstein import DEFAULT_EPS, QuantileParam, check_eps, level
+from .bagdata import is_integer, is_number
+from .bernstein import DEFAULT_EPS, check_eps, level, logit
 from .heads import head_function, score_bags
 from .metrics import auc as auc_metric
 from .network import NetParams, backward_bag, forward_bag, init_params, weight_count
@@ -70,9 +70,9 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("learning_rate", "beta1", "beta2", "weight_decay", "eps_clamp"):
-            if not isinstance(getattr(self, name), numbers.Real):
+            if not is_number(getattr(self, name)):
                 raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        if not (is_integer(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be positive and finite, "
@@ -82,10 +82,10 @@ class TrainConfig:
         if not 0.0 <= self.weight_decay < math.inf:
             raise ValueError(f"weight_decay must be nonnegative and finite, "
                              f"got {self.weight_decay}")
-        if not (isinstance(self.max_epochs, int) and self.max_epochs >= 1):
+        if not (is_integer(self.max_epochs) and self.max_epochs >= 1):
             raise ValueError(f"max_epochs must be an integer >= 1, got {self.max_epochs!r}")
         # patience 0 is allowed: it stops after the first epoch
-        if not (isinstance(self.patience, int) and 0 <= self.patience <= self.max_epochs):
+        if not (is_integer(self.patience) and 0 <= self.patience <= self.max_epochs):
             raise ValueError(f"patience must be an integer in [0, max_epochs="
                              f"{self.max_epochs}], got {self.patience!r}")
         check_eps(self.eps_clamp, "eps_clamp")
@@ -137,13 +137,14 @@ class EpochStats:
 class TrainedModel:
     """Best-validation snapshot plus the run's bookkeeping.
 
-    ``eps`` is the clamp the model was trained and validated with; scoring
-    it anywhere else uses the same clamp.
+    ``net`` and ``raw_q`` are the best epoch's parameter vector: the
+    network's part and the raw quantile level, whose level is
+    ``learned_q``.  ``eps`` is the clamp the model was trained and
+    validated with; scoring it anywhere else uses the same clamp.
     """
 
-    arch: object
-    net: object
-    q: QuantileParam
+    net: NetParams
+    raw_q: float
     head: str
     val_metric: str
     best_epoch: int
@@ -155,7 +156,7 @@ class TrainedModel:
 
     @property
     def learned_q(self):
-        return self.q.q
+        return level(self.raw_q)
 
 
 def bag_cost(score, y, eps):
@@ -260,7 +261,7 @@ def init_train_state(arch, cfg):
         q0 = float(np.random.default_rng(np.random.SeedSequence([cfg.seed, 1])).uniform(lo, hi))
     else:
         q0 = cfg.q_init
-    return TrainState(arch, np.append(net.flat, QuantileParam.from_q(q0).raw))
+    return TrainState(arch, np.append(net.flat, logit(q0)))
 
 
 def _validation_stats(net, q, bags, cfg, head):
@@ -295,7 +296,9 @@ def train(state, splits, cfg, head="promil"):
     Iterates the training split in a fresh shuffled order each epoch (batch
     size 1), evaluates cfg.val_metric on the validation split after every
     epoch, and stops once `patience` epochs pass without improvement (or at
-    max_epochs).  Returns the snapshot from the best validation epoch.
+    max_epochs).  Returns a TrainedModel built from a copy of the parameter
+    vector taken at the best validation epoch, so later steps on ``state``
+    leave it unchanged.
     """
     train_bags = splits.train
     val_bags = splits.validation
@@ -307,7 +310,7 @@ def train(state, splits, cfg, head="promil"):
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2]))
     higher_better = cfg.val_metric == "auc"
     best_value = -math.inf if higher_better else math.inf
-    best_net, best_q, best_epoch = state.net.copy(), QuantileParam(state.theta.item(-1)), 0
+    best, best_epoch = state.theta.copy(), 0
     since_improve = 0
     history = []
     epochs_run = 0
@@ -320,20 +323,19 @@ def train(state, splits, cfg, head="promil"):
             state, cost = bag_step(state, train_bags[i], cfg, head)
             total += cost
         train_cost = total / len(train_bags)
-        q = QuantileParam(state.theta.item(-1))
-        val_auc, val_loss = _validation_stats(state.net, q.q, val_bags, cfg, head)
+        q = level(state.theta.item(-1))
+        val_auc, val_loss = _validation_stats(state.net, q, val_bags, cfg, head)
         if math.isnan(val_auc) or math.isnan(val_loss):
             raise NumericalError(
                 f"NaN at epoch {epoch}: val_auc={val_auc} val_loss={val_loss}"
             )
-        history.append(EpochStats(epoch, train_cost, val_auc, val_loss, q.q))
+        history.append(EpochStats(epoch, train_cost, val_auc, val_loss, q))
         value = val_auc if higher_better else val_loss
         improved = (value > best_value + IMPROVE_TOL) if higher_better \
             else (value < best_value - IMPROVE_TOL)
         if improved:
             best_value = value
-            best_net = state.net.copy()
-            best_q = q
+            best = state.theta.copy()
             best_epoch = epoch
             since_improve = 0
         else:
@@ -341,9 +343,8 @@ def train(state, splits, cfg, head="promil"):
         if since_improve >= cfg.patience:
             break
     return TrainedModel(
-        arch=state.net.arch,
-        net=best_net,
-        q=best_q,
+        net=NetParams(state.net.arch, flat=best[:-1]),
+        raw_q=best.item(-1),
         head=head,
         val_metric=cfg.val_metric,
         best_epoch=best_epoch,

@@ -15,9 +15,10 @@ import pytest
 
 from promil.bagdata import SyntheticSpec, generate_synthetic, load_idx, split_dataset
 from promil.bernstein import (
-    QuantileParam,
     estimate_quantile,
     estimate_quantile_limit,
+    level,
+    logit,
     quantile_gradients,
 )
 from promil.cli import load_model, main as cli_main
@@ -89,11 +90,11 @@ class TestCriterion1Gradients:
             from promil.bagdata import Bag
             bag = Bag(id=f"g{trial}", instances=rng.normal(size=(int(rng.integers(2, 10)), 4)),
                       label=int(rng.integers(0, 2)))
-            q_param = QuantileParam.from_q(float(rng.uniform(0.1, 0.9)))
-            _, grads, grad_raw = bag_cost_and_grads(net, q_param.q, bag, cfg)
+            raw = logit(float(rng.uniform(0.1, 0.9)))
+            _, grads, grad_raw = bag_cost_and_grads(net, level(raw), bag, cfg)
 
             def cost():
-                return bag_cost_and_grads(net, q_param.q, bag, cfg)[0]
+                return bag_cost_and_grads(net, level(raw), bag, cfg)[0]
 
             for arr, garr in zip(net.weights + net.biases,
                                  grads.weights + grads.biases):
@@ -107,7 +108,7 @@ class TestCriterion1Gradients:
                     flat[idx] = orig
                     fd = (up - down) / (2 * h)
                     worst = max(worst, abs(gflat[idx] - fd) / max(abs(fd), abs(gflat[idx]), 1e-4))
-            q_up, q_down = QuantileParam(q_param.raw + h).q, QuantileParam(q_param.raw - h).q
+            q_up, q_down = level(raw + h), level(raw - h)
             fd_raw = (bag_cost_and_grads(net, q_up, bag, cfg)[0]
                       - bag_cost_and_grads(net, q_down, bag, cfg)[0]) / (2 * h)
             worst = max(worst, abs(grad_raw - fd_raw) / max(abs(fd_raw), abs(grad_raw), 1e-4))
@@ -327,7 +328,7 @@ class TestCriterion8DeterminismPersistence:
             out = []
             for bag in bags:
                 preds, _ = forward_bag(m.net, bag.instances)
-                out.append(score_bag(preds, "promil", q=m.q.q))
+                out.append(score_bag(preds, "promil", q=m.learned_q))
             return out
 
         roundtrip_ok = scores(model) == scores(reloaded)

@@ -14,9 +14,10 @@ import pytest
 from promil import bernstein
 from promil.bernstein import (
     DEFAULT_EPS,
-    QuantileParam,
     estimate_quantile,
     estimate_quantile_limit,
+    level,
+    logit,
     quantile_gradients,
     quantile_value_grad,
 )
@@ -263,20 +264,19 @@ class TestQuantileLimit:
         assert estimate_quantile(values, 1 - 1e-9) == pytest.approx(values[0], abs=1e-6)
 
 
-class TestQuantileParam:
+class TestLevelAndLogit:
     def test_always_interior(self):
         for raw in (-50.0, -1.0, 0.0, 1.0, 50.0):
-            assert 0.0 < QuantileParam(raw).q < 1.0
+            assert 0.0 < level(raw) < 1.0
 
-    def test_from_q_roundtrip(self):
+    def test_logit_roundtrip(self):
         for q in (0.01, 0.3, 0.5, 0.99):
-            assert QuantileParam.from_q(q).q == pytest.approx(q, rel=1e-12)
-        with pytest.raises(ValueError):
-            QuantileParam.from_q(0.0)
-        with pytest.raises(ValueError):
-            QuantileParam.from_q(1.0)
+            assert level(logit(q)) == pytest.approx(q, rel=1e-12)
+        for q in (0.0, 1.0, -0.5, math.nan):
+            with pytest.raises(ValueError):
+                logit(q)
 
-    def test_from_q_against_mpmath(self):
+    def test_logit_against_mpmath(self):
         # both sides of each edge of the log1p branch [0.3, 0.65]
         qs = [0.5]
         for edge in (0.3, 0.65):
@@ -284,8 +284,8 @@ class TestQuantileParam:
         with mpmath.workdps(40):
             for q in qs:
                 exact = mpmath.log(mpmath.mpf(q) / (1 - mpmath.mpf(q)))
-                assert ulps_from(QuantileParam.from_q(q).raw, exact) <= 2.0, q
-        assert QuantileParam.from_q(0.5).raw == 0.0
+                assert ulps_from(logit(q), exact) <= 2.0, q
+        assert logit(0.5) == 0.0
 
 
 def former_kernel(values, q, eps):

@@ -18,7 +18,7 @@ from promil.cli import (
     save_model,
 )
 from promil.bagdata import load_dataset, write_idx_images, write_idx_labels
-from promil.bernstein import DEFAULT_EPS, QuantileParam
+from promil.bernstein import DEFAULT_EPS, logit
 from promil.heads import HEADS, score_bags
 from promil.metrics import evaluate
 from promil.network import NetArch, init_params
@@ -249,7 +249,7 @@ class TestEval:
         val = [b for b in load_dataset(data)[0] if b.split == "validation"]
 
         def scores(eps):
-            return list(score_bags(model.net, val, "promil", model.q.q, eps))
+            return list(score_bags(model.net, val, "promil", model.learned_q, eps))
 
         assert scores(1e-3) != scores(DEFAULT_EPS)
         seen = []
@@ -325,7 +325,7 @@ def random_model(input_dim, hidden_dims, best_value):
     arch = NetArch(input_dim=input_dim, hidden_dims=hidden_dims)
     net = init_params(arch, np.random.SeedSequence([3, 0]))
     net.flat[:] = np.random.default_rng(4).normal(size=net.flat.size)   # biases too
-    return training.TrainedModel(arch=arch, net=net, q=QuantileParam.from_q(0.3125), head="promil",
+    return training.TrainedModel(net=net, raw_q=logit(0.3125), head="promil",
                                  val_metric="loss", best_epoch=7, best_value=best_value,
                                  epochs_run=9, seed=3, eps=1e-7)
 
@@ -356,6 +356,12 @@ class TestModelFiles:
         ("eps_clamp", lambda doc: doc.update(eps_clamp=-1.0)),
         ("raw_q", lambda doc: doc.update(raw_q="high")),
         ("metadata", lambda doc: doc.update(metadata=[])),
+        ("arch", lambda doc: doc["arch"].update(input_dim=2.5)),
+        ("arch", lambda doc: doc["arch"].update(input_dim="2")),
+        ("arch", lambda doc: doc["arch"].update(input_dim=True)),
+        ("arch", lambda doc: doc["arch"].update(hidden_dims=[True])),
+        ("raw_q", lambda doc: doc.update(raw_q=True)),
+        ("eps_clamp", lambda doc: doc.update(eps_clamp=True)),
     ])
     def test_bad_field_exits_2_naming_path_and_field(self, trained, tmp_path, capsys,
                                                       field, edit):
@@ -382,7 +388,9 @@ class TestTrainConfigFields:
         ("learning_rate", float("nan")), ("learning_rate", float("inf")),
         ("weight_decay", float("nan")), ("eps_clamp", float("inf")),
         ("eps_clamp", float("nan")), ("max_epochs", 0), ("max_epochs", 2.5),
-        ("patience", -1), ("patience", 1.5),
+        ("patience", -1), ("patience", 1.5), ("patience", False),
+        ("learning_rate", True), ("weight_decay", False), ("beta1", False),
+        ("eps_clamp", True),
     ])
     def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, field, value):
         train = {"max_epochs": 4, "patience": 4, field: value}
@@ -390,7 +398,7 @@ class TestTrainConfigFields:
         argv = ["train", FIXTURE_V1, "--config", cfg, "--out", str(tmp_path / "m.json")]
         assert main(argv) == EXIT_IO
         err = capsys.readouterr().err
-        assert "'train'" in err and field in err
+        assert "'train'" in err and field in err and "Traceback" not in err
         assert not (tmp_path / "m.json").exists()
 
 
@@ -410,6 +418,14 @@ MALFORMED_CONFIGS = [
     ("learning_rate", "train", {"learning_rate": "x"}),
     ("n_test_bags", "mnist", {"n_test_bags": 1}),
     ("train_images", "mnist", {"train_images": 5}),
+    # JSON true and false are not numbers
+    ("seed", "seed", True),
+    ("repeats", "repeats", True),
+    ("hidden_dims", "hidden_dims", [True]),
+    ("split_fractions", "split_fractions", [True, 0, 0]),
+    ("max_epochs", "train", {"max_epochs": True, "patience": 1}),
+    ("feature_dim", "dataset", {"n_bags": 60, "threshold_qstar": 0.3, "feature_dim": True}),
+    ("bag_size_std", "dataset", {"n_bags": 60, "threshold_qstar": 0.3, "bag_size_std": False}),
 ]
 
 

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from promil.bagdata import Bag
-from promil.bernstein import QuantileParam
+from promil.bernstein import level, logit
 from promil.heads import score_bag
 from promil.network import NetArch, forward_bag, init_params
 from promil.training import TrainConfig, bag_cost_and_grads
@@ -69,7 +69,7 @@ def test_cost_gradients_match_finite_differences(size, seed, head, hidden, label
         top = np.sort(forward_bag(net, b.instances)[0])[-2:]
         assume(top[1] - top[0] > 1e-4)
     cfg = TrainConfig(seed=0)
-    q = QuantileParam.from_q(0.3).q
+    q = level(logit(0.3))
     _, grads, grad_raw = bag_cost_and_grads(net, q, b, cfg, head=head)
     assert grad_raw == 0.0
     d = rng.uniform(-1.0, 1.0, size=net.flat.size)

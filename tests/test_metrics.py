@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from promil.bagdata import SyntheticSpec, generate_synthetic
-from promil.bernstein import QuantileParam
+from promil.bernstein import logit
 from promil.heads import score_bag
 from promil.metrics import _tied_ranks, auc, balanced_accuracy, evaluate
 from promil.network import NetArch, NetParams, forward_bag
@@ -35,9 +35,8 @@ def pair_auc(scores, labels):
 def oracle_model(scale=60.0):
     """Logistic net that reproduces the synthetic hidden labels exactly."""
     arch = NetArch(input_dim=2)
-    net = NetParams(arch=arch, weights=[np.array([[scale], [0.0]])],
-                    biases=[np.array([0.0])])
-    return TrainedModel(arch=arch, net=net, q=QuantileParam.from_q(0.25),
+    net = NetParams(arch, flat=np.array([scale, 0.0, 0.0]))
+    return TrainedModel(net=net, raw_q=logit(0.25),
                         head="promil", val_metric="auc", best_epoch=1,
                         best_value=1.0, epochs_run=1, seed=0)
 

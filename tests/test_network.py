@@ -24,11 +24,7 @@ def logistic(x):
 
 def logistic_regression_params(w, b=0.0):
     arch = NetArch(input_dim=len(w))
-    return NetParams(
-        arch=arch,
-        weights=[np.asarray(w, dtype=np.float64)[:, None]],
-        biases=[np.array([float(b)])],
-    )
+    return NetParams(arch, flat=np.array([*w, b], dtype=np.float64))
 
 
 class TestArch:

@@ -16,8 +16,8 @@ from promil.bagdata import (
     save_dataset,
     split_dataset,
 )
-from promil.bernstein import DEFAULT_EPS, QuantileParam
-from promil.heads import HEADS, head_function
+from promil.bernstein import DEFAULT_EPS, level, logit
+from promil.heads import HEADS, head_function, score_bags
 from promil.network import NetArch, NetParams, backward_bag, forward_bag, init_params, weight_count
 from promil.training import (
     NumericalError,
@@ -179,7 +179,7 @@ class TestBagStep:
         bag = make_bag([[1.0, 2.0]], label=1)
         from promil.network import forward_bag
         c = forward_bag(net, bag.instances)[0][0]
-        cost, grads, grad_raw = bag_cost_and_grads(net, QuantileParam.from_q(0.3).q, bag, cfg)
+        cost, grads, grad_raw = bag_cost_and_grads(net, level(logit(0.3)), bag, cfg)
         assert cost == pytest.approx(-math.log(c), rel=1e-12)
         upstream = -1.0 / c
         expect_w = upstream * c * (1 - c) * bag.instances[0]
@@ -197,7 +197,7 @@ class TestBagStep:
             net = init_params(arch, seed=trial)
             for w in net.weights:
                 w += rng.normal(size=w.shape) * 0.4
-            q_param = QuantileParam.from_q(float(rng.uniform(0.1, 0.9)))
+            raw = logit(float(rng.uniform(0.1, 0.9)))
             head = ("promil", "promil", "max", "mean")[trial % 4]
             from promil.network import forward_bag as fb
             while True:
@@ -207,10 +207,10 @@ class TestBagStep:
                 # max head: keep away from argmax ties where the FD kinks
                 if head != "max" or len(preds) == 1 or preds[-1] - preds[-2] > 1e-3:
                     break
-            _, grads, grad_raw = bag_cost_and_grads(net, q_param.q, bag, cfg, head=head)
+            _, grads, grad_raw = bag_cost_and_grads(net, level(raw), bag, cfg, head=head)
 
             def cost_at():
-                return bag_cost_and_grads(net, q_param.q, bag, cfg, head=head)[0]
+                return bag_cost_and_grads(net, level(raw), bag, cfg, head=head)[0]
 
             h = 1e-6
             for arrays, garrays in ((net.weights, grads.weights),
@@ -229,9 +229,8 @@ class TestBagStep:
                         assert abs(gflat[idx] - fd) / scale < 1e-4, \
                             f"trial {trial} head={head}"
             if head == "promil":
-                raw = q_param.raw
-                fd = (bag_cost_and_grads(net, QuantileParam(raw + h).q, bag, cfg)[0]
-                      - bag_cost_and_grads(net, QuantileParam(raw - h).q, bag, cfg)[0]) / (2 * h)
+                fd = (bag_cost_and_grads(net, level(raw + h), bag, cfg)[0]
+                      - bag_cost_and_grads(net, level(raw - h), bag, cfg)[0]) / (2 * h)
                 scale = max(abs(fd), abs(grad_raw), 1e-4)
                 assert abs(grad_raw - fd) / scale < 1e-4, f"trial {trial}: raw q"
             checked += 1
@@ -244,7 +243,7 @@ class TestBagStep:
         for w in net.weights:
             w += rng.normal(size=w.shape) * 0.5
         instances = rng.normal(size=(7, 2))
-        q = QuantileParam.from_q(0.35).q
+        q = level(logit(0.35))
         cost0, grads0, graw0 = bag_cost_and_grads(
             net, q, make_bag(instances, 1), cfg)
         perm = rng.permutation(7)
@@ -272,7 +271,7 @@ class TestBagStep:
         for i in range(200):
             bag = make_bag(rng.normal(size=(4, 1)), label=int(rng.integers(0, 2)))
             state, _ = bag_step(state, bag, cfg)
-            assert 0.0 < QuantileParam(state.theta.item(-1)).q < 1.0
+            assert 0.0 < level(state.theta.item(-1)) < 1.0
 
 
 class TestTrainLoop:
@@ -292,7 +291,7 @@ class TestTrainLoop:
             model = train(init_train_state(NetArch(input_dim=2), cfg), split, cfg)
             out.append(model)
         a, b = out
-        assert a.q.raw == b.q.raw
+        assert a.raw_q == b.raw_q
         for wa, wb in zip(a.net.weights, b.net.weights):
             np.testing.assert_array_equal(wa, wb)
         assert [h.train_cost for h in a.history] == [h.train_cost for h in b.history]
@@ -303,7 +302,7 @@ class TestTrainLoop:
         cfg_b = TrainConfig(seed=4, max_epochs=3, patience=3)
         a = train(init_train_state(NetArch(input_dim=2), cfg_a), split, cfg_a)
         b = train(init_train_state(NetArch(input_dim=2), cfg_b), split, cfg_b)
-        assert a.q.raw != b.q.raw
+        assert a.raw_q != b.raw_q
 
     def test_best_snapshot_is_kept(self):
         split = tiny_split()
@@ -312,6 +311,27 @@ class TestTrainLoop:
         best = min(h.val_loss for h in model.history)
         assert model.best_value == pytest.approx(best)
         assert model.history[model.best_epoch - 1].val_loss == pytest.approx(best)
+
+    def test_model_is_a_copy_of_the_best_epoch(self):
+        # the validation AUC peaks at epoch 1, and q moves on after it
+        split = tiny_split()
+        cfg = TrainConfig(seed=1, max_epochs=6, patience=6, val_metric="auc",
+                          learning_rate=0.05)
+        state = init_train_state(NetArch(input_dim=2), cfg)
+        model = train(state, split, cfg)
+        assert model.best_epoch < model.epochs_run
+        best = model.history[model.best_epoch - 1]
+        assert model.learned_q == best.q
+        assert model.learned_q != level(state.theta.item(-1))
+        scores = score_bags(model.net, split.validation, "promil", model.learned_q,
+                            cfg.eps_clamp)
+        total = 0.0
+        for score, bag in zip(scores.tolist(), split.validation):
+            total += bag_cost(score, bag.label, cfg.eps_clamp)[0]
+        assert total / len(split.validation) == best.val_loss
+        flat = model.net.flat.copy()
+        bag_step(state, split.train[0], cfg)
+        np.testing.assert_array_equal(model.net.flat, flat)
 
     def test_empty_split_rejected(self):
         split = tiny_split()
@@ -438,7 +458,7 @@ def reference_step(arch, theta, moments, t, bag, cfg, head):
     """One step composed from the public pieces; returns (cost, whether the
     clamp bound on the bag's predictions)."""
     net = NetParams(arch=arch, flat=theta[:-1])
-    q = QuantileParam(float(theta[-1])).q
+    q = level(float(theta[-1]))
     preds, trace = forward_bag(net, bag.instances)
     score, dscore_dpreds, dscore_dq = head_function(head)(preds, q, cfg.eps_clamp)
     cost, upstream = bag_cost(score, int(bag.label), cfg.eps_clamp)
