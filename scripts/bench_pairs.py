@@ -11,9 +11,10 @@ is the committed files of ``--base``, exported with ``git archive`` into a
 temporary directory.
 
 The result goes to ``BENCH_<workload>.json`` at the repository root: each
-run's result line, machine line and calibration line, the median of every
-end-to-end metric on each side, and in how many pairs the change was
-better, by the direction ``BENCHMARK.json`` gives each metric.  Each side
+run's result line, machine line and calibration line, the median and the
+first and third quartiles of every end-to-end metric on each side, and in
+how many pairs the change was better, by the direction ``BENCHMARK.json``
+gives each metric.  Each side
 also records the git tree ids of ``src`` and ``e2ebench``, the code a run
 executes, so ``git rev-parse <commit>:src`` tells whether a commit holds
 the code that was measured, committed or not at the time.  Run it on an
@@ -21,10 +22,11 @@ otherwise idle machine: the pairs share its cores with anything else
 running.
 
 A run that fails is kept in its pair as its exit code and the last lines
-of its stderr, and the pairs go on.  Medians and wins count only the pairs
-whose two runs completed; the file also gives, per side, the failed runs
-and the failed and attempted operations of the completed runs, since a
-rise in the share of failed operations matters as much as a slower median.
+of its stderr, and the pairs go on.  Medians, quartiles and wins count
+only the pairs whose two runs completed; the file also gives, per side,
+the failed runs and the failed and attempted operations of the completed
+runs, since a rise in the share of failed operations matters as much as a
+slower median.
 The script exits 1 when any run failed or when ``src`` or ``e2ebench``
 changed while the pairs ran; the file is written either way.
 """
@@ -102,20 +104,35 @@ def run_once(checkout, workload, seed, seconds):
     return run
 
 
+def quartiles(values):
+    """The first and third quartiles of ``values``, interpolated linearly
+    between the order statistics (numpy's default method)."""
+    if len(values) == 1:
+        return {"q1": values[0], "q3": values[0]}
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "q3": q3}
+
+
 def summarize(pairs, better):
-    """The per-side medians of each end-to-end metric and the pairs the
-    change won, by the direction in ``better`` (a tie wins nothing), both
-    over the pairs whose two runs completed; and per side, the runs that
-    failed and the failed and attempted operations of those that
-    completed."""
+    """The per-side medians and quartiles of each end-to-end metric and the
+    pairs the change won, by the direction in ``better`` (a tie wins
+    nothing), all over the pairs whose two runs completed; and per side,
+    the runs that failed and the failed and attempted operations of those
+    that completed."""
     done = [p for p in pairs if "result" in p["base"] and "result" in p["change"]]
+
+    def values(side, name):
+        return [p[side]["result"]["metrics"][name]["value"] for p in done]
 
     def value(run, name):
         return run["result"]["metrics"][name]["value"]
 
-    medians = {side: {name: statistics.median(value(p[side], name) for p in done)
+    medians = {side: {name: statistics.median(values(side, name))
                       for name in better} if done else {}
                for side in ("base", "change")}
+    spread = {side: {name: quartiles(values(side, name))
+                     for name in better} if done else {}
+              for side in ("base", "change")}
     wins = {}
     for name, direction in better.items():
         sign = 1.0 if direction == "higher" else -1.0
@@ -127,7 +144,7 @@ def summarize(pairs, better):
         failures[side] = {"failed_runs": len(pairs) - len(results),
                           "failed_operations": sum(r["failed"] for r in results),
                           "attempted_operations": sum(r["attempted"] for r in results)}
-    return {"completed_pairs": len(done), "medians": medians,
+    return {"completed_pairs": len(done), "medians": medians, "quartiles": spread,
             "change_better_in_pairs": wins, "failures": failures}
 
 

@@ -15,16 +15,12 @@ least eps, so the sum cannot underflow as a whole, and the weights that
 underflow one by one are negligible.
 
 Values are clamped below at ``eps``; clamped entries receive zero
-gradient.  Two entry points build the same weights.  The kernel,
+gradient.  One function, ``bag_weights``, builds the weights.  The kernel,
 ``quantile_value_grad``, scores one bag with its gradients: a training
-step, ``score_bag``, ``estimate_quantile`` and the CLI's ``quantile``
-command use it.  ``quantile_rows`` scores a padded block of bags with no
-gradients: validation, ``evaluate`` and ``sweep`` score a split through
-it.  They stay two because a block of one row costs about twice the
-kernel with its gradients (at n = 30, 15 us against 8 us on a 2-vCPU
-Xeon VM), too much for a training step of about 33 us to absorb.
-``level`` and ``logit`` map between q and the raw value that training
-updates.
+step, ``score_bag`` and ``estimate_quantile`` use it.  A split is scored
+in unpadded blocks of bags of one length with the same weights, so each
+bag's split score is its kernel score bit for bit.  ``level`` and
+``logit`` map between q and the raw value that training updates.
 
 A training step calls the kernel on one bag, so the kernel does per call
 only what depends on q or on the values.  The q-free part of the log
@@ -139,6 +135,14 @@ def _log_weights(log_binomials, n_minus_k, k, q):
     return w
 
 
+def bag_weights(n, q):
+    """The weights w_k = C(n,k) q^(n-k) (1-q)^k, k = 0..n, of the estimate
+    at level q of n + 1 ascending values; arguments are unchecked."""
+    k = _tables(n)[1]
+    w = _log_weights(_log_binomial_row(n), k[n::-1], k[:n + 1], q)
+    return np.exp(w, out=w)
+
+
 def quantile_value_grad(values, q, eps):
     """The kernel: the estimate at level q of ascending ``values``, with
     unchecked arguments.
@@ -148,44 +152,15 @@ def quantile_value_grad(values, q, eps):
     ``grad_q = sum_k w_k * max(values[k], eps) * ((n-k)/q - k/(1-q))``.
     """
     n = values.size - 1
-    k = _tables(n)[1]
-    n_minus_k, k = k[n::-1], k[:n + 1]
-    w = _log_weights(_log_binomial_row(n), n_minus_k, k, q)
-    np.exp(w, out=w)
+    w = bag_weights(n, q)
     # the values ascend, so the first tells whether the clamp binds anywhere
     clamped = not values[0] >= eps
     wg = w * (np.maximum(values, eps) if clamped else values)
     value = float(np.add.reduce(wg))
     grad_values = np.where(values >= eps, w, 0.0) if clamped else w
-    grad_q = float(wg.dot(n_minus_k)) / q - float(wg.dot(k)) / (1.0 - q)
+    # bag_weights has grown the k table to cover n
+    grad_q = float(wg.dot(_K[n::-1])) / q - float(wg.dot(_K[:n + 1])) / (1.0 - q)
     return value, grad_values, grad_q
-
-
-def quantile_rows(block, n, q, eps):
-    """The estimate at level q of each row of a 2-D ``block`` whose leading
-    ``n[i] + 1`` entries are ascending; the entries after them are padding
-    and count for nothing.  Arguments are unchecked.  Each weight and term
-    is the one ``quantile_value_grad`` computes for that row alone.
-    """
-    cols = np.arange(block.shape[1])
-    n = n[:, None]
-    lf, kf = _tables(block.shape[1])
-    # k is the column.  In the padding, where k > n, n - k is taken as
-    # k - n: the log weight there is then at most 0, so exp cannot
-    # overflow before the padding is zeroed.
-    # Each block-sized array is dropped once used (on bigbag-sized splits
-    # each is about 6 MB), which keeps the peak at four, the block included.
-    nk = np.abs(n - cols)
-    log_binomials = lf[n] - lf[cols]
-    log_binomials -= lf[nk]
-    n_minus_k = kf[nk]
-    del nk
-    wg = _log_weights(log_binomials, n_minus_k, kf[cols], q)
-    del n_minus_k
-    np.exp(wg, out=wg)
-    wg *= np.maximum(block, eps, out=log_binomials)
-    wg[cols > n] = 0.0
-    return wg.sum(axis=1)
 
 
 def _ascending_values(preds):

@@ -224,10 +224,17 @@ def _number(value):
 
 
 def _finite_arrays(values, shapes):
-    """Nested lists as finite float64 arrays of the given shapes."""
+    """Nested lists of numbers as finite float64 arrays of the given shapes."""
     arrays = [np.asarray(v, dtype=np.float64) for v in values]
     if [a.shape for a in arrays] != shapes:
         raise ValueError(f"shapes {[a.shape for a in arrays]} do not match {shapes}")
+    # the conversion also takes bools and numeric strings, so each scalar's
+    # type is checked; JSON numbers are read as int or float
+    for v, a in zip(values, arrays):
+        for row in v if a.ndim == 2 else [v]:
+            if not set(map(type, row)) <= {int, float}:
+                bad = next(x for x in row if not is_number(x))
+                raise TypeError(f"must be numbers, got {bad!r}")
     if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError("values must be finite")
     return arrays
@@ -270,6 +277,18 @@ def load_model(path):
         meta = doc.get(name, {})
         if not isinstance(meta, dict):
             raise TypeError(f"must be an object, got {type(meta).__name__}")
+        counts = {}
+        for key in ("seed", "epochs_run", "best_epoch"):
+            name = f"metadata.{key}"
+            counts[key] = meta.get(key, 0)
+            if not (is_integer(counts[key]) and counts[key] >= 0):
+                raise ValueError(f"must be an integer >= 0, got {counts[key]!r}")
+        name = "metadata.best_val_metric"
+        best_value = _number(meta.get("best_val_metric", math.nan))
+        name = "metadata.val_metric"
+        val_metric = meta.get("val_metric", "auc")
+        if val_metric not in ("auc", "loss"):
+            raise ValueError(f"must be 'auc' or 'loss', got {val_metric!r}")
     except KeyError as exc:
         raise ConfigError(f"{path}: invalid model field '{name}': missing {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -278,12 +297,10 @@ def load_model(path):
         net=NetParams(arch, flat=np.concatenate([a.ravel() for a in (*weights, *biases)])),
         raw_q=raw_q,
         head=head,
-        val_metric=meta.get("val_metric", "auc"),
-        best_epoch=meta.get("best_epoch", 0),
-        best_value=meta.get("best_val_metric", float("nan")),
-        epochs_run=meta.get("epochs_run", 0),
-        seed=meta.get("seed", 0),
+        val_metric=val_metric,
+        best_value=best_value,
         eps=eps,
+        **counts,
     )
 
 

@@ -2,23 +2,22 @@
 
 One table maps each head name to two functions.  The first scores one bag,
 ``(preds, q, eps)``, and returns ``(score, d score/d preds, d score/d q)``.
-Training uses it bag by bag.  The second scores a whole split at once,
-``(preds, lengths, q, eps)`` on the predictions of consecutive bags, and
-gives each bag the score of the first to within rounding.  The quantile
-head sorts the predictions ascending (stable, so gradient routing is
-reproducible under ties) and evaluates the Bernstein estimator at q.  The
-max and mean heads are the classic instance-based baselines and do not
-depend on q.
+Training uses it bag by bag.  The second scores each row of a block of
+bags of one length, ``(block, q, eps)``, bit for bit as the first.  The
+quantile head sorts the predictions ascending (stable, so gradient routing
+is reproducible under ties) and evaluates the Bernstein estimator at q.
+The max and mean heads are the classic instance-based baselines and do
+not depend on q.
 
 ``score_bags`` is the one scoring path of validation, ``evaluate`` and
 ``sweep``: one forward pass over the split's stacked instances, then the
-split function of the head.
+bags of each length, in split order, as the rows of one unpadded block.
 """
 
 import numpy as np
 
 from .bagdata import stack_instances
-from .bernstein import DEFAULT_EPS, check_level, quantile_rows, quantile_value_grad
+from .bernstein import DEFAULT_EPS, bag_weights, check_level, quantile_value_grad
 from .network import forward_bag
 
 
@@ -30,28 +29,12 @@ def _promil(preds, q, eps):
     return value, dpreds, dq
 
 
-def _promil_split(preds, lengths, q, eps):
-    # One padded block per power-of-two length class: a bag of n
-    # predictions sits in a row of the class's widest bag, fewer than 2n
-    # cells, so a block holds at most twice its predictions.  NaN padding
-    # sorts after every number and after a NaN prediction, so a bag's own
-    # predictions stay in its leading cells, and a NaN among them still
-    # reaches its score.
-    starts = np.cumsum(lengths) - lengths
-    length_class = np.frexp(lengths)[1]
-    scores = np.empty(lengths.size)
-    for c in np.unique(length_class):
-        rows = np.flatnonzero(length_class == c)
-        n = lengths[rows]
-        inside = np.arange(n.max()) < n[:, None]
-        block = np.full(inside.shape, np.nan)
-        # the class's predictions, bag after bag, fill the cells of
-        # ``inside`` in row-major order
-        shift = np.repeat(starts[rows] - (np.cumsum(n) - n), n)
-        block[inside] = preds[np.arange(n.sum()) + shift]
-        block.sort(axis=1)
-        scores[rows] = quantile_rows(block, n - 1, q, eps)
-    return scores
+def _promil_rows(block, q, eps):
+    # each term is the kernel's, and a row sums as the kernel's 1-D array
+    block.sort(axis=1)
+    np.maximum(block, eps, out=block)
+    block *= bag_weights(block.shape[1] - 1, q)
+    return block.sum(axis=1)
 
 
 def _max(preds, q, eps):
@@ -61,20 +44,20 @@ def _max(preds, q, eps):
     return float(preds[j]), dpreds, 0.0
 
 
-def _max_split(preds, lengths, q, eps):
-    return np.maximum.reduceat(preds, np.cumsum(lengths) - lengths)
+def _max_rows(block, q, eps):
+    return block.max(axis=1)
 
 
 def _mean(preds, q, eps):
     return float(preds.mean()), np.full_like(preds, 1.0 / preds.size), 0.0
 
 
-def _mean_split(preds, lengths, q, eps):
-    return np.add.reduceat(preds, np.cumsum(lengths) - lengths) / lengths
+def _mean_rows(block, q, eps):
+    return block.mean(axis=1)
 
 
-_HEADS = {"promil": (_promil, _promil_split), "max": (_max, _max_split),
-          "mean": (_mean, _mean_split)}
+_HEADS = {"promil": (_promil, _promil_rows), "max": (_max, _max_rows),
+          "mean": (_mean, _mean_rows)}
 HEADS = tuple(_HEADS)
 
 
@@ -103,6 +86,23 @@ def score_bag(predictions, head, q=None, eps=DEFAULT_EPS):
     return head_function(head)(predictions, q, eps)[0]
 
 
+def _score_split(preds, lengths, score_rows, q, eps):
+    """The scores of consecutive bags of ``lengths`` predictions each, a
+    block of the bags of each length at a time."""
+    order = lengths.argsort(kind="stable")
+    by_length = lengths[order]
+    starts = (np.cumsum(lengths) - lengths)[order]
+    cuts = [0, *(np.flatnonzero(np.diff(by_length)) + 1).tolist(), lengths.size]
+    by_order = np.empty(lengths.size)
+    for lo, hi in zip(cuts, cuts[1:]):
+        # each block is gathered on its own, so no temporary is split-sized
+        block = preds[starts[lo:hi, None] + np.arange(by_length[lo])]
+        by_order[lo:hi] = score_rows(block, q, eps)
+    scores = np.empty(lengths.size)
+    scores[order] = by_order
+    return scores
+
+
 def score_bags(net, bags, head, q, eps):
     """Score every bag of a split under ``head``: the one scoring path of
     validation, ``evaluate`` and ``sweep``.  Returns a float64 array.
@@ -112,11 +112,11 @@ def score_bags(net, bags, head, q, eps):
     ValueError naming it.
     """
     check_level(q, eps)
-    score_split = _entry(head)[1]
+    score_rows = _entry(head)[1]
     if not bags:
         return np.empty(0)
     instances, lengths = stack_instances(bags, net.arch.input_dim)
-    return score_split(forward_bag(net, instances)[0], lengths, q, eps)
+    return _score_split(forward_bag(net, instances)[0], lengths, score_rows, q, eps)
 
 
 def decide(scores):

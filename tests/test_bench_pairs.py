@@ -4,6 +4,7 @@ run records (no benchmark is run)."""
 import importlib.util
 import os
 
+import numpy as np
 import pytest
 
 SCRIPT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -43,6 +44,11 @@ def test_wins_follow_each_metric_direction(bench_pairs):
     assert s["change_better_in_pairs"] == {"total_s": 2, "train_steps_per_s": 1}
     assert s["medians"] == {"base": {"total_s": 10.0, "train_steps_per_s": 100.0},
                             "change": {"total_s": 9.0, "train_steps_per_s": 90.0}}
+    assert s["quartiles"] == {
+        "base": {"total_s": {"q1": 10.0, "q3": 10.0},
+                 "train_steps_per_s": {"q1": 100.0, "q3": 100.0}},
+        "change": {"total_s": {"q1": 8.5, "q3": 10.0},
+                   "train_steps_per_s": {"q1": 85.0, "q3": 105.0}}}
     assert s["completed_pairs"] == 3
 
 
@@ -62,6 +68,11 @@ def test_failed_runs_are_left_out_and_counted(bench_pairs):
     assert s["completed_pairs"] == 2
     assert s["medians"] == {"base": {"total_s": 12.0, "train_steps_per_s": 80.0},
                             "change": {"total_s": 12.0, "train_steps_per_s": 85.0}}
+    assert s["quartiles"] == {
+        "base": {"total_s": {"q1": 11.0, "q3": 13.0},
+                 "train_steps_per_s": {"q1": 70.0, "q3": 90.0}},
+        "change": {"total_s": {"q1": 10.5, "q3": 13.5},
+                   "train_steps_per_s": {"q1": 67.5, "q3": 102.5}}}
     assert s["change_better_in_pairs"] == {"total_s": 1, "train_steps_per_s": 1}
     assert s["failures"] == {
         "base": {"failed_runs": 1, "failed_operations": 1, "attempted_operations": 32},
@@ -72,7 +83,29 @@ def test_no_completed_pair(bench_pairs):
     s = bench_pairs.summarize([pair(1, crashed(), run(9.0, 120.0))], BETTER)
     assert s["completed_pairs"] == 0
     assert s["medians"] == {"base": {}, "change": {}}
+    assert s["quartiles"] == {"base": {}, "change": {}}
     assert s["change_better_in_pairs"] == {"total_s": 0, "train_steps_per_s": 0}
+
+
+def test_quartiles_of_one_pair_are_its_values(bench_pairs):
+    s = bench_pairs.summarize([pair(1, run(10.0, 100.0), run(9.0, 120.0))], BETTER)
+    assert s["quartiles"] == {
+        "base": {"total_s": {"q1": 10.0, "q3": 10.0},
+                 "train_steps_per_s": {"q1": 100.0, "q3": 100.0}},
+        "change": {"total_s": {"q1": 9.0, "q3": 9.0},
+                   "train_steps_per_s": {"q1": 120.0, "q3": 120.0}}}
+
+
+def test_quartiles_are_numpys_default_percentiles(bench_pairs):
+    rng = np.random.default_rng(0)
+    base, change = rng.uniform(5.0, 15.0, size=(2, 10))
+    pairs = [pair(i, run(b, 1.0 / b), run(c, 1.0 / c))
+             for i, (b, c) in enumerate(zip(base, change))]
+    s = bench_pairs.summarize(pairs, BETTER)
+    for side, totals in (("base", base), ("change", change)):
+        q1, q3 = np.percentile(totals, [25, 75])
+        assert s["quartiles"][side]["total_s"] == pytest.approx({"q1": q1, "q3": q3},
+                                                                rel=1e-14)
 
 
 def test_missing_workdir_is_created(bench_pairs, tmp_path):

@@ -362,6 +362,17 @@ class TestModelFiles:
         ("arch", lambda doc: doc["arch"].update(hidden_dims=[True])),
         ("raw_q", lambda doc: doc.update(raw_q=True)),
         ("eps_clamp", lambda doc: doc.update(eps_clamp=True)),
+        ("weights", lambda doc: doc["weights"][0].__setitem__(1, [True])),
+        ("weights", lambda doc: doc["weights"][0].__setitem__(0, ["0.5"])),
+        ("biases", lambda doc: doc.update(biases=[[False]])),
+        ("metadata.seed", lambda doc: doc["metadata"].update(seed="x")),
+        ("metadata.seed", lambda doc: doc["metadata"].update(seed=True)),
+        ("metadata.epochs_run", lambda doc: doc["metadata"].update(epochs_run=-1)),
+        ("metadata.best_epoch", lambda doc: doc["metadata"].update(best_epoch=[1])),
+        ("metadata.best_epoch", lambda doc: doc["metadata"].update(best_epoch=2.0)),
+        ("metadata.best_val_metric",
+         lambda doc: doc["metadata"].update(best_val_metric="0.9")),
+        ("metadata.val_metric", lambda doc: doc["metadata"].update(val_metric=7)),
     ])
     def test_bad_field_exits_2_naming_path_and_field(self, trained, tmp_path, capsys,
                                                       field, edit):

@@ -1,5 +1,6 @@
 """Property tests of the instance+max and instance+mean heads, through the
-bag score and the composed cost gradients of ``bag_cost_and_grads``.
+bag score and the composed cost gradients of ``bag_cost_and_grads``, and of
+every head's split scores against its bag scores.
 
 Bags are drawn as (size, seed) pairs and filled by numpy, as in
 test_kernel_properties.py.
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from promil import heads
 from promil.bagdata import Bag
 from promil.bernstein import level, logit
-from promil.heads import score_bag
+from promil.heads import HEADS, score_bag
 from promil.network import NetArch, forward_bag, init_params
 from promil.training import TrainConfig, bag_cost_and_grads
 
@@ -80,3 +82,20 @@ def test_cost_gradients_match_finite_differences(size, seed, head, hidden, label
         costs.append(bag_cost_and_grads(net, q, b, cfg, head=head)[0])
     fd = (costs[0] - costs[1]) / (2 * h)
     assert float(grads.flat @ d) == pytest.approx(fd, rel=1e-5, abs=1e-7)
+
+
+@PROPERTY
+@given(lengths=st.lists(st.one_of(st.integers(1, 6), SIZES), min_size=1, max_size=30),
+       seed=SEEDS, q=st.floats(1e-6, 1.0 - 1e-6), head=st.sampled_from(HEADS))
+def test_split_scores_are_bag_scores_bit_for_bit(lengths, seed, q, head):
+    # short lengths repeat, so bags share a block; some predictions sit
+    # below the clamp
+    eps = 1e-3
+    lengths = np.array(lengths, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    preds = rng.uniform(0.0, 1.0, size=int(lengths.sum()))
+    preds[rng.uniform(size=preds.size) < 0.1] *= eps
+    got = heads._score_split(preds, lengths, heads._HEADS[head][1], q, eps)
+    ends = np.cumsum(lengths)
+    want = [score_bag(preds[end - n:end], head, q, eps) for end, n in zip(ends, lengths)]
+    assert got.tolist() == want

@@ -1,6 +1,6 @@
-"""The split scorer: the head table's split functions against the per-bag
-``score_bag``, the stacked instances ``score_bags`` runs through the
-network, and its input checks and memory bound."""
+"""The split scorer: its equal-length blocks against the per-bag
+``score_bag``, bit for bit, the stacked instances ``score_bags`` runs
+through the network, and its input checks and memory bound."""
 
 import copy
 import pickle
@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from promil import bernstein, heads
+from promil import heads
 from promil.bagdata import Bag, load_dataset, save_dataset, stack_instances
 from promil.heads import HEADS, score_bag, score_bags
 from promil.network import NetArch, forward_bag, init_params
@@ -19,8 +19,9 @@ SIZES = (1, 2, 3, 30, 301, 3001, 10001)
 
 
 def score_predictions(preds, lengths, head, q, eps):
-    """The head table's split function: the scores of consecutive bags."""
-    return heads._HEADS[head][1](preds, lengths, q, eps)
+    """The split scorer with the head's row function: the scores of
+    consecutive bags."""
+    return heads._score_split(preds, lengths, heads._HEADS[head][1], q, eps)
 
 
 def per_bag(preds, lengths, head, q, eps=EPS):
@@ -42,7 +43,7 @@ def mixed_split(seed, sizes=SIZES):
 
 def assert_agree(got, want):
     assert got.dtype == np.float64 and got.shape == want.shape
-    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("q", [1e-6, 0.3, 0.5, 1.0 - 1e-6])
@@ -57,7 +58,7 @@ def test_split_scores_equal_per_bag_scores(head, q):
 @pytest.mark.parametrize("head", HEADS)
 def test_every_size_class_up_to_10001(head):
     # one bag of each size at and around every power of two, repeated sizes
-    # in one class, and the README's sizes around 30
+    # that share a block, and the README's sizes around 30
     sizes = [1, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 25, 30, 30, 31, 32, 33, 35]
     sizes += [2 ** j + d for j in range(6, 14) for d in (-1, 0, 1)] + [10001]
     preds, lengths = mixed_split(7, sizes)
@@ -72,32 +73,6 @@ def test_nan_prediction_reaches_its_bag_score_only():
     for head in HEADS:
         scores = score_predictions(preds, lengths, head, 0.3, EPS)
         assert np.isnan(scores).tolist() == [False, True, False, False]
-
-
-def test_padded_cells_are_at_most_twice_the_predictions(monkeypatch):
-    blocks = []
-    real = heads.quantile_rows
-
-    def spy(block, n, q, eps):
-        blocks.append((block.shape, n))
-        return real(block, n, q, eps)
-
-    monkeypatch.setattr(heads, "quantile_rows", spy)
-    rng = np.random.default_rng(4)
-    lengths = np.concatenate([rng.integers(1, 70, size=600), [10001, 2, 3000]])
-    score_predictions(rng.uniform(size=int(lengths.sum())), lengths, "promil", 0.3, EPS)
-    cells = sum(rows * width for (rows, width), _ in blocks)
-    assert sum(len(n) for _, n in blocks) == lengths.size
-    assert cells <= 2 * lengths.sum()
-    for (rows, width), n in blocks:
-        assert width < 2 * (n.min() + 1)
-
-
-def test_row_kernel_matches_the_bag_kernel_term_for_term():
-    # a row alone, unpadded: the same weights and terms, summed the same way
-    v = np.sort(np.random.default_rng(5).uniform(size=30))
-    got = bernstein.quantile_rows(v[None, :], np.array([29]), 0.3, EPS)
-    assert got[0] == bernstein.quantile_value_grad(v, 0.3, EPS)[0]
 
 
 class TestStackInstances:
