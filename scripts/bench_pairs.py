@@ -11,10 +11,11 @@ is the committed files of ``--base``, exported with ``git archive`` into a
 temporary directory.
 
 The result goes to ``BENCH_<workload>.json`` at the repository root: each
-run's result line, machine line and calibration line, the median and the
-first and third quartiles of every end-to-end metric on each side, and in
-how many pairs the change was better, by the direction ``BENCHMARK.json``
-gives each metric.  Each side
+run's result line, machine line, calibration line and model digests, the
+median and the first and third quartiles of every end-to-end metric on
+each side, in how many pairs the change was better, by the direction
+``BENCHMARK.json`` gives each metric, and in how many pairs the two sides
+wrote the same models.  Each side
 also records the git tree ids of ``src`` and ``e2ebench``, the code a run
 executes, so ``git rev-parse <commit>:src`` tells whether a commit holds
 the code that was measured, committed or not at the time.  Run it on an
@@ -81,8 +82,9 @@ def make_tmpdir(workdir):
 
 
 def run_once(checkout, workload, seed, seconds):
-    """One benchmark run: its result, machine and calibration lines, or, when
-    it fails, its exit code and the tail of its stderr."""
+    """One benchmark run: its result, machine and calibration lines and its
+    model digests (sha256 of each model file without its timestamp), or,
+    when it fails, its exit code and the tail of its stderr."""
     proc = subprocess.run(
         [sys.executable, "e2ebench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -97,7 +99,7 @@ def run_once(checkout, workload, seed, seconds):
                 "stderr_tail": proc.stderr.splitlines()[-STDERR_LINES:]}
     for line in lines[:-1]:
         key, _, rest = line.partition(" ")
-        if key in ("machine", "calibration"):
+        if key in ("machine", "calibration", "digests"):
             run[key] = json.loads(rest)
         elif key == "FAILED":
             run.setdefault("failed", []).append(rest)
@@ -114,9 +116,10 @@ def quartiles(values):
 
 
 def summarize(pairs, better):
-    """The per-side medians and quartiles of each end-to-end metric and the
+    """The per-side medians and quartiles of each end-to-end metric, the
     pairs the change won, by the direction in ``better`` (a tie wins
-    nothing), all over the pairs whose two runs completed; and per side,
+    nothing), and the pairs whose two runs wrote models with the same
+    digests, all over the pairs whose two runs completed; and per side,
     the runs that failed and the failed and attempted operations of those
     that completed."""
     done = [p for p in pairs if "result" in p["base"] and "result" in p["change"]]
@@ -144,8 +147,11 @@ def summarize(pairs, better):
         failures[side] = {"failed_runs": len(pairs) - len(results),
                           "failed_operations": sum(r["failed"] for r in results),
                           "attempted_operations": sum(r["attempted"] for r in results)}
+    same_models = sum(bool(p["base"].get("digests"))
+                      and p["base"].get("digests") == p["change"].get("digests") for p in done)
     return {"completed_pairs": len(done), "medians": medians, "quartiles": spread,
-            "change_better_in_pairs": wins, "failures": failures}
+            "change_better_in_pairs": wins, "model_digests_equal_in_pairs": same_models,
+            "failures": failures}
 
 
 def main(argv=None):
@@ -201,6 +207,8 @@ def main(argv=None):
         json.dump(doc, f, indent=1, sort_keys=True)
         f.write("\n")
     print(f"wrote {out}", file=sys.stderr)
+    print(f"same models in {summary['model_digests_equal_in_pairs']}/"
+          f"{summary['completed_pairs']} completed pairs", file=sys.stderr)
     for side, counts in summary["failures"].items():
         print(f"{side}: {counts['failed_runs']} failed runs, {counts['failed_operations']}/"
               f"{counts['attempted_operations']} failed operations", file=sys.stderr)

@@ -4,8 +4,8 @@ Synthetic bags draw instances from two isotropic Gaussian clusters; each
 bag's target positive fraction comes from Uniform(0, 1) and the bag label
 compares the realized fraction against a threshold (percentage rule) or
 checks for any positive instance (standard rule).  The MNIST-bag path
-builds the same structure from user-supplied IDX files, with the digit 9
-as the positive class.
+draws its bags by the same protocol (``_draw_bag``) from user-supplied
+IDX files, with the digit 9 as the positive class.
 
 Hidden per-instance labels ride along for diagnostics only; training never
 sees them.
@@ -164,19 +164,16 @@ def _bag_label(n_pos, size, spec):
     return int(n_pos > 0)
 
 
-def _draw_bag_size(rng, spec):
-    return max(2, int(round(rng.normal(spec.bag_size_mean, spec.bag_size_std))))
-
-
-def _synthetic_bag(rng, spec, bag_id):
-    size = _draw_bag_size(rng, spec)
+def _draw_bag(rng, spec, bag_id, draw, split=None):
+    """One bag of the protocol both generators follow.  Its size is drawn
+    from Normal(bag_size_mean, bag_size_std), at least 2, and its target
+    fraction pi from Uniform(0, 1); it holds n_pos = floor(pi * size)
+    positives.  ``draw(rng, n_pos, n_neg)`` gives its rows, positives
+    first, and one permutation of ``rng`` shuffles them."""
+    size = max(2, int(round(rng.normal(spec.bag_size_mean, spec.bag_size_std))))
     pi = rng.uniform(0.0, 1.0)
     n_pos = int(np.floor(pi * size))
-    mu = np.zeros(spec.feature_dim)
-    mu[0] = spec.class_separation / 2.0
-    x_pos = rng.normal(size=(n_pos, spec.feature_dim)) * spec.noise_std + mu
-    x_neg = rng.normal(size=(size - n_pos, spec.feature_dim)) * spec.noise_std - mu
-    instances = np.vstack([x_pos, x_neg])
+    instances = draw(rng, n_pos, size - n_pos)
     hidden = np.concatenate([np.ones(n_pos, dtype=np.int64),
                              np.zeros(size - n_pos, dtype=np.int64)])
     order = rng.permutation(size)
@@ -186,6 +183,7 @@ def _synthetic_bag(rng, spec, bag_id):
         label=_bag_label(n_pos, size, spec),
         hidden_instance_labels=hidden[order],
         positive_fraction=n_pos / size,
+        split=split,
     )
 
 
@@ -195,13 +193,19 @@ def generate_synthetic(spec, seed):
     With ``spec.rebalance`` the generator keeps drawing extra bags (same
     derived-seed stream) until both classes reach n_bags/2, then truncates.
     """
+    mu = np.zeros(spec.feature_dim)
+    mu[0] = spec.class_separation / 2.0
+
+    def draw(rng, n_pos, n_neg):
+        x_pos = rng.normal(size=(n_pos, spec.feature_dim)) * spec.noise_std + mu
+        x_neg = rng.normal(size=(n_neg, spec.feature_dim)) * spec.noise_std - mu
+        return np.vstack([x_pos, x_neg])
+
     root = np.random.SeedSequence([int(seed), 0xBA9])
     if not spec.rebalance:
         children = root.spawn(spec.n_bags)
-        return [
-            _synthetic_bag(np.random.default_rng(children[i]), spec, f"bag-{i:06d}")
-            for i in range(spec.n_bags)
-        ]
+        return [_draw_bag(np.random.default_rng(children[i]), spec, f"bag-{i:06d}", draw)
+                for i in range(spec.n_bags)]
     per_class = spec.n_bags // 2
     want = {0: per_class, 1: spec.n_bags - per_class}
     have = {0: 0, 1: 0}
@@ -209,7 +213,7 @@ def generate_synthetic(spec, seed):
     i = 0
     while have[0] < want[0] or have[1] < want[1]:
         child = root.spawn(1)[0]
-        bag = _synthetic_bag(np.random.default_rng(child), spec, f"bag-{i:06d}")
+        bag = _draw_bag(np.random.default_rng(child), spec, f"bag-{i:06d}", draw)
         i += 1
         if have[bag.label] < want[bag.label]:
             have[bag.label] += 1
@@ -299,9 +303,10 @@ def make_mnist_bags(images, labels, spec, seed, positive_digit=9, split=None):
     """Assemble bags of flattened digit images, positives being one digit.
 
     Pixel bytes are scaled to [0, 1], converting only the rows a bag takes.
-    Bag sizes, target fractions, and labels follow the same protocol as
-    generate_synthetic.  ``split`` tags the produced bags so the source
-    train/test division is preserved.
+    Each bag is drawn by the protocol of generate_synthetic, with images
+    of ``positive_digit`` as its positives and any other digit as its
+    negatives, both drawn with replacement.  ``split`` tags the produced
+    bags so the source train/test division is preserved.
     """
     labels = np.asarray(labels)
     pos_idx = np.flatnonzero(labels == positive_digit)
@@ -311,42 +316,28 @@ def make_mnist_bags(images, labels, spec, seed, positive_digit=9, split=None):
     if neg_idx.size == 0:
         raise ValueError("no negative-class images available")
     flat = np.asarray(images).reshape(len(labels), -1)
-    root = np.random.SeedSequence([int(seed), 0x31D])
-    children = root.spawn(spec.n_bags)
-    bags = []
-    for i in range(spec.n_bags):
-        rng = np.random.default_rng(children[i])
-        size = _draw_bag_size(rng, spec)
-        pi = rng.uniform(0.0, 1.0)
-        n_pos = int(np.floor(pi * size))
-        take_pos = rng.choice(pos_idx, size=n_pos, replace=True)
-        take_neg = rng.choice(neg_idx, size=size - n_pos, replace=True)
-        idx = np.concatenate([take_pos, take_neg])
-        hidden = np.concatenate([np.ones(n_pos, dtype=np.int64),
-                                 np.zeros(size - n_pos, dtype=np.int64)])
-        order = rng.permutation(size)
-        prefix = split or "bag"
-        bags.append(Bag(
-            id=f"{prefix}-{i:06d}",
-            instances=np.asarray(flat[idx][order], dtype=np.float64) / 255.0,
-            label=_bag_label(n_pos, size, spec),
-            hidden_instance_labels=hidden[order],
-            positive_fraction=n_pos / size,
-            split=split,
-        ))
-    return bags
+
+    def draw(rng, n_pos, n_neg):
+        idx = np.concatenate([rng.choice(pos_idx, size=n_pos, replace=True),
+                              rng.choice(neg_idx, size=n_neg, replace=True)])
+        return flat[idx] / 255.0
+
+    children = np.random.SeedSequence([int(seed), 0x31D]).spawn(spec.n_bags)
+    prefix = split or "bag"
+    return [_draw_bag(np.random.default_rng(children[i]), spec, f"{prefix}-{i:06d}", draw, split)
+            for i in range(spec.n_bags)]
 
 
 def check_fractions(fractions, name="fractions"):
     """``fractions`` as a tuple of three floats; ValueError naming ``name``
     unless they are three nonnegative reals that sum to 1."""
     try:
-        # a bool is dropped, so that the count below rejects it
-        checked = tuple(float(f) for f in fractions if not isinstance(f, bool))
-    except (TypeError, ValueError):
+        checked = tuple(fractions)
+    except TypeError:
         checked = ()
-    if len(checked) != 3 or not all(f >= 0 for f in checked):
+    if len(checked) != 3 or not all(is_number(f) and f >= 0 for f in checked):
         raise ValueError(f"{name} must be three nonnegative reals, got {fractions!r}")
+    checked = tuple(map(float, checked))
     if abs(sum(checked) - 1.0) > 1e-9:
         raise ValueError(f"{name} must sum to 1, got {sum(checked)}")
     return checked
@@ -392,21 +383,34 @@ def stack_instances(bags, width):
 
     The array is a view when the bags are consecutive row ranges of the
     instance array ``load_dataset`` read them from, as the bags of every
-    split it returns are, and a copy otherwise.  A bag that is empty or not
-    ``width`` features wide raises ValueError naming it.
+    split it returns are, and a copy otherwise.  A copy's bags are first
+    checked by ``check_bags``.
     """
     if not bags:
         return np.empty((0, width)), np.empty(0, dtype=np.int64)
     run = _loaded_run(bags)
     if run is not None and run[0].shape[1] == width:
         return run
+    check_bags(bags, width)
     arrays = [b.instances for b in bags]
-    for bag, x in zip(bags, arrays):
-        if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != width:
-            raise ValueError(f"bag {bag.id}: instances of shape {x.shape}, expected a "
-                             f"nonempty (bag_size, {width}) array")
     lengths = np.array([x.shape[0] for x in arrays], dtype=np.int64)
-    return np.concatenate(arrays, dtype=np.float64), lengths
+    return np.concatenate(arrays), lengths
+
+
+def check_bags(bags, width, where=""):
+    """Raise ValueError, naming the bag after ``where``, unless every bag
+    holds a nonempty (bag_size, width) float64 array and a label of 0 or 1."""
+    for bag in bags:
+        x = bag.instances
+        dtype = getattr(x, "dtype", None)
+        if dtype != np.float64:
+            raise ValueError(f"{where}bag {bag.id}: instances of dtype {dtype}, "
+                             f"expected float64")
+        if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != width:
+            raise ValueError(f"{where}bag {bag.id}: instances of shape {x.shape}, "
+                             f"expected a nonempty (bag_size, {width}) array")
+        if bag.label not in (0, 1):
+            raise ValueError(f"{where}bag {bag.id}: label must be 0 or 1, got {bag.label!r}")
 
 
 def _loaded_run(bags):

@@ -128,7 +128,7 @@ def _log_weights(log_binomials, n_minus_k, k, q):
     pmf at k, from log C(n, k) and the float arrays n - k and k."""
     # (n-k) log q + log C(n,k) is log C(n,k) + (n-k) log q bit for bit, as
     # IEEE addition commutes; summing into the product's array keeps one
-    # array of the block's size alive besides the arguments
+    # array of the bag's length alive besides the arguments
     w = n_minus_k * np.log(q)
     w += log_binomials
     w += k * np.log1p(-q)

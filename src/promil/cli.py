@@ -403,11 +403,6 @@ def cmd_eval(args):
         bags = [b for b in bags if b.split == args.split]
         if not bags:
             raise UsageError(f"dataset has no bags tagged split={args.split!r}")
-    if bags and bags[0].instances.shape[1] != model.net.arch.input_dim:
-        raise UsageError(
-            f"model expects input_dim {model.net.arch.input_dim} but dataset has "
-            f"{bags[0].instances.shape[1]}"
-        )
     head = args.head or model.head
     result = evaluate(model, bags, head=head)
     if any(np.isnan(v) for v in (result.auc, result.balanced_accuracy)):

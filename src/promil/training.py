@@ -24,13 +24,14 @@ The quantile level itself is trained through an unconstrained raw value
 with logistic squashing (dq/draw = q(1-q)), keeping q strictly inside
 (0, 1) at every step.
 
-``train`` checks each split once, before the first step: every train and
-validation bag must hold a nonempty (bag_size, input_dim) float64 array
-and a label of 0 or 1, else ValueError names the split and the bag.  A
-step then does only what changes from step to step: ``forward_bag``, the
-head's per-bag function, ``bag_cost``, ``backward_bag`` into the state's
-gradient buffer, a finiteness test of the cost and the gradient, and
-one ``adam_update``.
+``train`` checks each split once, before the first step, with
+``bagdata.check_bags``, the check that scoring a copied split makes too:
+every train and validation bag must hold a nonempty (bag_size,
+input_dim) float64 array and a label of 0 or 1, else ValueError names
+the split and the bag.  A step then does only what changes from step to
+step: ``forward_bag``, the head's per-bag function, ``bag_cost``,
+``backward_bag`` into the state's gradient buffer, a finiteness test of
+the cost and the gradient, and one ``adam_update``.
 ``forward_bag``, ``backward_bag`` and ``bag_cost`` keep their own argument
 checks, for callers that pass unchecked arrays.
 """
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bagdata import is_integer, is_number
+from .bagdata import check_bags, is_integer, is_number
 from .bernstein import DEFAULT_EPS, check_eps, level, logit
 from .heads import head_function, score_bags
 from .metrics import auc as auc_metric
@@ -90,13 +91,9 @@ class TrainConfig:
                              f"{self.max_epochs}], got {self.patience!r}")
         check_eps(self.eps_clamp, "eps_clamp")
         if self.q_init != "random":
-            try:
-                q_init = float(self.q_init)
-            except (TypeError, ValueError):
-                q_init = math.nan
-            if not 0.0 < q_init < 1.0:
+            if not (is_number(self.q_init) and 0.0 < self.q_init < 1.0):
                 raise ValueError(f"q_init must be 'random' or in (0, 1), got {self.q_init!r}")
-            self.q_init = q_init
+            self.q_init = float(self.q_init)
         if self.val_metric not in ("auc", "loss"):
             raise ValueError(f"val_metric must be 'auc' or 'loss', got {self.val_metric!r}")
 
@@ -273,23 +270,6 @@ def _validation_stats(net, q, bags, cfg, head):
     return auc_metric(scores, labels), total / len(bags)
 
 
-def _check_split(name, bags, width):
-    """Reject, naming the bag, a bag whose instances are not a nonempty
-    (bag_size, width) float64 array or whose label is not 0 or 1."""
-    for bag in bags:
-        x = bag.instances
-        dtype = getattr(x, "dtype", None)
-        if dtype != np.float64:
-            raise ValueError(f"{name} split: bag {bag.id}: instances of dtype {dtype}, "
-                             f"expected float64")
-        if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != width:
-            raise ValueError(f"{name} split: bag {bag.id}: instances of shape {x.shape}, "
-                             f"expected a nonempty (bag_size, {width}) array")
-        if bag.label not in (0, 1):
-            raise ValueError(f"{name} split: bag {bag.id}: label must be 0 or 1, "
-                             f"got {bag.label!r}")
-
-
 def train(state, splits, cfg, head="promil"):
     """Epoch loop with seeded shuffling, early stopping, and best snapshot.
 
@@ -306,7 +286,7 @@ def train(state, splits, cfg, head="promil"):
         raise ValueError("train and validation splits must both be nonempty")
     head_function(head)
     for name, bags in (("train", train_bags), ("validation", val_bags)):
-        _check_split(name, bags, state.net.arch.input_dim)
+        check_bags(bags, state.net.arch.input_dim, f"{name} split: ")
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2]))
     higher_better = cfg.val_metric == "auc"
     best_value = -math.inf if higher_better else math.inf

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import struct
 import tracemalloc
@@ -112,6 +113,53 @@ class TestSyntheticGenerator:
             SyntheticSpec(n_bags=10, threshold_qstar=0.3, label_rule="count")
 
 
+def bags_digest(bags):
+    """sha256 over each bag's id, label, split, fraction, hidden labels and
+    instance bytes, in order."""
+    h = hashlib.sha256()
+    for b in bags:
+        h.update(f"{b.id}|{b.label}|{b.split}|{b.positive_fraction!r}|{b.instances.shape}|"
+                 .encode())
+        h.update(np.ascontiguousarray(b.hidden_instance_labels, dtype=np.int64).tobytes())
+        h.update(np.ascontiguousarray(b.instances, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def fake_digits(n=400, seed=0):
+    rng = np.random.default_rng(seed)
+    images = rng.integers(0, 256, size=(n, 8, 8), dtype=np.uint8)
+    labels = rng.integers(0, 10, size=n, dtype=np.uint8)
+    labels[:40] = 9   # guarantee positives exist
+    return images, labels
+
+
+class TestGeneratorOutputPinned:
+    """The generators' bags, digested: a change to the bag protocol or to
+    its order of random draws changes every dataset made from a config."""
+
+    README = SyntheticSpec(n_bags=625, threshold_qstar=0.3)
+    MNIST = SyntheticSpec(n_bags=120, threshold_qstar=0.3, bag_size_mean=8, bag_size_std=2)
+
+    def test_synthetic(self):
+        assert bags_digest(generate_synthetic(self.README, seed=5)) == (
+            "9c348d92946af9273145c60ba800f0d612ebcf26f72a1c3e2affb4c8163b3404")
+
+    def test_synthetic_rebalanced(self):
+        spec = dataclasses.replace(self.README, rebalance=True)
+        assert bags_digest(generate_synthetic(spec, seed=5)) == (
+            "1ed1854f6db5fb47eb27e1d35b22279b2caeaabf5dd776ec24ab2ba1e33eee4b")
+
+    def test_mnist_pool(self):
+        bags = make_mnist_bags(*fake_digits(), self.MNIST, seed=5)
+        assert bags_digest(bags) == (
+            "0a9152326899d811ff500b1fadf35231ce68edde1cb209056b9c1cd2bc30d0e9")
+
+    def test_mnist_test_split(self):
+        bags = make_mnist_bags(*fake_digits(), self.MNIST, seed=6, split="test")
+        assert bags_digest(bags) == (
+            "ae3e9cf2004f0d7bf4bdd68246ce76012bb3c328a01697ba70916f494d8f44cd")
+
+
 class TestIdx:
     def test_round_trip_byte_identical(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -187,15 +235,8 @@ class TestIdxSizeCheck:
 
 
 class TestMnistBags:
-    def fake_digits(self, n=400, seed=0):
-        rng = np.random.default_rng(seed)
-        images = rng.integers(0, 256, size=(n, 8, 8), dtype=np.uint8)
-        labels = rng.integers(0, 10, size=n, dtype=np.uint8)
-        labels[:40] = 9   # guarantee positives exist
-        return images, labels
-
     def test_labels_rederivable(self):
-        images, labels = self.fake_digits()
+        images, labels = fake_digits()
         spec = SyntheticSpec(n_bags=120, threshold_qstar=0.3, bag_size_mean=8,
                              bag_size_std=2)
         bags = make_mnist_bags(images, labels, spec, seed=0)
@@ -204,7 +245,7 @@ class TestMnistBags:
             assert bag.label == recompute_label(bag, spec)
 
     def test_pixels_scaled_and_flattened(self):
-        images, labels = self.fake_digits()
+        images, labels = fake_digits()
         spec = SyntheticSpec(n_bags=10, threshold_qstar=0.3, bag_size_mean=5,
                              bag_size_std=1)
         bags = make_mnist_bags(images, labels, spec, seed=1)
@@ -214,7 +255,7 @@ class TestMnistBags:
 
     def test_example_fraction(self):
         # four 9s out of ten at threshold 0.3 labels the bag positive
-        images, labels = self.fake_digits()
+        images, labels = fake_digits()
         spec = SyntheticSpec(n_bags=200, threshold_qstar=0.3, bag_size_mean=10,
                              bag_size_std=0.001)
         bags = make_mnist_bags(images, labels, spec, seed=2)
@@ -226,7 +267,7 @@ class TestMnistBags:
     def test_matches_full_conversion(self, tmp_path):
         # every instance is bit-identical to its row of the whole image array
         # converted to float64 up front
-        images, labels = self.fake_digits(n=300, seed=3)
+        images, labels = fake_digits(n=300, seed=3)
         write_idx_images(tmp_path / "images", images)
         write_idx_labels(tmp_path / "labels", labels)
         images, labels = load_idx(tmp_path / "images", tmp_path / "labels")
@@ -244,7 +285,7 @@ class TestMnistBags:
                                           (labels[rows] == 9).astype(np.int64))
 
     def test_memory_scales_with_bags_not_images(self):
-        _, labels = self.fake_digits(n=6000, seed=5)
+        _, labels = fake_digits(n=6000, seed=5)
         images = np.random.default_rng(5).integers(0, 256, size=(6000, 28, 28),
                                                    dtype=np.uint8)
         spec = SyntheticSpec(n_bags=10, threshold_qstar=0.3, bag_size_mean=30,
@@ -261,7 +302,7 @@ class TestMnistBags:
         assert peak < 3 * kept
 
     def test_requires_positive_digit(self):
-        images, labels = self.fake_digits()
+        images, labels = fake_digits()
         labels = np.where(labels == 9, 1, labels).astype(np.uint8)
         spec = SyntheticSpec(n_bags=10, threshold_qstar=0.3, bag_size_mean=5)
         with pytest.raises(ValueError, match="digit 9"):
@@ -432,7 +473,8 @@ class TestContainer:
     def test_save_rejects_mixed_widths(self, tmp_path):
         _, bags = container_bags()
         bags[3] = Bag(id="wide", instances=np.zeros((2, 3)), label=0)
-        with pytest.raises(ValueError, match="bag wide: 3 features"):
+        with pytest.raises(ValueError, match=f"^bag wide: 3 features per instance, but bag "
+                                             f"{bags[0].id} has 2$"):
             save_dataset(tmp_path / "d", bags)
         assert not (tmp_path / "d").exists()
 

@@ -22,10 +22,11 @@ def bench_pairs():
 BETTER = {"total_s": "lower", "train_steps_per_s": "higher"}
 
 
-def run(total_s, steps_per_s, failed=0, attempted=10):
+def run(total_s, steps_per_s, failed=0, attempted=10, digests=("a1", "b2")):
     return {"result": {"failed": failed, "attempted": attempted, "metrics": {
         "total_s": {"value": total_s, "unit": "s"},
-        "train_steps_per_s": {"value": steps_per_s, "unit": "1/s"}}}}
+        "train_steps_per_s": {"value": steps_per_s, "unit": "1/s"}}},
+        "digests": list(digests)}
 
 
 def crashed():
@@ -118,3 +119,28 @@ def test_missing_workdir_is_created(bench_pairs, tmp_path):
     # an existing workdir is used as it is
     assert os.path.dirname(bench_pairs.make_tmpdir(str(workdir))) == str(workdir)
     assert sorted(os.listdir(os.path.dirname(os.path.dirname(SCRIPT)))) == root_before
+
+
+def test_model_digests_equal_counts_completed_pairs_with_the_same_models(bench_pairs):
+    pairs = [pair(1, run(10.0, 100.0), run(9.0, 120.0)),
+             pair(2, run(10.0, 100.0), run(9.0, 120.0, digests=("a1", "c3"))),
+             pair(3, run(10.0, 100.0), run(9.0, 120.0, digests=("b2", "a1"))),   # order counts
+             pair(4, crashed(), run(9.0, 120.0)),
+             pair(5, run(10.0, 100.0, digests=()), run(9.0, 120.0, digests=())),  # no models
+             pair(6, run(10.0, 100.0), run(9.0, 120.0))]
+    for p in pairs[5:]:
+        del p["base"]["digests"], p["change"]["digests"]   # a run that printed none
+    assert bench_pairs.summarize(pairs, BETTER)["model_digests_equal_in_pairs"] == 1
+
+
+def test_run_once_keeps_the_digests_line(bench_pairs, tmp_path):
+    script = tmp_path / "e2ebench" / "run.py"
+    script.parent.mkdir()
+    script.write_text("print('machine {\"cpus\": 2}')\n"
+                      "print('digests [\"a1\", \"b2\"]')\n"
+                      "print('calibration {\"block_s\": 0.5}')\n"
+                      "print('{\"failed\": 0, \"attempted\": 3, \"metrics\": {}}')\n")
+    got = bench_pairs.run_once(str(tmp_path), "readme-train", 1, 1)
+    assert got == {"result": {"failed": 0, "attempted": 3, "metrics": {}},
+                   "machine": {"cpus": 2}, "digests": ["a1", "b2"],
+                   "calibration": {"block_s": 0.5}}

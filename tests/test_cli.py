@@ -302,7 +302,7 @@ class TestEval:
         _, data, _ = trained
         assert main(["eval", str(tmp_path / "no_model.json"), data]) == EXIT_IO
 
-    def test_dimension_mismatch(self, trained, tmp_path):
+    def test_dimension_mismatch(self, trained, tmp_path, capsys):
         cfg3 = small_config(tmp_path, dataset={
             "n_bags": 40, "threshold_qstar": 0.3, "bag_size_mean": 5,
             "bag_size_std": 1, "feature_dim": 3,
@@ -310,7 +310,19 @@ class TestEval:
         _, _, model = trained
         data3 = str(tmp_path / "d3.json")
         main(["generate", "--config", cfg3, "--out", data3])
+        capsys.readouterr()
         assert main(["eval", model, data3]) == EXIT_USAGE
+        first = load_dataset(data3)[0][0]
+        assert (f"bag {first.id}: instances of shape ({len(first)}, 3), expected a nonempty "
+                f"(bag_size, 2) array") in capsys.readouterr().err
+
+    def test_float32_bag_is_rejected_naming_it(self, trained):
+        _, data, model_path = trained
+        model = load_model(model_path)
+        bags, _, _ = load_dataset(data)
+        bags[5].instances = bags[5].instances.astype(np.float32)
+        with pytest.raises(ValueError, match=f"^bag {bags[5].id}: instances of dtype float32"):
+            score_bags(model.net, bags, "promil", model.learned_q, model.eps)
 
 
 def _drop_input_dim(doc):
@@ -423,6 +435,9 @@ MALFORMED_CONFIGS = [
     ("seed", "seed", "abc"),
     ("seed", "seed", -1),
     ("q_init", "train", {"q_init": "abc"}),
+    # a number field takes a JSON number, not a string that reads as one
+    ("q_init", "train", {"q_init": "0.3"}),
+    ("split_fractions", "split_fractions", ["0.6", "0.2", "0.2"]),
     ("activation", "activation", "gelu"),
     ("bananas", "bananas", 1),
     ("n_bags", "dataset", {"n_bags": "x", "threshold_qstar": 0.3}),
