@@ -11,11 +11,14 @@ is the committed files of ``--base``, exported with ``git archive`` into a
 temporary directory.
 
 The result goes to ``BENCH_<workload>.json`` at the repository root: each
-run's result line, machine line, calibration line and model digests, the
-median and the first and third quartiles of every end-to-end metric on
-each side, in how many pairs the change was better, by the direction
-``BENCHMARK.json`` gives each metric, and in how many pairs the two sides
-wrote the same models.  Each side
+run's result line, machine line, calibration line, wall line and model
+digests, the median and the first and third quartiles of every end-to-end
+metric on each side, in how many pairs the change was better, by the
+direction ``BENCHMARK.json`` gives each metric, and in how many pairs the
+two sides wrote the same models.  The ``uncalibrated`` block gives the
+same medians, quartiles and wins for the wall lines' figures, which the
+run takes before it scales them by the host's calibration block: the
+scaling can itself move a metric on a host whose speed changes.  Each side
 also records the git tree ids of ``src`` and ``e2ebench``, the code a run
 executes, so ``git rev-parse <commit>:src`` tells whether a commit holds
 the code that was measured, committed or not at the time.  Run it on an
@@ -82,8 +85,9 @@ def make_tmpdir(workdir):
 
 
 def run_once(checkout, workload, seed, seconds):
-    """One benchmark run: its result, machine and calibration lines and its
-    model digests (sha256 of each model file without its timestamp), or,
+    """One benchmark run: its result, machine, calibration and wall lines
+    (the wall line holds the end-to-end figures before calibration) and
+    its model digests (sha256 of each model file without its timestamp), or,
     when it fails, its exit code and the tail of its stderr."""
     proc = subprocess.run(
         [sys.executable, "e2ebench/run.py", "--workload", workload, "--seed", str(seed),
@@ -99,7 +103,7 @@ def run_once(checkout, workload, seed, seconds):
                 "stderr_tail": proc.stderr.splitlines()[-STDERR_LINES:]}
     for line in lines[:-1]:
         key, _, rest = line.partition(" ")
-        if key in ("machine", "calibration", "digests"):
+        if key in ("machine", "calibration", "wall", "digests"):
             run[key] = json.loads(rest)
         elif key == "FAILED":
             run.setdefault("failed", []).append(rest)
@@ -115,20 +119,13 @@ def quartiles(values):
     return {"q1": q1, "q3": q3}
 
 
-def summarize(pairs, better):
-    """The per-side medians and quartiles of each end-to-end metric, the
+def compare(done, better, value):
+    """Over the pairs ``done``: the per-side medians and quartiles of each
+    metric in ``better``, read from a run by ``value(run, name)``, and the
     pairs the change won, by the direction in ``better`` (a tie wins
-    nothing), and the pairs whose two runs wrote models with the same
-    digests, all over the pairs whose two runs completed; and per side,
-    the runs that failed and the failed and attempted operations of those
-    that completed."""
-    done = [p for p in pairs if "result" in p["base"] and "result" in p["change"]]
-
+    nothing)."""
     def values(side, name):
-        return [p[side]["result"]["metrics"][name]["value"] for p in done]
-
-    def value(run, name):
-        return run["result"]["metrics"][name]["value"]
+        return [value(p[side], name) for p in done]
 
     medians = {side: {name: statistics.median(values(side, name))
                       for name in better} if done else {}
@@ -141,6 +138,21 @@ def summarize(pairs, better):
         sign = 1.0 if direction == "higher" else -1.0
         wins[name] = sum(sign * (value(p["change"], name) - value(p["base"], name)) > 0
                          for p in done)
+    return {"medians": medians, "quartiles": spread, "change_better_in_pairs": wins}
+
+
+def summarize(pairs, better):
+    """``compare`` of each end-to-end metric over the pairs whose two runs
+    completed, with the pairs whose two runs wrote models with the same
+    digests; the same comparison of the uncalibrated times of each run's
+    ``wall`` line, over the completed pairs whose two runs printed one;
+    and per side, the runs that failed and the failed and attempted
+    operations of those that completed."""
+    done = [p for p in pairs if "result" in p["base"] and "result" in p["change"]]
+    calibrated = compare(done, better,
+                         lambda run, name: run["result"]["metrics"][name]["value"])
+    walled = [p for p in done if "wall" in p["base"] and "wall" in p["change"]]
+    uncalibrated = compare(walled, better, lambda run, name: run["wall"][name])
     failures = {}
     for side in ("base", "change"):
         results = [p[side]["result"] for p in pairs if "result" in p[side]]
@@ -149,9 +161,9 @@ def summarize(pairs, better):
                           "attempted_operations": sum(r["attempted"] for r in results)}
     same_models = sum(bool(p["base"].get("digests"))
                       and p["base"].get("digests") == p["change"].get("digests") for p in done)
-    return {"completed_pairs": len(done), "medians": medians, "quartiles": spread,
-            "change_better_in_pairs": wins, "model_digests_equal_in_pairs": same_models,
-            "failures": failures}
+    return {"completed_pairs": len(done), **calibrated,
+            "uncalibrated": {"completed_pairs": len(walled), **uncalibrated},
+            "model_digests_equal_in_pairs": same_models, "failures": failures}
 
 
 def main(argv=None):

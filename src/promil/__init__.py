@@ -20,11 +20,7 @@ from .bagdata import (
     make_mnist_bags,
     split_dataset,
 )
-from .bernstein import (
-    estimate_quantile,
-    estimate_quantile_limit,
-    quantile_gradients,
-)
+from .bernstein import estimate_quantile
 from .heads import HEADS, decide, score_bag, score_bags
 from .metrics import EvalResult, auc, balanced_accuracy, evaluate
 from .network import (
@@ -70,7 +66,6 @@ __all__ = [
     "balanced_accuracy",
     "decide",
     "estimate_quantile",
-    "estimate_quantile_limit",
     "evaluate",
     "forward_bag",
     "generate_synthetic",
@@ -78,7 +73,6 @@ __all__ = [
     "init_train_state",
     "load_idx",
     "make_mnist_bags",
-    "quantile_gradients",
     "score_bag",
     "score_bags",
     "split_dataset",

@@ -16,11 +16,15 @@ underflow one by one are negligible.
 
 Values are clamped below at ``eps``; clamped entries receive zero
 gradient.  One function, ``bag_weights``, builds the weights.  The kernel,
-``quantile_value_grad``, scores one bag with its gradients: a training
-step, ``score_bag`` and ``estimate_quantile`` use it.  A split is scored
-in unpadded blocks of bags of one length with the same weights, so each
-bag's split score is its kernel score bit for bit.  ``level`` and
+``quantile_value_grad``, scores one bag with its gradients and checks
+nothing; a training step calls it through the head table.  A split is
+scored in unpadded blocks of bags of one length with the same weights, so
+each bag's split score is its kernel score bit for bit.  ``level`` and
 ``logit`` map between q and the raw value that training updates.
+
+``estimate_quantile`` is the one checked estimate, and the ``quantile``
+command's: it checks its values, level and clamp once, and covers every
+level in [0, 1], with q = 0 giving the maximum and q = 1 the minimum.
 
 A training step calls the kernel on one bag, so the kernel does per call
 only what depends on q or on the values.  The q-free part of the log
@@ -163,15 +167,6 @@ def quantile_value_grad(values, q, eps):
     return value, grad_values, grad_q
 
 
-def _ascending_values(preds):
-    values = np.ascontiguousarray(preds, dtype=np.float64)
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("predictions must be a nonempty 1-D array")
-    if np.any(np.diff(values) < 0):
-        raise ValueError("predictions must be sorted ascending")
-    return values
-
-
 def check_eps(eps, name="eps"):
     """Reject a clamp that is not positive and finite."""
     if not 0.0 < eps < math.inf:
@@ -186,35 +181,31 @@ def check_level(q, eps):
     check_eps(eps)
 
 
-def estimate_quantile(preds, q, eps=DEFAULT_EPS):
-    """Evaluate the estimator at level q on ascending predictions.
+def estimate_quantile(values, q, eps=DEFAULT_EPS):
+    """The estimate at level q in [0, 1] of ascending ``values``, checked.
 
-    ``preds`` is a nonempty, already-ascending 1-D array.
-    ``eps`` is the lower clamp applied to each value before its log.
+    ``values`` is a nonempty 1-D array of finite numbers in [0, 1], sorted
+    ascending, and ``eps``, the lower clamp of the values, is positive and
+    finite.  q = 0 gives the maximum and q = 1 the minimum, unclamped: the
+    limits of the estimate under the 0^0 = 1 convention.  Any other level
+    gives the kernel's value.  A failed check raises ValueError naming the
+    offending value.
     """
-    values = _ascending_values(preds)
-    check_level(q, eps)
-    return quantile_value_grad(values, float(q), float(eps))[0]
-
-
-def quantile_gradients(preds, q, eps=DEFAULT_EPS):
-    """Analytic gradients of estimate_quantile.
-
-    Returns ``(grad_values, grad_q)``: grad_values[k] is the k-th binomial
-    weight (zero when values[k] was clamped), and grad_q sums
-    w_k * max(values[k], eps) * ((n-k)/q - k/(1-q)).
-    """
-    values = _ascending_values(preds)
-    check_level(q, eps)
-    _, grad_values, grad_q = quantile_value_grad(values, float(q), float(eps))
-    return grad_values, grad_q
-
-
-def estimate_quantile_limit(preds, q):
-    """Boundary levels via the 0^0 = 1 convention: q=0 -> max, q=1 -> min."""
-    values = _ascending_values(preds)
-    if q == 0:
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError(f"values must be a nonempty 1-D array, got shape {values.shape}")
+    bad = values[~((values >= 0.0) & (values <= 1.0))]
+    if bad.size:
+        raise ValueError(f"values must be finite and in [0, 1], got {bad[0]}")
+    down = np.flatnonzero(np.diff(values) < 0)
+    if down.size:
+        raise ValueError(f"values must be sorted ascending, got {values[down[0]]} "
+                         f"before {values[down[0] + 1]}")
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q must be in [0, 1], got {q}")
+    check_eps(eps)
+    if q == 0.0:
         return float(values[-1])
-    if q == 1:
+    if q == 1.0:
         return float(values[0])
-    raise ValueError(f"q must be exactly 0 or 1, got {q}")
+    return quantile_value_grad(values, float(q), float(eps))[0]

@@ -47,7 +47,7 @@ from .bagdata import (
     save_dataset,
     split_dataset,
 )
-from .bernstein import DEFAULT_EPS, check_eps, estimate_quantile, estimate_quantile_limit
+from .bernstein import DEFAULT_EPS, check_eps, estimate_quantile
 from .heads import HEADS
 from .metrics import evaluate
 from .network import NetArch, NetParams
@@ -437,6 +437,10 @@ def cmd_sweep(args):
     if not values:
         raise UsageError("--values must contain at least one number")
     name, kind = _AXIS_FIELDS[args.axis]
+    for value in values:
+        if kind is int and not value.is_integer():
+            raise UsageError(f"--values for --axis {args.axis} must be whole numbers, "
+                             f"got {value}")
     digits = _read_digits(cfg)   # once: every cell takes its bags from the same files
     rows = []
     for vi, value in enumerate(values):
@@ -472,19 +476,8 @@ def cmd_sweep(args):
 
 
 def cmd_quantile(args):
-    if not args.numbers:
-        raise UsageError("quantile needs at least one number")
-    if not 0.0 <= args.q <= 1.0:
-        raise UsageError(f"--q must be in [0, 1], got {args.q}")
-    for x in args.numbers:
-        if not 0.0 <= x <= 1.0:
-            raise UsageError(f"numbers must be finite and in [0, 1], got {x}")
     values = np.sort(np.asarray(args.numbers, dtype=np.float64))
-    if args.q in (0.0, 1.0):
-        result = estimate_quantile_limit(values, args.q)
-    else:
-        result = estimate_quantile(values, args.q, eps=args.eps)
-    print(f"{result:.9g}")
+    print(f"{estimate_quantile(values, args.q, eps=args.eps):.9g}")
     return EXIT_OK
 
 

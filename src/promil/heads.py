@@ -84,13 +84,15 @@ def head_function(head):
     return _entry(head)[0]
 
 
-def score_bag(predictions, head, q=None, eps=DEFAULT_EPS):
+def score_bag(predictions, head, q, eps=DEFAULT_EPS):
     """The score of one bag under ``head``, a float.
 
     ``predictions`` is a nonempty 1-D float64 array, as ``forward_bag``
-    returns.  q and eps are not checked here; ``score_bags`` checks them
-    once per split.
+    returns.  q and eps are checked as ``score_bags`` checks them, for
+    every head: a level outside (0, 1) or a clamp that is not positive and
+    finite raises ValueError.
     """
+    check_level(q, eps)
     if predictions.size == 0:
         raise ValueError("a bag needs at least one prediction")
     return head_function(head)(predictions, q, eps)[0]

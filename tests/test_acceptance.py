@@ -15,11 +15,11 @@ import pytest
 
 from promil.bagdata import SyntheticSpec, generate_synthetic, load_idx, split_dataset
 from promil.bernstein import (
+    DEFAULT_EPS,
     estimate_quantile,
-    estimate_quantile_limit,
     level,
     logit,
-    quantile_gradients,
+    quantile_value_grad,
 )
 from promil.cli import load_model, main as cli_main
 from promil.metrics import auc, balanced_accuracy, evaluate
@@ -59,7 +59,7 @@ class TestCriterion1Gradients:
             while np.min(np.diff(values)) < 1e-3:
                 values = np.sort(rng.uniform(0.05, 0.95, size=n_plus_1))
             q = float(rng.uniform(0.05, 0.95))
-            grad_values, grad_q = quantile_gradients(values, q)
+            _, grad_values, grad_q = quantile_value_grad(values, q, DEFAULT_EPS)
             fd_q = (estimate_quantile(values, q + h)
                     - estimate_quantile(values, q - h)) / (2 * h)
             worst = max(worst, abs(grad_q - fd_q) / max(abs(fd_q), abs(grad_q), 1e-4))
@@ -156,8 +156,8 @@ class TestCriterion3ExactIdentities:
         default_eps_case = abs(estimate_quantile(np.arange(11) / 10, 0.3) - 0.7)
         rng = np.random.default_rng(3001)
         values = np.sort(rng.uniform(size=13))
-        bound_ok = (estimate_quantile_limit(values, 0) == values[-1]
-                    and estimate_quantile_limit(values, 1) == values[0])
+        bound_ok = (estimate_quantile(values, 0) == values[-1]
+                    and estimate_quantile(values, 1) == values[0])
         const_ok = all(
             abs(estimate_quantile(np.full(k, 0.37), q) - 0.37) < 1e-12
             for k in (1, 2, 9) for q in Q_GRID

@@ -133,14 +133,54 @@ def test_model_digests_equal_counts_completed_pairs_with_the_same_models(bench_p
     assert bench_pairs.summarize(pairs, BETTER)["model_digests_equal_in_pairs"] == 1
 
 
-def test_run_once_keeps_the_digests_line(bench_pairs, tmp_path):
+def test_run_once_keeps_the_digests_and_wall_lines(bench_pairs, tmp_path):
     script = tmp_path / "e2ebench" / "run.py"
     script.parent.mkdir()
     script.write_text("print('machine {\"cpus\": 2}')\n"
                       "print('digests [\"a1\", \"b2\"]')\n"
                       "print('calibration {\"block_s\": 0.5}')\n"
+                      "print('wall {\"total_s\": 4.5}')\n"
                       "print('{\"failed\": 0, \"attempted\": 3, \"metrics\": {}}')\n")
     got = bench_pairs.run_once(str(tmp_path), "readme-train", 1, 1)
     assert got == {"result": {"failed": 0, "attempted": 3, "metrics": {}},
                    "machine": {"cpus": 2}, "digests": ["a1", "b2"],
-                   "calibration": {"block_s": 0.5}}
+                   "calibration": {"block_s": 0.5}, "wall": {"total_s": 4.5}}
+
+
+def walled(total_s, steps_per_s, wall_total_s, wall_steps_per_s, **kw):
+    """A run whose wall line holds figures other than its calibrated ones."""
+    return {**run(total_s, steps_per_s, **kw),
+            "wall": {"total_s": wall_total_s, "train_steps_per_s": wall_steps_per_s}}
+
+
+def test_uncalibrated_block_compares_the_wall_lines(bench_pairs):
+    # calibrated, the change wins every metric; uncalibrated, it loses both
+    pairs = [pair(1, walled(10.0, 100.0, 8.0, 125.0), walled(9.0, 120.0, 9.0, 120.0)),
+             pair(2, walled(10.0, 100.0, 6.0, 150.0), walled(9.0, 110.0, 7.0, 140.0)),
+             pair(3, walled(12.0, 90.0, 11.0, 100.0), walled(11.0, 95.0, 12.0, 90.0))]
+    s = bench_pairs.summarize(pairs, BETTER)
+    assert s["change_better_in_pairs"] == {"total_s": 3, "train_steps_per_s": 3}
+    u = s["uncalibrated"]
+    assert u["completed_pairs"] == 3
+    assert u["change_better_in_pairs"] == {"total_s": 0, "train_steps_per_s": 0}
+    assert u["medians"] == {"base": {"total_s": 8.0, "train_steps_per_s": 125.0},
+                            "change": {"total_s": 9.0, "train_steps_per_s": 120.0}}
+    assert u["quartiles"]["base"] == {"total_s": {"q1": 7.0, "q3": 9.5},
+                                      "train_steps_per_s": {"q1": 112.5, "q3": 137.5}}
+
+
+def test_uncalibrated_block_takes_pairs_with_two_wall_lines(bench_pairs):
+    pairs = [pair(1, walled(10.0, 100.0, 8.0, 125.0), walled(9.0, 120.0, 7.0, 130.0)),
+             pair(2, run(10.0, 100.0), walled(9.0, 110.0, 1.0, 999.0)),   # base printed none
+             pair(3, crashed(), walled(9.0, 110.0, 1.0, 999.0))]
+    s = bench_pairs.summarize(pairs, BETTER)
+    assert s["completed_pairs"] == 2
+    assert s["uncalibrated"]["completed_pairs"] == 1
+    assert s["uncalibrated"]["medians"]["change"] == {"total_s": 7.0,
+                                                      "train_steps_per_s": 130.0}
+    assert s["uncalibrated"]["change_better_in_pairs"] == {"total_s": 1,
+                                                           "train_steps_per_s": 1}
+    none = bench_pairs.summarize(pairs[1:], BETTER)["uncalibrated"]
+    assert none == {"completed_pairs": 0, "medians": {"base": {}, "change": {}},
+                    "quartiles": {"base": {}, "change": {}},
+                    "change_better_in_pairs": {"total_s": 0, "train_steps_per_s": 0}}

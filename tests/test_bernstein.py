@@ -6,6 +6,7 @@ oracle (mpmath at 50 digits) that never touches the log-domain code path.
 """
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -14,11 +15,10 @@ import pytest
 from promil import bernstein
 from promil.bernstein import (
     DEFAULT_EPS,
+    bag_weights,
     estimate_quantile,
-    estimate_quantile_limit,
     level,
     logit,
-    quantile_gradients,
     quantile_value_grad,
 )
 
@@ -36,17 +36,10 @@ def direct_quantile(values, q, eps=DEFAULT_EPS):
         return float(total)
 
 
-def weights(n, q):
-    """The kernel's weights w_0..w_n at level q, read off quantile_gradients
-    on n + 1 values that the clamp leaves alone."""
-    grad_values, _ = quantile_gradients(np.full(n + 1, 0.5), q)
-    return grad_values
-
-
 def log_binomial(n, k):
     """log C(n, k) from the kernel's log-factorial table: at q = 1/2 the
     k-th weight is C(n, k) / 2^n."""
-    return math.log(weights(n, 0.5)[k]) + n * math.log(2.0)
+    return math.log(bag_weights(n, 0.5)[k]) + n * math.log(2.0)
 
 
 class TestLogBinomial:
@@ -92,29 +85,22 @@ class TestLogFactorialTable:
 
 class TestLogWeights:
     def test_single_term(self):
-        np.testing.assert_allclose(np.log(weights(0, 0.3)), [0.0], atol=1e-14)
+        np.testing.assert_allclose(np.log(bag_weights(0, 0.3)), [0.0], atol=1e-14)
 
     def test_symmetric_coin(self):
         np.testing.assert_allclose(
-            np.log(weights(1, 0.5)), [math.log(0.5)] * 2, rtol=1e-13
+            np.log(bag_weights(1, 0.5)), [math.log(0.5)] * 2, rtol=1e-13
         )
 
     def test_hand_expanded_n2(self):
         # C(2,k) 0.3^(2-k) 0.7^k = [0.09, 0.42, 0.49]
-        np.testing.assert_allclose(weights(2, 0.3), [0.09, 0.42, 0.49], rtol=1e-13)
+        np.testing.assert_allclose(bag_weights(2, 0.3), [0.09, 0.42, 0.49], rtol=1e-13)
 
     def test_normalization_up_to_n200(self):
         for n in (1, 2, 3, 5, 10, 50, 100, 200):
             for q in np.arange(0.01, 1.0, 0.09):
-                log_total = np.log(weights(n, q).sum())
+                log_total = np.log(bag_weights(n, q).sum())
                 assert abs(log_total) < 1e-10, f"n={n} q={q}: log of the sum={log_total}"
-
-    def test_domain_errors(self):
-        for q in (0.0, 1.0, -0.1, 1.1):
-            with pytest.raises(ValueError):
-                weights(3, q)
-        with pytest.raises(ValueError):
-            weights(-1, 0.5)
 
 
 class TestEstimateQuantile:
@@ -189,27 +175,33 @@ class TestEstimateQuantile:
                 deviations.append(abs(estimate_quantile(values, q) - (1.0 - q)))
             assert np.mean(deviations) < 0.03
 
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            estimate_quantile(np.array([]), 0.5)
-        with pytest.raises(ValueError):
-            estimate_quantile(np.array([0.5]), 0.0)
-        with pytest.raises(ValueError):
-            estimate_quantile(np.array([0.5]), 1.0)
-        with pytest.raises(ValueError):
-            estimate_quantile(np.array([0.5]), 0.5, eps=0.0)
-        with pytest.raises(ValueError):
-            estimate_quantile(np.array([0.9, 0.1]), 0.5)
+    @pytest.mark.parametrize("values, q, eps, message", [
+        ([0.5], -0.1, DEFAULT_EPS, "q must be in [0, 1], got -0.1"),
+        ([0.5], 1.1, DEFAULT_EPS, "q must be in [0, 1], got 1.1"),
+        ([0.1, math.nan], 0.5, DEFAULT_EPS, "values must be finite and in [0, 1], got nan"),
+        ([0.1, math.inf], 0.5, DEFAULT_EPS, "got inf"),
+        ([-math.inf, 0.1], 0.5, DEFAULT_EPS, "got -inf"),
+        ([-0.25, 0.1], 0.5, DEFAULT_EPS, "got -0.25"),
+        ([0.1, 1.0000001], 0.0, DEFAULT_EPS, "got 1.0000001"),
+        ([[0.1, 0.2]], 0.5, DEFAULT_EPS, "nonempty 1-D array, got shape (1, 2)"),
+        ([], 0.5, DEFAULT_EPS, "nonempty 1-D array, got shape (0,)"),
+        ([0.9, 0.1], 0.5, DEFAULT_EPS, "sorted ascending, got 0.9 before 0.1"),
+        ([0.5], 0.0, 0.0, "eps must be positive and finite, got 0.0"),
+        ([0.5], 0.0, math.nan, "eps must be positive and finite, got nan"),
+    ])
+    def test_bad_input_raises_naming_it(self, values, q, eps, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            estimate_quantile(np.array(values, dtype=np.float64), q, eps)
 
 
 class TestQuantileGradients:
     def test_singleton(self):
-        grad_values, grad_q = quantile_gradients(np.array([0.7]), 0.4)
+        _, grad_values, grad_q = quantile_value_grad(np.array([0.7]), 0.4, DEFAULT_EPS)
         np.testing.assert_allclose(grad_values, [1.0], atol=1e-14)
         assert grad_q == pytest.approx(0.0, abs=1e-14)
 
     def test_constant_bag_has_zero_q_gradient(self):
-        grad_values, grad_q = quantile_gradients(np.full(7, 0.6), 0.3)
+        _, grad_values, grad_q = quantile_value_grad(np.full(7, 0.6), 0.3, DEFAULT_EPS)
         assert grad_q == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(grad_values.sum(), 1.0, rtol=1e-12)
 
@@ -223,7 +215,7 @@ class TestQuantileGradients:
             while n_plus_1 > 1 and np.min(np.diff(values)) < 1e-3:
                 values = np.sort(rng.uniform(0.05, 0.95, size=n_plus_1))
             q = float(rng.uniform(0.05, 0.95))
-            grad_values, grad_q = quantile_gradients(values, q)
+            _, grad_values, grad_q = quantile_value_grad(values, q, DEFAULT_EPS)
             fd_q = (estimate_quantile(values, q + h)
                     - estimate_quantile(values, q - h)) / (2 * h)
             # scale floor 1e-4 keeps the check meaningful where the central
@@ -240,7 +232,7 @@ class TestQuantileGradients:
 
     def test_clamped_values_get_zero_gradient(self):
         values = np.array([0.0, 1e-9, 0.5, 0.9])
-        grad_values, _ = quantile_gradients(values, 0.3, eps=1e-7)
+        _, grad_values, _ = quantile_value_grad(values, 0.3, 1e-7)
         assert grad_values[0] == 0.0
         assert grad_values[1] == 0.0
         assert grad_values[2] > 0.0
@@ -250,13 +242,11 @@ class TestQuantileGradients:
 class TestQuantileLimit:
     def test_boundaries(self):
         values = np.array([0.1, 0.5, 0.9])
-        assert estimate_quantile_limit(values, 0) == 0.9
-        assert estimate_quantile_limit(values, 1) == 0.1
-        assert estimate_quantile_limit(np.array([0.42]), 0) == 0.42
-
-    def test_interior_q_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_quantile_limit(np.array([0.5]), 0.5)
+        assert estimate_quantile(values, 0) == 0.9
+        assert estimate_quantile(values, 1) == 0.1
+        assert estimate_quantile(np.array([0.42]), 0) == 0.42
+        # the limits are the values themselves: eps does not clamp them
+        assert estimate_quantile(np.array([0.0, 0.5]), 1.0, eps=0.25) == 0.0
 
     def test_small_q_approaches_limit(self):
         values = np.sort(np.random.default_rng(3).uniform(size=12))

@@ -543,6 +543,17 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--axis", "threshold",
                      "--values", "", "--out", str(tmp_path / "s.csv")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("bad", ["40.7", "inf", "nan"])
+    def test_fractional_bag_count_rejected_before_any_cell(self, tmp_path, capsys,
+                                                           monkeypatch, bad):
+        cfg = small_config(tmp_path)
+        monkeypatch.setattr(cli, "_generate_split", lambda *a: pytest.fail("a cell ran"))
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", cfg, "--axis", "n_bags",
+                     "--values", f"40,{bad}", "--out", str(out)]) == EXIT_USAGE
+        assert f"got {float(bad)}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestQuantileCommand:
     def test_single_number(self, capsys):
@@ -591,6 +602,14 @@ class TestQuantileCommand:
     def test_bad_eps_rejected(self, bad, capsys):
         assert main(["quantile", "0.2", "0.7", "--q", "0.3", "--eps", bad]) == EXIT_USAGE
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("q", ["0", "1"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "0", "-1"])
+    def test_bad_eps_rejected_at_the_limit_levels(self, bad, q, capsys):
+        assert main(["quantile", "0.2", "0.7", "--q", q, "--eps", bad]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"eps must be positive and finite, got {float(bad)}" in captured.err
 
     @pytest.mark.parametrize("bad", ["5", "-0.25", "1.0000001"])
     def test_number_outside_unit_interval_rejected(self, bad, capsys):

@@ -32,9 +32,10 @@ def bag(size, seed):
 def test_permutation_invariant(size, seed):
     p = bag(size, seed)
     shuffled = np.random.default_rng(seed + 1).permutation(p)
-    assert score_bag(shuffled, "max") == score_bag(p, "max")
+    assert score_bag(shuffled, "max", 0.5) == score_bag(p, "max", 0.5)
     # the mean's summation order follows the permutation
-    assert score_bag(shuffled, "mean") == pytest.approx(score_bag(p, "mean"), rel=1e-13)
+    assert score_bag(shuffled, "mean", 0.5) == pytest.approx(score_bag(p, "mean", 0.5),
+                                                             rel=1e-13)
 
 
 @PROPERTY
@@ -44,16 +45,17 @@ def test_monotone_in_each_value(size, seed, bump):
     i = int(np.random.default_rng(seed).integers(size))
     raised = p.copy()
     raised[i] += bump * (1.0 - p[i])
-    assert score_bag(raised, "max") >= score_bag(p, "max")
-    assert score_bag(raised, "mean") >= score_bag(p, "mean")
+    assert score_bag(raised, "max", 0.5) >= score_bag(p, "max", 0.5)
+    assert score_bag(raised, "mean", 0.5) >= score_bag(p, "mean", 0.5)
 
 
 @PROPERTY
 @given(size=SIZES, seed=SEEDS)
 def test_complement_identities(size, seed):
     p = bag(size, seed)
-    assert score_bag(1.0 - p, "mean") == pytest.approx(1.0 - score_bag(p, "mean"), abs=1e-13)
-    assert score_bag(1.0 - p, "max") == 1.0 - p.min()
+    assert score_bag(1.0 - p, "mean", 0.5) == pytest.approx(1.0 - score_bag(p, "mean", 0.5),
+                                                            abs=1e-13)
+    assert score_bag(1.0 - p, "max", 0.5) == 1.0 - p.min()
 
 
 @PROPERTY

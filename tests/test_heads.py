@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from promil.bernstein import (
-    DEFAULT_EPS,
-    estimate_quantile,
-    estimate_quantile_limit,
-    quantile_gradients,
-)
+from promil.bernstein import DEFAULT_EPS, estimate_quantile, quantile_value_grad
 from promil.heads import HEADS, decide, head_function, score_bag
 
 
@@ -31,7 +26,7 @@ class TestPromilScore:
         # the sort permutation is [0, 2, 1]: the k-th weight goes back to
         # the prediction that sorted into place k
         _, dpreds, _ = head_function("promil")(preds, 0.25, DEFAULT_EPS)
-        w, _ = quantile_gradients(np.array([0.1, 0.5, 0.9]), 0.25)
+        _, w, _ = quantile_value_grad(np.array([0.1, 0.5, 0.9]), 0.25, DEFAULT_EPS)
         np.testing.assert_array_equal(dpreds, w[[0, 2, 1]])
 
     def test_stable_sort_routes_tied_weights(self):
@@ -39,7 +34,7 @@ class TestPromilScore:
         # of sorted places 0..3 go back to predictions 1, 3, 0, 2
         raw = np.array([0.5, 0.1, 0.9, 0.1])
         _, dpreds, _ = head_function("promil")(raw, 0.3, DEFAULT_EPS)
-        w, _ = quantile_gradients(np.array([0.1, 0.1, 0.5, 0.9]), 0.3)
+        _, w, _ = quantile_value_grad(np.array([0.1, 0.1, 0.5, 0.9]), 0.3, DEFAULT_EPS)
         np.testing.assert_array_equal(dpreds[[1, 3, 0, 2]], w)
         assert w[0] != w[1]
 
@@ -80,30 +75,31 @@ class TestPromilScore:
 
 
 class TestBaselineScores:
+    # max and mean do not depend on q, but score_bag checks the level it is given
     def test_max(self):
-        assert score_bag(np.array([0.1, 0.9, 0.5]), "max") == 0.9
-        assert score_bag(np.array([0.42]), "max") == 0.42
+        assert score_bag(np.array([0.1, 0.9, 0.5]), "max", 0.5) == 0.9
+        assert score_bag(np.array([0.42]), "max", 0.5) == 0.42
 
     def test_max_equals_limit_at_zero(self):
         preds = np.array([0.3, 0.8, 0.05])
-        assert score_bag(preds, "max") == estimate_quantile_limit(np.sort(preds), 0)
+        assert score_bag(preds, "max", 0.5) == estimate_quantile(np.sort(preds), 0)
 
     def test_mean(self):
-        assert score_bag(np.array([0.2, 0.4]), "mean") == pytest.approx(0.3, abs=1e-15)
-        assert score_bag(np.full(7, 0.13), "mean") == pytest.approx(0.13, abs=1e-15)
+        assert score_bag(np.array([0.2, 0.4]), "mean", 0.5) == pytest.approx(0.3, abs=1e-15)
+        assert score_bag(np.full(7, 0.13), "mean", 0.5) == pytest.approx(0.13, abs=1e-15)
 
     def test_mean_matches_quantile_for_pairs(self):
         # n=1, q=0.5 gives weights (1/2, 1/2): the estimator is the mean
         preds = np.array([0.2, 0.4])
-        assert score_bag(preds, "mean") == pytest.approx(
+        assert score_bag(preds, "mean", 0.5) == pytest.approx(
             estimate_quantile(preds, 0.5), rel=1e-14
         )
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            score_bag(np.array([]), "max")
+            score_bag(np.array([]), "max", 0.5)
         with pytest.raises(ValueError):
-            score_bag(np.array([]), "mean")
+            score_bag(np.array([]), "mean", 0.5)
 
 
 class TestDecide:
@@ -119,7 +115,7 @@ class TestDecide:
         for _ in range(50):
             hidden = rng.integers(0, 2, size=int(rng.integers(1, 12)))
             preds = np.where(hidden == 1, 0.95, 0.03)
-            assert decide(score_bag(preds, "max")) == int(hidden.any())
+            assert decide(score_bag(preds, "max", 0.5)) == int(hidden.any())
 
     def test_applies_to_a_whole_array(self):
         scores = np.array([0.51, 0.5, 0.0, 1.0, np.nan])
@@ -138,6 +134,20 @@ class TestHeadTable:
         assert score_bag(preds, head, q=0.3) == value
         assert dpreds.shape == preds.shape
         assert dq == 0.0 or head == "promil"
+
+    @pytest.mark.parametrize("head", HEADS)
+    @pytest.mark.parametrize("q, eps, message", [
+        (0.0, DEFAULT_EPS, "got 0.0"), (1.5, DEFAULT_EPS, "got 1.5"),
+        (np.nan, DEFAULT_EPS, "got nan"), (0.3, -1.0, "eps must be positive and finite, got -1.0"),
+        (0.3, np.inf, "got inf"),
+    ])
+    def test_level_and_clamp_checked_for_every_head(self, head, q, eps, message):
+        with pytest.raises(ValueError, match=message):
+            score_bag(np.array([0.2, 0.6]), head, q, eps)
+
+    def test_level_is_required(self):
+        with pytest.raises(TypeError):
+            score_bag(np.array([0.5]), "max")
 
     def test_unknown_head_rejected(self):
         with pytest.raises(ValueError, match="head must be one of"):

@@ -1,5 +1,5 @@
-"""Property tests of the one quantile kernel, through the bag score and the
-public estimator functions.
+"""Property tests of the one quantile kernel, through the bag score, the
+checked estimate and the kernel itself.
 
 Bags are drawn as (size, seed) pairs and filled by numpy, so sizes up to
 10,001 stay cheap to generate and to shrink.
@@ -10,12 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from promil.bernstein import (
-    DEFAULT_EPS,
-    estimate_quantile,
-    quantile_gradients,
-    quantile_value_grad,
-)
+from promil.bernstein import DEFAULT_EPS, estimate_quantile, quantile_value_grad
 from promil.heads import score_bag
 
 LEVELS = st.floats(min_value=0.01, max_value=0.99)
@@ -67,7 +62,7 @@ def test_nonincreasing_in_q(size, seed, q, r):
 @given(size=st.integers(1, 10_001), seed=SEEDS, q=st.floats(0.02, 0.98))
 def test_gradients_match_finite_differences(size, seed, q):
     v = np.sort(bag(size, seed))
-    grad_values, grad_q = quantile_gradients(v, q)
+    _, grad_values, grad_q = quantile_value_grad(v, q, DEFAULT_EPS)
     h = 1e-6
     # the estimate is linear in the unclamped values: check the derivative
     # along one random direction

@@ -147,7 +147,7 @@ class TestEvaluate:
         assert abs(result.auc - 0.5) < 0.1
 
     def test_max_head_equals_quantile_limit(self):
-        from promil.bernstein import estimate_quantile_limit
+        from promil.bernstein import estimate_quantile
 
         spec = SyntheticSpec(n_bags=20, threshold_qstar=0.3, bag_size_mean=6,
                              bag_size_std=2)
@@ -155,8 +155,7 @@ class TestEvaluate:
         model = oracle_model()
         for bag in bags:
             preds, _ = forward_bag(model.net, bag.instances)
-            assert score_bag(preds, "max") == estimate_quantile_limit(
-                np.sort(preds), 0)
+            assert score_bag(preds, "max", 0.5) == estimate_quantile(np.sort(preds), 0)
 
     def test_balanced_accuracy_from_confusion(self):
         spec = SyntheticSpec(n_bags=100, threshold_qstar=0.4, bag_size_mean=8)
