@@ -84,11 +84,13 @@ class Bag:
     loaded_rows: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise ValueError(f"bag {self.id!r}: id must be a string")
         self.instances = np.asarray(self.instances, dtype=np.float64)
         if self.instances.ndim != 2 or self.instances.shape[0] == 0:
             raise ValueError(f"bag {self.id}: instances must be a nonempty 2-D array")
-        if self.label not in (0, 1):
-            raise ValueError(f"bag {self.id}: label must be 0 or 1, got {self.label}")
+        if not (is_integer(self.label) and self.label in (0, 1)):
+            raise ValueError(f"bag {self.id}: label must be 0 or 1, got {self.label!r}")
         if self.hidden_instance_labels is not None:
             self.hidden_instance_labels = np.asarray(self.hidden_instance_labels, dtype=np.int64)
             if len(self.hidden_instance_labels) != len(self.instances):
@@ -432,11 +434,27 @@ def _bag_from_json(obj):
     return Bag(
         id=obj["id"],
         instances=np.asarray(obj["instances"], dtype=np.float64),
-        label=int(obj["label"]),
+        label=obj["label"],
         hidden_instance_labels=obj.get("hidden_instance_labels"),
         positive_fraction=obj.get("positive_fraction"),
         split=obj.get("split"),
     )
+
+
+def _check_storable(bags):
+    """The bags' one width; raise ValueError, naming the bag, unless they
+    share it, their instances are finite and each split is one of
+    SPLIT_NAMES: the rules every dataset container holds to."""
+    width = bags[0].instances.shape[1] if bags else 0
+    for b in bags:
+        if b.instances.shape[1] != width:
+            raise ValueError(f"bag {b.id}: {b.instances.shape[1]} features per instance, "
+                             f"but bag {bags[0].id} has {width}")
+        if not np.isfinite(b.instances).all():
+            raise ValueError(f"bag {b.id}: instances contain NaN or infinity")
+        if b.split not in SPLIT_NAMES:
+            raise ValueError(f"bag {b.id}: split must be one of {SPLIT_NAMES}, got {b.split!r}")
+    return width
 
 
 def save_dataset(path, bags, spec=None, seed=None):
@@ -453,15 +471,7 @@ def save_dataset(path, bags, spec=None, seed=None):
     width d.  Members carry a fixed timestamp, so equal bags give equal
     bytes.
     """
-    width = bags[0].instances.shape[1] if bags else 0
-    for b in bags:
-        if b.instances.shape[1] != width:
-            raise ValueError(f"bag {b.id}: {b.instances.shape[1]} features per instance, "
-                             f"but bag {bags[0].id} has {width}")
-        if not np.isfinite(b.instances).all():
-            raise ValueError(f"bag {b.id}: instances contain NaN or infinity")
-        if b.split not in SPLIT_NAMES:
-            raise ValueError(f"bag {b.id}: split must be one of {SPLIT_NAMES}, got {b.split!r}")
+    width = _check_storable(bags)
     cells = np.concatenate([b.instances.reshape(-1) for b in bags] or [np.empty(0)])
     nonzero = cells.view(np.uint64) != 0   # bit patterns: -0.0 is kept
     header = {"schema": DATASET_SCHEMA, "seed": seed, "width": width,
@@ -526,6 +536,7 @@ def _load_json(path):
         )
     try:
         bags = [_bag_from_json(obj) for obj in doc["bags"]]
+        _check_storable(bags)
     except KeyError as exc:
         raise DatasetError(f"{path}: field {exc} is missing") from None
     except (TypeError, ValueError) as exc:
@@ -536,7 +547,7 @@ def _load_json(path):
 def _load_npz(path):
     names = set(_MEMBER_KINDS).union(*_INSTANCE_KINDS.values())
     try:
-        with np.load(path, allow_pickle=False) as npz:
+        with open(path, "rb") as f, np.load(f, allow_pickle=False) as npz:
             a = {name: npz[name] for name in npz.files if name in names}
     except (zipfile.BadZipFile, zlib.error, EOFError, ValueError) as exc:
         raise DatasetError(f"{path}: unreadable .npz dataset container: {exc}") from exc

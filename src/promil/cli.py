@@ -26,6 +26,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -481,7 +482,21 @@ def cmd_quantile(args):
     return EXIT_OK
 
 
+# A token that starts with "-" and that float() reads: digits with
+# underscores, a fraction, an exponent, inf, infinity or nan.
+_DIGITS = r"\d(?:_?\d)*"
+_NEGATIVE_NUMBER = re.compile(
+    rf"-(?:(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:[eE][-+]?{_DIGITS})?"
+    rf"|(?i:inf|infinity|nan))\s*\Z")
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse counts a token as a negative number, not an option, only
+        # when it is -digits or -.digits; -1e5, -inf and -nan are values too
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message):
         raise UsageError(message)
 

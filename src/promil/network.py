@@ -1,7 +1,8 @@
 """Instance classification network: a small MLP with a logistic output.
 
-Forward passes score each instance of a bag independently; the cached trace
-makes the reverse pass cheap.  Everything is plain numpy in float64.
+Forward passes score each instance of a bag independently; each hidden
+layer keeps one array, its activation, from which the reverse pass takes
+the derivative.  Everything is plain numpy in float64.
 """
 
 import math
@@ -22,7 +23,13 @@ _NEG_PREACT_MIN = np.array(-36.7)
 _NEG_PREACT_MAX = np.array(708.0)
 _ONE = np.array(1.0)
 
-ACTIVATIONS = ("relu", "tanh")
+# Each activation in place on z, and its derivative from the output a:
+# max(z, 0) > 0 exactly when z > 0, and 1 - a*a is 1 - tanh(z)^2.
+_ACTIVATIONS = {
+    "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda a: a > 0.0),
+    "tanh": (lambda z: np.tanh(z, out=z), lambda a: 1.0 - a * a),
+}
+ACTIVATIONS = tuple(_ACTIVATIONS)
 
 # Init gain: weights ~ U(-g/sqrt(fan_in), +g/sqrt(fan_in)).  Small enough
 # that all instance scores start near 0.5, so the first epochs establish the
@@ -50,12 +57,6 @@ class NetArch:
     @property
     def layer_dims(self):
         return (self.input_dim, *self.hidden_dims, 1)
-
-
-def weight_count(arch):
-    """Number of weight entries, which lead the flat parameter vector."""
-    dims = arch.layer_dims
-    return sum(fan_in * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
 
 
 @dataclass
@@ -90,10 +91,9 @@ class NetParams:
 
 @dataclass
 class BagForwardTrace:
-    """Cached activations from forward_bag, consumed by backward_bag."""
+    """forward_bag's one array per layer, consumed by backward_bag."""
 
     layer_inputs: list   # input to each layer, (bag_size, fan_in)
-    preacts: list        # pre-activation of each hidden layer, (bag_size, fan_out)
     predictions: np.ndarray
 
 
@@ -105,19 +105,6 @@ def init_params(arch, seed):
         s = INIT_GAIN / np.sqrt(w.shape[0])
         w[...] = rng.uniform(-s, s, size=w.shape)
     return params
-
-
-def _activate(z, kind):
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
-
-
-def _activate_grad(z, kind):
-    if kind == "relu":
-        return (z > 0.0).astype(np.float64)
-    t = np.tanh(z)
-    return 1.0 - t * t
 
 
 def forward_bag(params, instances):
@@ -135,16 +122,16 @@ def forward_bag(params, instances):
         raise ValueError(
             f"instance dimension {x.shape[1]} does not match input_dim {params.arch.input_dim}"
         )
-    act = params.arch.activation
+    activate = _ACTIVATIONS[params.arch.activation][0]
     weights, biases = params.weights, params.biases
-    layer_inputs, preacts = [x], []
+    layer_inputs = [x]
     a = x
     for i in range(len(weights) - 1):
-        # .dot is the product @ computes, with less call overhead on a bag
-        z = a.dot(weights[i])
-        z += biases[i]
-        preacts.append(z)
-        a = _activate(z, act)
+        # .dot is the product @ computes, with less call overhead on a bag;
+        # it is a new array, so the bias and the activation go in place
+        a = a.dot(weights[i])
+        a += biases[i]
+        activate(a)
         layer_inputs.append(a)
     # the logistic, in place on the output layer's (bag_size, 1) array,
     # which starts as -z: -b - a.w is -(a.w + b) bit for bit
@@ -156,7 +143,7 @@ def forward_bag(params, instances):
     c += _ONE
     np.reciprocal(c, out=c)
     c = c[:, 0]
-    return c, BagForwardTrace(layer_inputs, preacts, c)
+    return c, BagForwardTrace(layer_inputs, c)
 
 
 def backward_bag(params, trace, upstream, out=None):
@@ -176,7 +163,7 @@ def backward_bag(params, trace, upstream, out=None):
         raise ValueError("trace does not match params layer count")
     if out is None:
         out = NetParams(params.arch)
-    act = params.arch.activation
+    derivative = _ACTIVATIONS[params.arch.activation][1]
     c = trace.predictions
     dz = upstream * c
     dz *= 1.0 - c
@@ -186,5 +173,5 @@ def backward_bag(params, trace, upstream, out=None):
         np.add.reduce(dz, axis=0, out=out.biases[i])
         if i > 0:
             da = dz.dot(params.weights[i].T)
-            dz = da * _activate_grad(trace.preacts[i - 1], act)
+            dz = da * derivative(trace.layer_inputs[i])
     return out

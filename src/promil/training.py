@@ -45,7 +45,7 @@ from .bagdata import check_bags, is_integer, is_number
 from .bernstein import DEFAULT_EPS, check_eps, level, logit
 from .heads import head_function, score_bags
 from .metrics import auc as auc_metric
-from .network import NetParams, backward_bag, forward_bag, init_params, weight_count
+from .network import NetParams, backward_bag, forward_bag, init_params
 
 ADAM_EPS = 1e-8
 IMPROVE_TOL = 1e-4
@@ -116,7 +116,7 @@ class TrainState:
         self.net_grads = NetParams(arch=arch, flat=self.grad[:-1])
         self.m = np.zeros_like(theta)
         self.v = np.zeros_like(theta)
-        self.decayed = slice(0, weight_count(arch))
+        self.decayed = slice(0, sum(w.size for w in self.net.weights))
         self.t = 0
         self.epoch = 0
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 import struct
 import tracemalloc
 import zipfile
@@ -745,3 +746,26 @@ class TestLegacyJson:
         again, _, seed_again = load_dataset(out)
         assert seed_again == seed
         assert_same_bags(again, bags)
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"label": 0.7}, "bag bag-000002: label must be 0 or 1, got 0.7"),
+        ({"label": "1"}, "bag bag-000002: label must be 0 or 1, got '1'"),
+        ({"label": True}, "bag bag-000002: label must be 0 or 1, got True"),
+        ({"id": 5}, "bag 5: id must be a string"),
+        ({"split": "holdout"}, "bag bag-000002: split must be one of"),
+        ({"instances": [[0.0, float("nan")]]}, "bag bag-000002: instances contain NaN"),
+        ({"instances": [[float("inf"), 0.0]]}, "bag bag-000002: instances contain NaN"),
+        ({"instances": [[0.0, -float("inf")]]}, "bag bag-000002: instances contain NaN"),
+        ({"instances": [[0.0, 1.0, 2.0]]},
+         "bag bag-000000: 2 features per instance, but bag bag-000002 has 3"),
+    ])
+    def test_rejects_what_the_npz_containers_reject(self, tmp_path, edit, message):
+        doc = json.loads(FIXTURE_V1.read_text())
+        first = doc["bags"][0]
+        first.update(edit)
+        if "instances" in edit:
+            del first["hidden_instance_labels"], first["positive_fraction"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(DatasetError, match=re.escape(f"bad.json: {message}")):
+            load_dataset(bad)

@@ -26,6 +26,23 @@ from promil.network import NetArch, init_params
 FIXTURE_V1 = str(Path(__file__).parent / "data" / "bagdata1.json")
 
 
+def read_csv(path):
+    with open(path, newline="") as f:
+        return list(csv.reader(f))
+
+
+def edit_first_bag(text, **fields):
+    """A bagdata/1 document with ``fields`` set on its first bag, as bytes;
+    new instances drop the bag's per-instance labels."""
+    doc = json.loads(text)
+    first = doc["bags"][0]
+    first.update(fields)
+    if "instances" in fields:
+        first.pop("hidden_instance_labels", None)
+        first.pop("positive_fraction", None)
+    return json.dumps(doc).encode()
+
+
 def small_config(tmp_path, **overrides):
     doc = {
         "schema": "promil-config/1",
@@ -145,7 +162,7 @@ class TestTrain:
         assert model.epochs_run >= 1
         log = tmp_path / "model.json.log.csv"
         assert log.exists()
-        rows = list(csv.reader(log.open()))
+        rows = read_csv(log)
         assert rows[0] == ["epoch", "train_cost", "val_auc", "val_loss", "q"]
         assert all(float(r[3]) >= 0.0 for r in rows[1:])   # val_loss is a BCE
         assert len(rows) - 1 == model.epochs_run
@@ -191,6 +208,12 @@ class TestDatasetFiles:
             {**json.loads(text), "bags": [{"id": "a", "instances": [[0.0, 1.0]],
                                           "label": 3}]}).encode()),
         ("utf-8", lambda text: text.encode().replace(b"bag-000000", b"bag-\xff")),
+        ("label must be 0 or 1, got 0.7", lambda text: edit_first_bag(text, label=0.7)),
+        ("label must be 0 or 1, got '1'", lambda text: edit_first_bag(text, label="1")),
+        ("NaN or infinity", lambda text: edit_first_bag(text, instances=[[0.0, float("nan")]])),
+        ("NaN or infinity", lambda text: edit_first_bag(text, instances=[[float("inf"), 0.0]])),
+        ("split must be one of", lambda text: edit_first_bag(text, split="holdout")),
+        ("id must be a string", lambda text: edit_first_bag(text, id=5)),
     ])
     def test_bad_bagdata1_file_exits_2_naming_path(self, tmp_path, capsys, field, edit):
         bad = tmp_path / "bad.json"
@@ -483,7 +506,7 @@ class TestSweep:
         argv = ["sweep", "--config", cfg, "--axis", "threshold",
                 "--values", "0.3,0.5", "--out", out1]
         assert main(argv) == EXIT_OK
-        rows = list(csv.reader(open(out1)))
+        rows = read_csv(out1)
         assert rows[0] == list(SWEEP_COLUMNS)
         assert len(rows) - 1 == 2 * 3 * 1   # values x methods x repeats
         methods = {r[2] for r in rows[1:]}
@@ -492,7 +515,7 @@ class TestSweep:
         promil_rows = [r for r in rows[1:] if r[2] == "promil"]
         assert all(r[6] != "" for r in promil_rows)
         main(argv[:-1] + [out2])
-        assert open(out1).read() == open(out2).read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_failed_cells_recorded_and_sweep_continues(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -500,7 +523,7 @@ class TestSweep:
         # threshold 0 is an invalid generator setting: those cells must fail
         assert main(["sweep", "--config", cfg, "--axis", "threshold",
                      "--values", "0.0,0.4", "--out", out]) == EXIT_OK
-        rows = list(csv.reader(open(out)))[1:]
+        rows = read_csv(out)[1:]
         bad = [r for r in rows if float(r[1]) == 0.0]
         good = [r for r in rows if float(r[1]) == 0.4]
         assert len(bad) == 3 and all(r[-1].startswith("error:") for r in bad)
@@ -518,7 +541,7 @@ class TestSweep:
         assert main(argv) == EXIT_OK
         assert [Path(p).name for pair in calls for p in pair] == [
             "train-images", "train-labels", "test-images", "test-labels"]
-        rows = list(csv.reader(out1.open()))[1:]
+        rows = read_csv(out1)[1:]
         assert len(rows) == 2 * 2 * 3 and all(r[-1] == "ok" for r in rows)
         assert main(argv[:-1] + [str(out2)]) == EXIT_OK
         assert len(calls) == 4
@@ -590,6 +613,12 @@ class TestQuantileCommand:
         assert main(["quantile", "--q", "0.5"]) == EXIT_USAGE
         assert main(["quantile", "0.5", "--q", "1.5"]) == EXIT_USAGE
         assert main(["quantile", "0.5"]) == EXIT_USAGE   # missing --q
+        for argv, message in [(["--q"], "argument --q: expected one argument"),
+                              (["--q", "0.3", "--bogus"], "unrecognized arguments: --bogus"),
+                              (["--q", "0.3", "-x"], "unrecognized arguments: -x")]:
+            capsys.readouterr()
+            assert main(["quantile", "0.5", *argv]) == EXIT_USAGE
+            assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_number_rejected(self, bad, capsys):
@@ -610,6 +639,31 @@ class TestQuantileCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"eps must be positive and finite, got {float(bad)}" in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["0.5", "--q", "-inf"], "q must be in [0, 1], got -inf"),
+        (["0.5", "--q", "-1e5"], "q must be in [0, 1], got -100000.0"),
+        (["0.5", "--q", "0.3", "--eps", "-inf"], "eps must be positive and finite, got -inf"),
+        (["-inf", "0.5", "--q", "0.3"], "values must be finite and in [0, 1], got -inf"),
+        (["-1e-3", "0.5", "--q", "0.3"], "values must be finite and in [0, 1], got -0.001"),
+        (["0.5", "--q", "-nan"], "q must be in [0, 1], got nan"),
+    ])
+    def test_negative_exponent_inf_and_nan_reach_the_range_check(self, argv, message, capsys):
+        # argparse by itself reads -inf, -nan and -1e5 as options
+        assert main(["quantile", *argv]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    def test_negative_number_pattern_reads_what_float_reads(self):
+        tokens = ["-1", "-1.", "-.5", "-1.5e-3", "-1E+7", "-1_000", "-inf", "-Infinity",
+                  "-NaN", "-", "-x", "-e5", "-1e", "-1__0", "-_1", "-.", "-infx", "--q"]
+        for token in tokens:
+            try:
+                float(token)
+                reads = True
+            except ValueError:
+                reads = False
+            assert bool(cli._NEGATIVE_NUMBER.match(token)) == reads, token
 
     @pytest.mark.parametrize("bad", ["5", "-0.25", "1.0000001"])
     def test_number_outside_unit_interval_rejected(self, bad, capsys):

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from promil.network import (
+    BagForwardTrace,
     NetArch,
     NetParams,
     backward_bag,
@@ -25,6 +27,56 @@ def logistic(x):
 def logistic_regression_params(w, b=0.0):
     arch = NetArch(input_dim=len(w))
     return NetParams(arch, flat=np.array([*w, b], dtype=np.float64))
+
+
+def former_backward_bag(params, trace, upstream):
+    """The reverse pass as it was when forward_bag kept each hidden layer's
+    pre-activation: recompute every pre-activation from the layer inputs
+    and take the activation's slope from it (tanh a second time)."""
+
+    def activate_grad(z, kind):
+        if kind == "relu":
+            return (z > 0.0).astype(np.float64)
+        t = np.tanh(z)
+        return 1.0 - t * t
+
+    preacts = []
+    for a, w, b in zip(trace.layer_inputs[:-1], params.weights, params.biases):
+        z = a.dot(w)
+        z += b
+        preacts.append(z)
+    out = NetParams(params.arch)
+    c = trace.predictions
+    dz = upstream * c
+    dz *= 1.0 - c
+    dz = dz[:, None]
+    for i in range(len(params.weights) - 1, -1, -1):
+        trace.layer_inputs[i].T.dot(dz, out=out.weights[i])
+        np.add.reduce(dz, axis=0, out=out.biases[i])
+        if i > 0:
+            da = dz.dot(params.weights[i].T)
+            dz = da * activate_grad(preacts[i - 1], params.arch.activation)
+    return out, preacts
+
+
+def signed_zero_params_and_bag(activation, hidden, seed):
+    """A net and bag whose first hidden layer has pre-activations of exactly
+    -0.0 and +0.0 in row 0: columns 0 and 1 of the first weight matrix are
+    -1e-200 and +1e-200, so their products with row 0 (all 1e-200)
+    underflow to zeros of those signs, and their biases are -0.0 and 0.0."""
+    rng = np.random.default_rng(seed)
+    arch = NetArch(input_dim=6, hidden_dims=hidden, activation=activation)
+    params = init_params(arch, seed=seed)
+    for w in params.weights:
+        w += rng.normal(size=w.shape) * 0.3
+    for b in params.biases:
+        b += rng.normal(size=b.shape) * 0.1
+    params.weights[0][:, 0] = -1e-200
+    params.weights[0][:, 1] = 1e-200
+    params.biases[0][:2] = (-0.0, 0.0)
+    bag = rng.normal(size=(12, 6))
+    bag[0] = 1e-200
+    return params, bag, rng.normal(size=12)
 
 
 class TestArch:
@@ -124,6 +176,22 @@ class TestForward:
         preds_p, _ = forward_bag(params, bag[perm])
         np.testing.assert_allclose(preds_p, preds[perm], rtol=1e-15)
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_trace_keeps_one_array_per_layer(self, activation):
+        params, bag, _ = signed_zero_params_and_bag(activation, (16, 8), seed=4)
+        before = bag.copy()
+        preds, trace = forward_bag(params, bag)
+        np.testing.assert_array_equal(bag, before)
+        assert [f.name for f in dataclasses.fields(BagForwardTrace)] == [
+            "layer_inputs", "predictions"]
+        assert len(trace.layer_inputs) == len(params.weights)
+        assert trace.layer_inputs[0] is bag
+        assert trace.predictions is preds
+        activate = np.tanh if activation == "tanh" else (lambda z: np.maximum(z, 0.0))
+        for i in range(1, len(trace.layer_inputs)):
+            z = trace.layer_inputs[i - 1].dot(params.weights[i - 1]) + params.biases[i - 1]
+            np.testing.assert_array_equal(trace.layer_inputs[i], activate(z))
+
     def test_errors(self):
         params = init_params(NetArch(input_dim=3), seed=0)
         with pytest.raises(ValueError):
@@ -187,6 +255,18 @@ class TestBackward:
                     fd = (up - down) / (2 * h)
                     scale = max(abs(fd), abs(gflat[idx]), 1e-4)
                     assert abs(gflat[idx] - fd) / scale < 1e-4
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("hidden", [(16, 8), (32,)])
+    def test_bit_equal_to_former_backward(self, activation, hidden):
+        params, bag, upstream = signed_zero_params_and_bag(activation, hidden, seed=9)
+        _, trace = forward_bag(params, bag)
+        grads = backward_bag(params, trace, upstream)
+        expect, preacts = former_backward_bag(params, trace, upstream)
+        first = preacts[0][0, :2]
+        assert first.tolist() == [0.0, 0.0] and np.signbit(first).tolist() == [True, False]
+        for got, want in zip(grads.weights + grads.biases, expect.weights + expect.biases):
+            assert got.tobytes() == want.tobytes()
 
     def test_mismatched_upstream(self):
         params = init_params(NetArch(input_dim=2), seed=0)

@@ -18,7 +18,7 @@ from promil.bagdata import (
 )
 from promil.bernstein import DEFAULT_EPS, level, logit
 from promil.heads import HEADS, head_function, score_bags
-from promil.network import NetArch, NetParams, backward_bag, forward_bag, init_params, weight_count
+from promil.network import NetArch, NetParams, backward_bag, forward_bag, init_params
 from promil.training import (
     NumericalError,
     TrainConfig,
@@ -465,7 +465,8 @@ def reference_step(arch, theta, moments, t, bag, cfg, head):
     grads = backward_bag(net, trace, upstream * dscore_dpreds)
     grad = np.append(grads.flat, upstream * dscore_dq * q * (1.0 - q))
     assert math.isfinite(cost) and np.isfinite(grad).all()
-    former_adam_update(theta, grad, moments, cfg, t, slice(0, weight_count(arch)))
+    decayed = slice(0, sum(w.size for w in NetParams(arch).weights))
+    former_adam_update(theta, grad, moments, cfg, t, decayed)
     return cost, bool(preds.min() < cfg.eps_clamp)
 
 
