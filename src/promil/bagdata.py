@@ -8,15 +8,17 @@ draws its bags by the same protocol (``_draw_bag``) from user-supplied
 IDX files, with the digit 9 as the positive class.
 
 Hidden per-instance labels ride along for diagnostics only; training never
-sees them.
+sees them.  ``check_number`` and ``check_choice`` are the package's one
+test of a number field and of a choice field; a failure reads "<field>
+must be <rule>, got <value>".
 """
 
 import io
 import json
-import math
 import numbers
 import os
 import struct
+import sys
 import zipfile
 import zlib
 from dataclasses import dataclass, field, asdict
@@ -60,6 +62,31 @@ def is_number(x):
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
+def check_number(name, value, *, integer=False, above=None, at_least=None, below=None,
+                 at_most=None):
+    """``value`` when it is a finite number (an integer, with ``integer``)
+    that is > above, >= at_least, < below and <= at_most, for each bound
+    given; else ValueError naming ``name`` and the value.  An integer of
+    any size is finite; where a float is asked for, one beyond the float
+    range is not (``math.isfinite`` would raise on it)."""
+    ok = is_integer(value) if integer else is_number(value) and abs(value) <= sys.float_info.max
+    if ok and ((above is None or value > above) and (at_least is None or value >= at_least)
+               and (below is None or value < below) and (at_most is None or value <= at_most)):
+        return value
+    where = " and".join(f" {op} {bound}" for op, bound in (
+        (">", above), (">=", at_least), ("<", below), ("<=", at_most)) if bound is not None)
+    raise ValueError(f"{name} must be {'an integer' if integer else 'a finite number'}{where}, "
+                     f"got {value if is_number(value) else repr(value)}")
+
+
+def check_choice(name, value, choices):
+    """``value`` if it is one of the tuple ``choices`` and of that choice's
+    type (1 is not True); else ValueError naming ``name`` and the value."""
+    if value in choices and isinstance(value, type(choices[choices.index(value)])):
+        return value
+    raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+
+
 class IdxParseError(ValueError):
     """IDX file violated the format; the message names the byte offset."""
 
@@ -92,7 +119,10 @@ class Bag:
         if not (is_integer(self.label) and self.label in (0, 1)):
             raise ValueError(f"bag {self.id}: label must be 0 or 1, got {self.label!r}")
         if self.hidden_instance_labels is not None:
-            self.hidden_instance_labels = np.asarray(self.hidden_instance_labels, dtype=np.int64)
+            hidden = np.asarray(self.hidden_instance_labels)
+            if hidden.dtype.kind not in "iu":   # not cast: int64 would truncate 0.7 to 0
+                raise ValueError(f"bag {self.id}: hidden labels are {hidden.dtype}, not integers")
+            self.hidden_instance_labels = hidden.astype(np.int64, copy=False)
             if len(self.hidden_instance_labels) != len(self.instances):
                 raise ValueError(f"bag {self.id}: hidden label count mismatch")
             if self.positive_fraction is not None:
@@ -125,32 +155,15 @@ class SyntheticSpec:
     rebalance: bool = False
 
     def __post_init__(self):
-        for name in ("n_bags", "feature_dim"):
-            if not is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in ("threshold_qstar", "bag_size_mean", "bag_size_std", "class_separation",
-                     "noise_std"):
-            value = getattr(self, name)
-            if not (is_number(value) and math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if self.n_bags < 2:
-            raise ValueError(f"n_bags must be at least 2, got {self.n_bags}")
-        if not 0.0 < self.threshold_qstar < 1.0:
-            raise ValueError(f"threshold_qstar must be in (0, 1), got {self.threshold_qstar}")
-        if self.bag_size_mean < 2:
-            raise ValueError(f"bag_size_mean must be >= 2, got {self.bag_size_mean}")
-        if self.bag_size_std < 0:
-            raise ValueError(f"bag_size_std must be nonnegative, got {self.bag_size_std}")
-        if self.feature_dim < 1:
-            raise ValueError(f"feature_dim must be positive, got {self.feature_dim}")
-        if self.class_separation < 0:
-            raise ValueError(f"class_separation must be nonnegative, got {self.class_separation}")
-        if self.noise_std <= 0:
-            raise ValueError(f"noise_std must be positive, got {self.noise_std}")
-        if self.label_rule not in LABEL_RULES:
-            raise ValueError(f"label_rule must be one of {LABEL_RULES}, got {self.label_rule!r}")
-        if not isinstance(self.rebalance, (bool, np.bool_)):
-            raise ValueError(f"rebalance must be true or false, got {self.rebalance!r}")
+        check_number("n_bags", self.n_bags, integer=True, at_least=2)
+        check_number("threshold_qstar", self.threshold_qstar, above=0, below=1)
+        check_number("bag_size_mean", self.bag_size_mean, at_least=2)
+        check_number("bag_size_std", self.bag_size_std, at_least=0)
+        check_number("feature_dim", self.feature_dim, integer=True, at_least=1)
+        check_number("class_separation", self.class_separation, at_least=0)
+        check_number("noise_std", self.noise_std, above=0)
+        check_choice("label_rule", self.label_rule, LABEL_RULES)
+        check_choice("rebalance", self.rebalance, (False, True))
 
 
 @dataclass
@@ -189,12 +202,30 @@ def _draw_bag(rng, spec, bag_id, draw, split=None):
     )
 
 
-def generate_synthetic(spec, seed):
-    """Generate spec.n_bags bags; each bag uses its own derived seed.
+def _draw_bags(root, spec, draw, prefix="bag", split=None):
+    """spec.n_bags bags by ``_draw_bag``, draw i from child i of the
+    SeedSequence ``root`` and named ``prefix-i``.  With ``spec.rebalance``
+    a bag of a class that has its n_bags/2 is dropped and the draws go on."""
+    n = spec.n_bags
+    want = [n // 2, n - n // 2] if spec.rebalance else [n, n]   # bags still wanted per class
+    bags = []
+    i = 0
+    while len(bags) < n:
+        # spawn(1) at a time gives the children spawn(n_bags) would
+        rng = np.random.default_rng(root.spawn(1)[0])
+        bag = _draw_bag(rng, spec, f"{prefix}-{i:06d}", draw, split)
+        i += 1
+        if want[bag.label] > 0:
+            want[bag.label] -= 1
+            bags.append(bag)
+        if i > 1000 * n:
+            raise ValueError("rebalancing failed: one class essentially never occurs")
+    return bags
 
-    With ``spec.rebalance`` the generator keeps drawing extra bags (same
-    derived-seed stream) until both classes reach n_bags/2, then truncates.
-    """
+
+def generate_synthetic(spec, seed):
+    """Generate spec.n_bags bags of the two Gaussian clusters; each bag
+    uses its own derived seed (see ``_draw_bags``)."""
     mu = np.zeros(spec.feature_dim)
     mu[0] = spec.class_separation / 2.0
 
@@ -203,26 +234,7 @@ def generate_synthetic(spec, seed):
         x_neg = rng.normal(size=(n_neg, spec.feature_dim)) * spec.noise_std - mu
         return np.vstack([x_pos, x_neg])
 
-    root = np.random.SeedSequence([int(seed), 0xBA9])
-    if not spec.rebalance:
-        children = root.spawn(spec.n_bags)
-        return [_draw_bag(np.random.default_rng(children[i]), spec, f"bag-{i:06d}", draw)
-                for i in range(spec.n_bags)]
-    per_class = spec.n_bags // 2
-    want = {0: per_class, 1: spec.n_bags - per_class}
-    have = {0: 0, 1: 0}
-    bags = []
-    i = 0
-    while have[0] < want[0] or have[1] < want[1]:
-        child = root.spawn(1)[0]
-        bag = _draw_bag(np.random.default_rng(child), spec, f"bag-{i:06d}", draw)
-        i += 1
-        if have[bag.label] < want[bag.label]:
-            have[bag.label] += 1
-            bags.append(bag)
-        if i > 1000 * spec.n_bags:
-            raise ValueError("rebalancing failed: one class essentially never occurs")
-    return bags
+    return _draw_bags(np.random.SeedSequence([int(seed), 0xBA9]), spec, draw)
 
 
 def _read_be32(data, offset, path):
@@ -307,8 +319,9 @@ def make_mnist_bags(images, labels, spec, seed, positive_digit=9, split=None):
     Pixel bytes are scaled to [0, 1], converting only the rows a bag takes.
     Each bag is drawn by the protocol of generate_synthetic, with images
     of ``positive_digit`` as its positives and any other digit as its
-    negatives, both drawn with replacement.  ``split`` tags the produced
-    bags so the source train/test division is preserved.
+    negatives, both drawn with replacement, and ``spec.rebalance`` works
+    as there.  ``split`` tags the produced bags so the source train/test
+    division is preserved.
     """
     labels = np.asarray(labels)
     pos_idx = np.flatnonzero(labels == positive_digit)
@@ -324,22 +337,21 @@ def make_mnist_bags(images, labels, spec, seed, positive_digit=9, split=None):
                               rng.choice(neg_idx, size=n_neg, replace=True)])
         return flat[idx] / 255.0
 
-    children = np.random.SeedSequence([int(seed), 0x31D]).spawn(spec.n_bags)
-    prefix = split or "bag"
-    return [_draw_bag(np.random.default_rng(children[i]), spec, f"{prefix}-{i:06d}", draw, split)
-            for i in range(spec.n_bags)]
+    return _draw_bags(np.random.SeedSequence([int(seed), 0x31D]), spec, draw, split or "bag",
+                      split)
 
 
 def check_fractions(fractions, name="fractions"):
     """``fractions`` as a tuple of three floats; ValueError naming ``name``
-    unless they are three nonnegative reals that sum to 1."""
+    unless they are three finite numbers >= 0 that sum to 1."""
     try:
         checked = tuple(fractions)
     except TypeError:
         checked = ()
-    if len(checked) != 3 or not all(is_number(f) and f >= 0 for f in checked):
-        raise ValueError(f"{name} must be three nonnegative reals, got {fractions!r}")
-    checked = tuple(map(float, checked))
+    if len(checked) != 3:
+        raise ValueError(f"{name} must be three numbers, got {fractions!r}")
+    checked = tuple(float(check_number(f"{name}[{i}]", f, at_least=0))
+                    for i, f in enumerate(checked))
     if abs(sum(checked) - 1.0) > 1e-9:
         raise ValueError(f"{name} must sum to 1, got {sum(checked)}")
     return checked
@@ -431,6 +443,8 @@ def _loaded_run(bags):
 
 
 def _bag_from_json(obj):
+    _check_hidden_and_fraction(obj["id"], obj.get("hidden_instance_labels"),
+                               obj.get("positive_fraction"))
     return Bag(
         id=obj["id"],
         instances=np.asarray(obj["instances"], dtype=np.float64),
@@ -439,6 +453,25 @@ def _bag_from_json(obj):
         positive_fraction=obj.get("positive_fraction"),
         split=obj.get("split"),
     )
+
+
+def _bad_member(hidden, fractions):
+    """``(member, why)`` for the first of the members 'hidden' and
+    'fractions' that breaks ``_check_hidden_and_fraction``'s rule, else None."""
+    if not np.isin(hidden, (0, 1)).all():
+        return "hidden", "holds a hidden label other than 0 or 1"
+    if not ((fractions >= 0) & (fractions <= 1)).all():
+        return "fractions", "holds a positive fraction outside [0, 1]"
+    return None
+
+
+def _check_hidden_and_fraction(bag_id, hidden, fraction):
+    """Raise ValueError naming the bag unless its hidden labels and positive
+    fraction, each where not None, are 0 or 1 and a finite number in [0, 1]."""
+    if fraction is not None:
+        check_number(f"bag {bag_id}: positive_fraction", fraction, at_least=0, at_most=1)
+    if hidden is not None and not np.isin(hidden, (0, 1)).all():
+        raise ValueError(f"bag {bag_id}: hidden labels must be 0 or 1")
 
 
 def _check_storable(bags):
@@ -494,6 +527,9 @@ def save_dataset(path, bags, spec=None, seed=None):
         "has_fraction": np.array([b.positive_fraction is not None for b in bags], dtype=bool),
     }
     del cells, nonzero   # the stacked matrix is not held while the members deflate
+    if _bad_member(members["hidden"], members["fractions"]):
+        for b in bags:   # the first bag that breaks the rule raises, naming itself
+            _check_hidden_and_fraction(b.id, b.hidden_instance_labels, b.positive_fraction)
     with zipfile.ZipFile(path, "w") as zf:
         for name, arr in members.items():
             buf = io.BytesIO()
@@ -612,6 +648,9 @@ def _load_npz(path):
                 for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
     except ValueError as exc:
         raise DatasetError(f"{path}: {exc}") from exc
+    found = _bad_member(hidden, a["fractions"])
+    if found:
+        raise bad(*found)
     source = (instances, offsets.astype(np.int64, copy=False))
     for i, bag in enumerate(bags):
         bag.loaded_rows = (bag.instances, source, i)

@@ -42,6 +42,8 @@ from itertools import accumulate
 
 import numpy as np
 
+from .bagdata import check_number
+
 DEFAULT_EPS = 1e-7
 _TINY = np.nextafter(0.0, 1.0)
 _ALMOST_ONE = np.nextafter(1.0, 0.0)
@@ -68,8 +70,7 @@ def logit(q):
     to 0, so on [0.3, 0.65], where s = 2(q - 0.5) is exact, it is taken as
     log1p(s) - log1p(-s).  A q outside (0, 1) raises ValueError.
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must be in (0, 1), got {q}")
+    check_number("q", q, above=0, below=1)
     if 0.3 <= q <= 0.65:
         s = 2.0 * (q - 0.5)
         return math.log1p(s) - math.log1p(-s)
@@ -167,18 +168,11 @@ def quantile_value_grad(values, q, eps):
     return value, grad_values, grad_q
 
 
-def check_eps(eps, name="eps"):
-    """Reject a clamp that is not positive and finite."""
-    if not 0.0 < eps < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {eps}")
-
-
 def check_level(q, eps):
     """Reject a level outside the open interval (0, 1) or a clamp eps that
     is not positive and finite."""
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must be strictly inside (0, 1), got {q}")
-    check_eps(eps)
+    check_number("q", q, above=0, below=1)
+    check_number("eps", eps, above=0)
 
 
 def estimate_quantile(values, q, eps=DEFAULT_EPS):
@@ -201,9 +195,8 @@ def estimate_quantile(values, q, eps=DEFAULT_EPS):
     if down.size:
         raise ValueError(f"values must be sorted ascending, got {values[down[0]]} "
                          f"before {values[down[0] + 1]}")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must be in [0, 1], got {q}")
-    check_eps(eps)
+    check_number("q", q, at_least=0, at_most=1)
+    check_number("eps", eps, above=0)
     if q == 0.0:
         return float(values[-1])
     if q == 1.0:

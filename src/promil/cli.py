@@ -14,8 +14,9 @@ else stays reproducible.
 
 A config is checked when it is read: each section (dataset, mnist, train),
 then the config itself, is built as its dataclass, which checks each of its
-own fields.  The top-level seed, or ``--seed``, overrides train.seed in
-``train`` and ``sweep``.
+own fields with ``check_number`` or ``check_choice``, as a model file's
+are.  The top-level seed, or ``--seed``, seeds the bags, the split and
+training; the train section takes no seed.
 
 Exit codes: 0 success, 1 usage error, 2 I/O or parse error (a bad config
 field among them), 3 numerical failure (NaN detected).
@@ -38,9 +39,10 @@ from .bagdata import (
     DatasetSplit,
     IdxParseError,
     SyntheticSpec,
+    check_choice,
     check_fractions,
+    check_number,
     generate_synthetic,
-    is_integer,
     is_number,
     load_dataset,
     load_idx,
@@ -48,13 +50,14 @@ from .bagdata import (
     save_dataset,
     split_dataset,
 )
-from .bernstein import DEFAULT_EPS, check_eps, estimate_quantile
+from .bernstein import DEFAULT_EPS, estimate_quantile
 from .heads import HEADS
 from .metrics import evaluate
 from .network import NetArch, NetParams
 from .training import (
     EpochStats,
     NumericalError,
+    VAL_METRICS,
     TrainConfig,
     TrainedModel,
     init_train_state,
@@ -99,8 +102,7 @@ class MnistPaths:
         for name in ("train_images", "train_labels", "test_images", "test_labels"):
             if not isinstance(getattr(self, name), (str, type(None))):
                 raise ValueError(f"{name} must be a path, got {getattr(self, name)!r}")
-        if not (is_integer(self.n_test_bags) and self.n_test_bags >= 2):
-            raise ValueError(f"n_test_bags must be an integer >= 2, got {self.n_test_bags!r}")
+        check_number("n_test_bags", self.n_test_bags, integer=True, at_least=2)
 
 
 @dataclass
@@ -118,17 +120,13 @@ class ExperimentConfig:
     repeats: int = 5
 
     def __post_init__(self):
-        if not (is_integer(self.seed) and self.seed >= 0):
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if self.head not in HEADS:
-            raise ValueError(f"head must be one of {HEADS}, got {self.head!r}")
-        if self.source not in ("synthetic", "mnist"):
-            raise ValueError(f"source must be synthetic or mnist, got {self.source!r}")
+        self.train = dataclasses.replace(self.train, seed=self.seed)   # TrainConfig checks it
+        check_choice("head", self.head, HEADS)
+        check_choice("source", self.source, ("synthetic", "mnist"))
         self.split_fractions = check_fractions(self.split_fractions, "split_fractions")
         # the input width comes with the dataset; any width checks the rest
         self.hidden_dims = NetArch(1, self.hidden_dims, self.activation).hidden_dims
-        if not (is_integer(self.repeats) and self.repeats >= 1):
-            raise ValueError(f"repeats must be an integer >= 1, got {self.repeats!r}")
+        check_number("repeats", self.repeats, integer=True, at_least=1)
 
     def net_arch(self, input_dim):
         return NetArch(input_dim=input_dim, hidden_dims=self.hidden_dims,
@@ -181,6 +179,9 @@ def load_config(path):
             f"(expected {CONFIG_SCHEMA!r})"
         )
     fields = {key: value for key, value in doc.items() if key != "schema"}
+    if isinstance(fields.get("train"), dict) and "seed" in fields["train"]:
+        raise ConfigError(f"{path}: invalid config field 'train.seed': 'train' takes no seed; "
+                          f"the top-level 'seed' seeds training")
     for section, cls in _SECTIONS.items():
         if section in fields:
             fields[section] = _build_section(cls, fields[section], path, section)
@@ -217,13 +218,6 @@ def save_model(path, model):
         f.write(text)
 
 
-def _number(value):
-    """``value`` as a float; TypeError unless it is a number (not a bool)."""
-    if not is_number(value):
-        raise TypeError(f"must be a number, got {value!r}")
-    return float(value)
-
-
 def _finite_arrays(values, shapes):
     """Nested lists of numbers as finite float64 arrays of the given shapes."""
     arrays = [np.asarray(v, dtype=np.float64) for v in values]
@@ -253,8 +247,8 @@ def load_model(path):
         )
     name = "eps_clamp"
     try:
-        eps = _number(doc[name]) if schema == MODEL_SCHEMA else DEFAULT_EPS
-        check_eps(eps)
+        eps = DEFAULT_EPS if schema == LEGACY_MODEL_SCHEMA \
+            else float(check_number(name, doc[name], above=0))
         name = "arch"
         arch = NetArch(
             input_dim=doc[name]["input_dim"],
@@ -267,13 +261,9 @@ def load_model(path):
         name = "biases"
         biases = _finite_arrays(doc[name], [(n,) for n in dims[1:]])
         name = "raw_q"
-        raw_q = _number(doc[name])
-        if not math.isfinite(raw_q):
-            raise ValueError(f"must be finite, got {raw_q}")
+        raw_q = float(check_number(name, doc[name]))
         name = "head"
-        head = doc.get(name, "promil")
-        if head not in HEADS:
-            raise ValueError(f"must be one of {HEADS}, got {head!r}")
+        head = check_choice(name, doc.get(name, "promil"), HEADS)
         name = "metadata"
         meta = doc.get(name, {})
         if not isinstance(meta, dict):
@@ -281,15 +271,13 @@ def load_model(path):
         counts = {}
         for key in ("seed", "epochs_run", "best_epoch"):
             name = f"metadata.{key}"
-            counts[key] = meta.get(key, 0)
-            if not (is_integer(counts[key]) and counts[key] >= 0):
-                raise ValueError(f"must be an integer >= 0, got {counts[key]!r}")
+            counts[key] = check_number(name, meta.get(key, 0), integer=True, at_least=0)
         name = "metadata.best_val_metric"
-        best_value = _number(meta.get("best_val_metric", math.nan))
+        best_value = meta.get("best_val_metric", math.nan)   # NaN when no epoch improved
+        if not is_number(best_value):
+            raise TypeError(f"must be a number, got {best_value!r}")
         name = "metadata.val_metric"
-        val_metric = meta.get("val_metric", "auc")
-        if val_metric not in ("auc", "loss"):
-            raise ValueError(f"must be 'auc' or 'loss', got {val_metric!r}")
+        val_metric = check_choice(name, meta.get("val_metric", "auc"), VAL_METRICS)
     except KeyError as exc:
         raise ConfigError(f"{path}: invalid model field '{name}': missing {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -299,7 +287,7 @@ def load_model(path):
         raw_q=raw_q,
         head=head,
         val_metric=val_metric,
-        best_value=best_value,
+        best_value=float(best_value),
         eps=eps,
         **counts,
     )
@@ -380,7 +368,6 @@ def cmd_generate(args):
 
 def cmd_train(args):
     cfg = _config(args)
-    cfg.train.seed = cfg.seed
     bags, _, _ = load_dataset(args.dataset)
     model = _train_once(cfg, _split_from_tags(bags), cfg.head)
     save_model(args.out, model)
@@ -456,7 +443,6 @@ def cmd_sweep(args):
                         cell_cfg = dataclasses.replace(
                             cfg,
                             dataset=dataclasses.replace(cfg.dataset, **{name: kind(value)}),
-                            train=dataclasses.replace(cfg.train, seed=cell_seed),
                             seed=cell_seed,
                         )
                         split = _generate_split(cell_cfg, cell_seed, digits)

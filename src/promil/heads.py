@@ -25,7 +25,7 @@ bags of each length, in split order, as the rows of one unpadded block.
 
 import numpy as np
 
-from .bagdata import stack_instances
+from .bagdata import check_choice, stack_instances
 from .bernstein import DEFAULT_EPS, bag_weights, check_level, quantile_value_grad
 from .network import forward_bag
 
@@ -71,17 +71,10 @@ _HEADS = {"promil": (_promil, _promil_rows), "max": (_max, _max_rows),
 HEADS = tuple(_HEADS)
 
 
-def _entry(head):
-    try:
-        return _HEADS[head]
-    except KeyError:
-        raise ValueError(f"head must be one of {HEADS}, got {head!r}") from None
-
-
 def head_function(head):
     """The per-bag table entry for ``head``; an unknown name raises
     ValueError."""
-    return _entry(head)[0]
+    return _HEADS[check_choice("head", head, HEADS)][0]
 
 
 def score_bag(predictions, head, q, eps=DEFAULT_EPS):
@@ -124,7 +117,7 @@ def score_bags(net, bags, head, q, eps):
     ValueError naming it.
     """
     check_level(q, eps)
-    score_rows = _entry(head)[1]
+    score_rows = _HEADS[check_choice("head", head, HEADS)][1]
     if not bags:
         return np.empty(0)
     instances, lengths = stack_instances(bags, net.arch.input_dim)

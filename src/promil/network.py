@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bagdata import is_integer
+from .bagdata import check_choice, check_number
 
 # The output pre-activation z is held in [-708, 36.7] for the logistic
 # 1 / (1 + exp(-z)).  There exp(-z) is a normal float, below exp(708), and
@@ -46,13 +46,13 @@ class NetArch:
 
     def __post_init__(self):
         dims = self.hidden_dims
-        if not (isinstance(dims, (tuple, list)) and all(is_integer(h) and h >= 1 for h in dims)):
-            raise ValueError(f"hidden_dims must be positive integers, got {self.hidden_dims!r}")
-        object.__setattr__(self, "hidden_dims", tuple(map(int, dims)))
-        if not (is_integer(self.input_dim) and self.input_dim >= 1):
-            raise ValueError(f"input_dim must be a positive integer, got {self.input_dim!r}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
+        if not isinstance(dims, (tuple, list)):
+            raise ValueError(f"hidden_dims must be a list of integers, got {dims!r}")
+        object.__setattr__(self, "hidden_dims", tuple(
+            int(check_number(f"hidden_dims[{i}]", h, integer=True, at_least=1))
+            for i, h in enumerate(dims)))
+        check_number("input_dim", self.input_dim, integer=True, at_least=1)
+        check_choice("activation", self.activation, ACTIVATIONS)
 
     @property
     def layer_dims(self):

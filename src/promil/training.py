@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bagdata import check_bags, is_integer, is_number
-from .bernstein import DEFAULT_EPS, check_eps, level, logit
+from .bagdata import check_bags, check_choice, check_number
+from .bernstein import DEFAULT_EPS, level, logit
 from .heads import head_function, score_bags
 from .metrics import auc as auc_metric
 from .network import NetParams, backward_bag, forward_bag, init_params
@@ -50,6 +50,7 @@ from .network import NetParams, backward_bag, forward_bag, init_params
 ADAM_EPS = 1e-8
 IMPROVE_TOL = 1e-4
 Q_INIT_RANGE = (0.1, 0.5)
+VAL_METRICS = ("auc", "loss")
 
 
 class NumericalError(RuntimeError):
@@ -67,35 +68,21 @@ class TrainConfig:
     eps_clamp: float = DEFAULT_EPS
     q_init: object = "random"   # float in (0,1), or "random" for U[0.1, 0.5]
     seed: int = 0
-    val_metric: str = "auc"     # "auc" or "loss"
+    val_metric: str = "auc"     # one of VAL_METRICS
 
     def __post_init__(self):
-        for name in ("learning_rate", "beta1", "beta2", "weight_decay", "eps_clamp"):
-            if not is_number(getattr(self, name)):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
-        if not (is_integer(self.seed) and self.seed >= 0):
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not 0.0 < self.learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be positive and finite, "
-                             f"got {self.learning_rate}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError(f"betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
-        if not 0.0 <= self.weight_decay < math.inf:
-            raise ValueError(f"weight_decay must be nonnegative and finite, "
-                             f"got {self.weight_decay}")
-        if not (is_integer(self.max_epochs) and self.max_epochs >= 1):
-            raise ValueError(f"max_epochs must be an integer >= 1, got {self.max_epochs!r}")
+        check_number("learning_rate", self.learning_rate, above=0)
+        check_number("beta1", self.beta1, at_least=0, below=1)
+        check_number("beta2", self.beta2, at_least=0, below=1)
+        check_number("weight_decay", self.weight_decay, at_least=0)
+        check_number("max_epochs", self.max_epochs, integer=True, at_least=1)
         # patience 0 is allowed: it stops after the first epoch
-        if not (is_integer(self.patience) and 0 <= self.patience <= self.max_epochs):
-            raise ValueError(f"patience must be an integer in [0, max_epochs="
-                             f"{self.max_epochs}], got {self.patience!r}")
-        check_eps(self.eps_clamp, "eps_clamp")
+        check_number("patience", self.patience, integer=True, at_least=0, at_most=self.max_epochs)
+        check_number("eps_clamp", self.eps_clamp, above=0)
         if self.q_init != "random":
-            if not (is_number(self.q_init) and 0.0 < self.q_init < 1.0):
-                raise ValueError(f"q_init must be 'random' or in (0, 1), got {self.q_init!r}")
-            self.q_init = float(self.q_init)
-        if self.val_metric not in ("auc", "loss"):
-            raise ValueError(f"val_metric must be 'auc' or 'loss', got {self.val_metric!r}")
+            self.q_init = float(check_number("q_init", self.q_init, above=0, below=1))
+        check_number("seed", self.seed, integer=True, at_least=0)
+        check_choice("val_metric", self.val_metric, VAL_METRICS)
 
 
 class TrainState:

@@ -302,6 +302,14 @@ class TestMnistBags:
         assert peak < float_copy / 8
         assert peak < 3 * kept
 
+    def test_rebalance_gives_half_of_each_class(self):
+        spec = SyntheticSpec(n_bags=60, threshold_qstar=0.3, bag_size_mean=8,
+                             bag_size_std=2, rebalance=True)
+        bags = make_mnist_bags(*fake_digits(), spec, seed=5, split="test")
+        assert len(bags) == 60 and sum(b.label for b in bags) == 30
+        numbers = [int(b.id[len("test-"):]) for b in bags]
+        assert numbers == sorted(set(numbers)) and numbers[-1] >= 60
+
     def test_requires_positive_digit(self):
         images, labels = fake_digits()
         labels = np.where(labels == 9, 1, labels).astype(np.uint8)
@@ -486,6 +494,31 @@ class TestContainer:
         with pytest.raises(ValueError, match=f"bag {bags[4].id}: .*NaN or infinity"):
             save_dataset(tmp_path / "d", bags)
 
+    @pytest.mark.parametrize("value, message", [
+        (5, "hidden labels must be 0 or 1"),
+        (-1, "hidden labels must be 0 or 1"),
+        (np.nan, "positive_fraction must be a finite number >= 0 and <= 1, got nan"),
+        (7.0, "positive_fraction must be a finite number >= 0 and <= 1, got 7.0"),
+        (-0.5, "positive_fraction must be a finite number >= 0 and <= 1, got -0.5"),
+    ])
+    def test_save_rejects_hidden_labels_and_fractions_outside_their_range(
+            self, tmp_path, value, message):
+        _, bags = container_bags()
+        if message.startswith("hidden"):
+            bag = bags[2]   # hidden labels, no fraction
+            bag.hidden_instance_labels = np.full(len(bag), value)
+        else:
+            bag = bags[1]   # neither
+            bag.positive_fraction = value
+        with pytest.raises(ValueError, match=re.escape(f"bag {bag.id}: {message}")):
+            save_dataset(tmp_path / "d", bags)
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("hidden", [[0.7, 0.0, 1.0], [True, False, True]])
+    def test_bag_refuses_hidden_labels_that_are_not_integers(self, hidden):
+        with pytest.raises(ValueError, match="bag a: hidden labels are .*, not integers"):
+            Bag(id="a", instances=np.zeros((3, 2)), label=1, hidden_instance_labels=hidden)
+
     def test_save_rejects_unknown_split(self, tmp_path):
         _, bags = container_bags()
         bags[0].split = "holdout"
@@ -508,6 +541,23 @@ class TestContainer:
     def test_load_rejects_inconsistent_fields(self, tmp_path, field, change, message):
         _, arrays = saved_members(tmp_path)
         assert_rejected(tmp_path, arrays, field, change, message)
+
+    @pytest.mark.parametrize("member, value, message", [
+        ("hidden", 5, "hidden label other than 0 or 1"),
+        ("hidden", -1, "hidden label other than 0 or 1"),
+        ("fractions", np.nan, r"positive fraction outside \[0, 1\]"),
+        ("fractions", 7.0, r"positive fraction outside \[0, 1\]"),
+    ])
+    def test_load_rejects_hidden_labels_and_fractions_outside_their_range(
+            self, tmp_path, member, value, message):
+        _, bags = container_bags()
+        for bag in bags:   # drop the other field: the bag's consistency check would fire first
+            if member == "hidden":
+                bag.positive_fraction = None
+            else:
+                bag.hidden_instance_labels = None
+        _, arrays = saved_members(tmp_path, bags)
+        assert_rejected(tmp_path, arrays, member, cell(0, value), message)
 
     def test_load_rejects_missing_member(self, tmp_path):
         _, arrays = saved_members(tmp_path)
@@ -758,6 +808,19 @@ class TestLegacyJson:
         ({"instances": [[0.0, -float("inf")]]}, "bag bag-000002: instances contain NaN"),
         ({"instances": [[0.0, 1.0, 2.0]]},
          "bag bag-000000: 2 features per instance, but bag bag-000002 has 3"),
+        # hidden labels and fractions; a None drops the field
+        ({"hidden_instance_labels": [0.7, 0, 0], "positive_fraction": None},
+         "bag bag-000002: hidden labels must be 0 or 1"),
+        ({"hidden_instance_labels": [5, 5, 5], "positive_fraction": None},
+         "bag bag-000002: hidden labels must be 0 or 1"),
+        ({"hidden_instance_labels": [1.0, 0.0, 0.0]},
+         "bag bag-000002: hidden labels are float64, not integers"),
+        ({"hidden_instance_labels": None, "positive_fraction": float("nan")},
+         "bag bag-000002: positive_fraction must be a finite number >= 0 and <= 1, got nan"),
+        ({"hidden_instance_labels": None, "positive_fraction": 7.0},
+         "bag bag-000002: positive_fraction must be a finite number >= 0 and <= 1, got 7.0"),
+        ({"hidden_instance_labels": None, "positive_fraction": "abc"},
+         "bag bag-000002: positive_fraction must be a finite number >= 0 and <= 1, got 'abc'"),
     ])
     def test_rejects_what_the_npz_containers_reject(self, tmp_path, edit, message):
         doc = json.loads(FIXTURE_V1.read_text())

@@ -176,8 +176,8 @@ class TestEstimateQuantile:
             assert np.mean(deviations) < 0.03
 
     @pytest.mark.parametrize("values, q, eps, message", [
-        ([0.5], -0.1, DEFAULT_EPS, "q must be in [0, 1], got -0.1"),
-        ([0.5], 1.1, DEFAULT_EPS, "q must be in [0, 1], got 1.1"),
+        ([0.5], -0.1, DEFAULT_EPS, "q must be a finite number >= 0 and <= 1, got -0.1"),
+        ([0.5], 1.1, DEFAULT_EPS, "q must be a finite number >= 0 and <= 1, got 1.1"),
         ([0.1, math.nan], 0.5, DEFAULT_EPS, "values must be finite and in [0, 1], got nan"),
         ([0.1, math.inf], 0.5, DEFAULT_EPS, "got inf"),
         ([-math.inf, 0.1], 0.5, DEFAULT_EPS, "got -inf"),
@@ -186,8 +186,8 @@ class TestEstimateQuantile:
         ([[0.1, 0.2]], 0.5, DEFAULT_EPS, "nonempty 1-D array, got shape (1, 2)"),
         ([], 0.5, DEFAULT_EPS, "nonempty 1-D array, got shape (0,)"),
         ([0.9, 0.1], 0.5, DEFAULT_EPS, "sorted ascending, got 0.9 before 0.1"),
-        ([0.5], 0.0, 0.0, "eps must be positive and finite, got 0.0"),
-        ([0.5], 0.0, math.nan, "eps must be positive and finite, got nan"),
+        ([0.5], 0.0, 0.0, "eps must be a finite number > 0, got 0.0"),
+        ([0.5], 0.0, math.nan, "eps must be a finite number > 0, got nan"),
     ])
     def test_bad_input_raises_naming_it(self, values, q, eps, message):
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import io
 import json
+import re
 from pathlib import Path
 
 import mpmath
@@ -17,7 +19,7 @@ from promil.cli import (
     main,
     save_model,
 )
-from promil.bagdata import load_dataset, write_idx_images, write_idx_labels
+from promil.bagdata import SyntheticSpec, load_dataset, write_idx_images, write_idx_labels
 from promil.bernstein import DEFAULT_EPS, logit
 from promil.heads import HEADS, score_bags
 from promil.metrics import evaluate
@@ -214,6 +216,18 @@ class TestDatasetFiles:
         ("NaN or infinity", lambda text: edit_first_bag(text, instances=[[float("inf"), 0.0]])),
         ("split must be one of", lambda text: edit_first_bag(text, split="holdout")),
         ("id must be a string", lambda text: edit_first_bag(text, id=5)),
+        ("bag-000002: hidden labels must be 0 or 1", lambda text: edit_first_bag(
+            text, hidden_instance_labels=[0.7, 0, 0], positive_fraction=None)),
+        ("bag-000002: hidden labels must be 0 or 1", lambda text: edit_first_bag(
+            text, hidden_instance_labels=[5, 5, 5], positive_fraction=None)),
+        ("bag-000002: positive_fraction must be a finite number >= 0 and <= 1, got nan",
+         lambda text: edit_first_bag(text, hidden_instance_labels=None,
+                                     positive_fraction=float("nan"))),
+        ("bag-000002: positive_fraction must be a finite number >= 0 and <= 1, got 7.0",
+         lambda text: edit_first_bag(text, hidden_instance_labels=None, positive_fraction=7.0)),
+        ("bag-000002: positive_fraction must be a finite number >= 0 and <= 1, got 'abc'",
+         lambda text: edit_first_bag(text, hidden_instance_labels=None,
+                                     positive_fraction="abc")),
     ])
     def test_bad_bagdata1_file_exits_2_naming_path(self, tmp_path, capsys, field, edit):
         bad = tmp_path / "bad.json"
@@ -436,7 +450,7 @@ class TestTrainConfigFields:
         ("eps_clamp", float("nan")), ("max_epochs", 0), ("max_epochs", 2.5),
         ("patience", -1), ("patience", 1.5), ("patience", False),
         ("learning_rate", True), ("weight_decay", False), ("beta1", False),
-        ("eps_clamp", True),
+        ("eps_clamp", True), ("learning_rate", 10 ** 400),
     ])
     def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, field, value):
         train = {"max_epochs": 4, "patience": 4, field: value}
@@ -475,6 +489,8 @@ MALFORMED_CONFIGS = [
     ("max_epochs", "train", {"max_epochs": True, "patience": 1}),
     ("feature_dim", "dataset", {"n_bags": 60, "threshold_qstar": 0.3, "feature_dim": True}),
     ("bag_size_std", "dataset", {"n_bags": 60, "threshold_qstar": 0.3, "bag_size_std": False}),
+    # the top-level seed seeds training; the train section takes none
+    ("train.seed", "train", {"seed": 7}),
 ]
 
 
@@ -497,6 +513,46 @@ class TestMalformedConfig:
         if key in ("train", "dataset", "mnist"):
             assert f"'{key}'" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+# each config dataclass and the arguments it cannot do without
+CONFIG_CLASSES = {SyntheticSpec: {"n_bags": 60, "threshold_qstar": 0.3}, cli.MnistPaths: {},
+                  training.TrainConfig: {}, cli.ExperimentConfig: {}, NetArch: {"input_dim": 2}}
+# the fields that are neither numbers nor choices: the IDX paths (a
+# MALFORMED_CONFIGS row) and the sections, each walked as its own class
+NOT_NUMBER_OR_CHOICE = {"train_images", "train_labels", "test_images", "test_labels",
+                        "dataset", "mnist", "train"}
+
+
+def bad_field_values():
+    """(class, field, bad value) for every field of CONFIG_CLASSES: True,
+    NaN, inf and "1" for a number (for a list of numbers, as its first
+    element), and a value outside the choices for a choice."""
+    for cls in CONFIG_CLASSES:
+        for f in dataclasses.fields(cls):
+            if f.name in NOT_NUMBER_OR_CHOICE:
+                continue
+            if f.type in (int, float, object, tuple):   # object: q_init
+                for bad in (True, float("nan"), float("inf"), "1"):
+                    if f.type is tuple:
+                        default = f.default or (1,)
+                        bad = (bad, *default[1:])
+                    yield cls, f.name, bad
+            else:
+                assert f.type in (str, bool), f"{cls.__name__}.{f.name}: unclassified field"
+                yield cls, f.name, "bogus" if f.type is str else 1
+
+
+class TestEveryConfigField:
+    @pytest.mark.parametrize("cls, name, bad", list(bad_field_values()))
+    def test_bad_value_names_the_field(self, cls, name, bad):
+        cls(**CONFIG_CLASSES[cls])   # the arguments alone are good
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)}\b.* must be .*, got "):
+            cls(**{**CONFIG_CLASSES[cls], name: bad})
+
+    def test_a_seed_too_large_for_a_float_is_an_integer(self, tmp_path):
+        cfg = cli.load_config(small_config(tmp_path, seed=10 ** 400))
+        assert cfg.seed == cfg.train.seed == 10 ** 400
 
 
 class TestSweep:
@@ -638,15 +694,15 @@ class TestQuantileCommand:
         assert main(["quantile", "0.2", "0.7", "--q", q, "--eps", bad]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"eps must be positive and finite, got {float(bad)}" in captured.err
+        assert f"eps must be a finite number > 0, got {float(bad)}" in captured.err
 
     @pytest.mark.parametrize("argv, message", [
-        (["0.5", "--q", "-inf"], "q must be in [0, 1], got -inf"),
-        (["0.5", "--q", "-1e5"], "q must be in [0, 1], got -100000.0"),
-        (["0.5", "--q", "0.3", "--eps", "-inf"], "eps must be positive and finite, got -inf"),
+        (["0.5", "--q", "-inf"], "q must be a finite number >= 0 and <= 1, got -inf"),
+        (["0.5", "--q", "-1e5"], "q must be a finite number >= 0 and <= 1, got -100000.0"),
+        (["0.5", "--q", "0.3", "--eps", "-inf"], "eps must be a finite number > 0, got -inf"),
         (["-inf", "0.5", "--q", "0.3"], "values must be finite and in [0, 1], got -inf"),
         (["-1e-3", "0.5", "--q", "0.3"], "values must be finite and in [0, 1], got -0.001"),
-        (["0.5", "--q", "-nan"], "q must be in [0, 1], got nan"),
+        (["0.5", "--q", "-nan"], "q must be a finite number >= 0 and <= 1, got nan"),
     ])
     def test_negative_exponent_inf_and_nan_reach_the_range_check(self, argv, message, capsys):
         # argparse by itself reads -inf, -nan and -1e5 as options

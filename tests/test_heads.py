@@ -138,7 +138,7 @@ class TestHeadTable:
     @pytest.mark.parametrize("head", HEADS)
     @pytest.mark.parametrize("q, eps, message", [
         (0.0, DEFAULT_EPS, "got 0.0"), (1.5, DEFAULT_EPS, "got 1.5"),
-        (np.nan, DEFAULT_EPS, "got nan"), (0.3, -1.0, "eps must be positive and finite, got -1.0"),
+        (np.nan, DEFAULT_EPS, "got nan"), (0.3, -1.0, "eps must be a finite number > 0, got -1.0"),
         (0.3, np.inf, "got inf"),
     ])
     def test_level_and_clamp_checked_for_every_head(self, head, q, eps, message):
