@@ -15,10 +15,12 @@ run's result line, machine line, calibration line, wall line and model
 digests, the median and the first and third quartiles of every end-to-end
 metric on each side, in how many pairs the change was better, by the
 direction ``BENCHMARK.json`` gives each metric, and in how many pairs the
-two sides wrote the same models.  The ``uncalibrated`` block gives the
-same medians, quartiles and wins for the wall lines' figures, which the
-run takes before it scales them by the host's calibration block: the
-scaling can itself move a metric on a host whose speed changes.  Each side
+two sides wrote the same models, and a verdict per metric (see
+``verdicts``), also printed one line per metric.  The ``uncalibrated``
+block gives the same medians, quartiles, wins and verdicts for the wall
+lines' figures, which the run takes before it scales them by the host's
+calibration block: the scaling can itself move a metric on a host whose
+speed changes.  Each side
 also records the git tree ids of ``src`` and ``e2ebench``, the code a run
 executes, so ``git rev-parse <commit>:src`` tells whether a commit holds
 the code that was measured, committed or not at the time.  Run it on an
@@ -141,6 +143,53 @@ def compare(done, better, value):
     return {"medians": medians, "quartiles": spread, "change_better_in_pairs": wins}
 
 
+def verdicts(block, better, bounds):
+    """Per metric of a ``compare`` block that holds ``completed_pairs``:
+    ``gain`` when the change won at least 9 in 10 of the completed pairs
+    and its median is better than the parent's by more than the parent's
+    interquartile range; else ``worse`` when its median is worse than the
+    parent's by more than the metric's relative bound; else ``unresolved``
+    when the parent's interquartile range, relative to its median, exceeds
+    the bound (or no pair completed); else ``within_bound``."""
+    out = {}
+    done = block["completed_pairs"]
+    for name, direction in better.items():
+        if not done:
+            out[name] = "unresolved"
+            continue
+        sign = 1.0 if direction == "higher" else -1.0
+        base, change = block["medians"]["base"][name], block["medians"]["change"][name]
+        spread = block["quartiles"]["base"][name]
+        iqr = spread["q3"] - spread["q1"]
+        if 10 * block["change_better_in_pairs"][name] >= 9 * done \
+                and sign * (change - base) > iqr:
+            out[name] = "gain"
+        elif -sign * (change - base) > bounds[name] * abs(base):
+            out[name] = "worse"
+        elif iqr > bounds[name] * abs(base):
+            out[name] = "unresolved"
+        else:
+            out[name] = "within_bound"
+    return out
+
+
+def verdict_lines(label, block, bounds):
+    """One line per metric: its verdict, the two medians, the pairs the
+    change won, the parent's interquartile range and the bound."""
+    lines = []
+    for name, verdict in block["verdicts"].items():
+        if not block["completed_pairs"]:
+            lines.append(f"{label} {name}: {verdict} (no completed pair)")
+            continue
+        spread = block["quartiles"]["base"][name]
+        lines.append(
+            f"{label} {name}: {verdict} ({block['medians']['base'][name]:.4g} -> "
+            f"{block['medians']['change'][name]:.4g}, better in "
+            f"{block['change_better_in_pairs'][name]}/{block['completed_pairs']} pairs, "
+            f"parent IQR {spread['q1']:.4g}-{spread['q3']:.4g}, bound {bounds[name]:.0%})")
+    return lines
+
+
 def summarize(pairs, better):
     """``compare`` of each end-to-end metric over the pairs whose two runs
     completed, with the pairs whose two runs wrote models with the same
@@ -179,6 +228,7 @@ def main(argv=None):
         benchmark = json.load(f)
     seconds = benchmark["run_seconds"]
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
 
     base = {"revision": git("rev-parse", args.base),
             "trees": {path: git("rev-parse", f"{args.base}:{path}") for path in CODE}}
@@ -204,6 +254,8 @@ def main(argv=None):
         shutil.rmtree(tmp)
     code_changed = working_trees() != change["trees"]
     summary = summarize(pairs, better)
+    for block in (summary, summary["uncalibrated"]):
+        block["verdicts"] = verdicts(block, better, bounds)
     doc = {
         "workload": args.workload,
         "command": ["python3", "e2ebench/run.py", "--workload", args.workload,
@@ -221,6 +273,9 @@ def main(argv=None):
     print(f"wrote {out}", file=sys.stderr)
     print(f"same models in {summary['model_digests_equal_in_pairs']}/"
           f"{summary['completed_pairs']} completed pairs", file=sys.stderr)
+    for label, block in (("calibrated", summary), ("uncalibrated", summary["uncalibrated"])):
+        for line in verdict_lines(label, block, bounds):
+            print(line, file=sys.stderr)
     for side, counts in summary["failures"].items():
         print(f"{side}: {counts['failed_runs']} failed runs, {counts['failed_operations']}/"
               f"{counts['attempted_operations']} failed operations", file=sys.stderr)

@@ -505,6 +505,10 @@ def save_dataset(path, bags, spec=None, seed=None):
     bytes.
     """
     width = _check_storable(bags)
+    for b in bags:   # before the float64 member, which would read True as 1.0
+        if b.positive_fraction is not None:
+            check_number(f"bag {b.id}: positive_fraction", b.positive_fraction,
+                         at_least=0, at_most=1)
     cells = np.concatenate([b.instances.reshape(-1) for b in bags] or [np.empty(0)])
     nonzero = cells.view(np.uint64) != 0   # bit patterns: -0.0 is kept
     header = {"schema": DATASET_SCHEMA, "seed": seed, "width": width,
@@ -562,7 +566,7 @@ def _load_json(path):
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:   # UnicodeDecodeError, JSONDecodeError, too long an integer
         raise DatasetError(f"{path}: not valid JSON: {exc}") from exc
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != LEGACY_SCHEMA:

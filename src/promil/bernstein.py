@@ -27,10 +27,13 @@ command's: it checks its values, level and clamp once, and covers every
 level in [0, 1], with q = 0 giving the maximum and q = 1 the minimum.
 
 A training step calls the kernel on one bag, so the kernel does per call
-only what depends on q or on the values.  The q-free part of the log
-weights, log C(n, k) for k = 0..n, is kept per bag length n in a store
-that takes rows while it holds at most ``ROW_CACHE_FLOATS`` numbers; the
-weights built from it are the ones the uncached sum gives, bit for bit.
+only what depends on q or on the values.  The q-free parts of the log
+weights, log C(n, k), n - k and k for k = 0..n, come from one lookup per
+bag length n, which serves both the weights and the two dot products of
+d/dq.  The store takes a length while its log C(n, k) rows hold at most
+``ROW_CACHE_FLOATS`` numbers (n - k and k are views of one shared k
+table); the weights built from it are the ones the uncached sum gives,
+bit for bit.
 The values ascend, so one comparison of the first with eps tells whether
 the clamp binds anywhere; when it does not, the clamp and the masking of
 the weights are skipped, which changes no bit either.
@@ -95,14 +98,15 @@ def _log_factorials(size):
 _LOG_FACTORIAL = _log_factorials(1024)
 _K = np.arange(1024.0)
 
-# log C(n, k) for k = 0..n, per bag length n: the part of a bag's log
-# weights that does not depend on q.  A row is stored only while the store
-# stays within ROW_CACHE_FLOATS numbers (1 MiB); other lengths are computed
-# on each call.  Nothing is evicted: a split of more lengths than fit (140
-# near 3,000 on bigbag-sized splits) would otherwise compute and store rows
-# over and over.
+# Per bag length n, the q-free parts of a bag's log weights: log C(n, k),
+# n - k and k for k = 0..n.  A length's entry is stored only while the
+# stored log C(n, k) rows stay within ROW_CACHE_FLOATS numbers (1 MiB);
+# n - k and k are views of the k table and add nothing to it.  Other
+# lengths are computed on each call.  Nothing is evicted: a split of more
+# lengths than fit (140 near 3,000 on bigbag-sized splits) would otherwise
+# compute and store rows over and over.
 ROW_CACHE_FLOATS = 1 << 17
-_LOG_BINOMIAL_ROWS = {}
+_LENGTH_ROWS = {}
 
 
 def _tables(n):
@@ -115,37 +119,38 @@ def _tables(n):
     return _LOG_FACTORIAL, _K
 
 
-def _log_binomial_row(n):
-    """log C(n, k) for k = 0..n, from the per-length store."""
-    row = _LOG_BINOMIAL_ROWS.get(n)
-    if row is None:
-        lf = _tables(n)[0]
-        row = lf[n] - lf[:n + 1] - lf[n::-1]
-        row.flags.writeable = False
-        # the row of length n holds n + 1 numbers, so the keys give the count
-        if sum(_LOG_BINOMIAL_ROWS) + len(_LOG_BINOMIAL_ROWS) + row.size <= ROW_CACHE_FLOATS:
-            _LOG_BINOMIAL_ROWS[n] = row
-    return row
+def _length_rows(n):
+    """(log C(n, k), n - k, k) for k = 0..n, the last two as floats, from
+    the per-length store."""
+    rows = _LENGTH_ROWS.get(n)
+    if rows is None:
+        lf, k = _tables(n)
+        log_binomials = lf[n] - lf[:n + 1] - lf[n::-1]
+        log_binomials.flags.writeable = False
+        rows = log_binomials, k[n::-1], k[:n + 1]
+        # the entry of length n holds n + 1 numbers, so the keys give the count
+        if sum(_LENGTH_ROWS) + len(_LENGTH_ROWS) + n + 1 <= ROW_CACHE_FLOATS:
+            _LENGTH_ROWS[n] = rows
+    return rows
 
 
-def _log_weights(log_binomials, n_minus_k, k, q):
-    """log C(n,k) + (n-k) log q + k log(1-q): the log of the Binomial(n, 1-q)
-    pmf at k, from log C(n, k) and the float arrays n - k and k."""
-    # (n-k) log q + log C(n,k) is log C(n,k) + (n-k) log q bit for bit, as
-    # IEEE addition commutes; summing into the product's array keeps one
-    # array of the bag's length alive besides the arguments
+def _weights(rows, q):
+    """The weights of ``bag_weights`` from a length's ``_length_rows``."""
+    log_binomials, n_minus_k, k = rows
+    # log C(n,k) + (n-k) log q + k log(1-q), the log of the Binomial(n, 1-q)
+    # pmf at k.  (n-k) log q + log C(n,k) is log C(n,k) + (n-k) log q bit
+    # for bit, as IEEE addition commutes; summing into the product's array
+    # keeps one array of the bag's length alive besides the arguments
     w = n_minus_k * np.log(q)
     w += log_binomials
     w += k * np.log1p(-q)
-    return w
+    return np.exp(w, out=w)
 
 
 def bag_weights(n, q):
     """The weights w_k = C(n,k) q^(n-k) (1-q)^k, k = 0..n, of the estimate
     at level q of n + 1 ascending values; arguments are unchecked."""
-    k = _tables(n)[1]
-    w = _log_weights(_log_binomial_row(n), k[n::-1], k[:n + 1], q)
-    return np.exp(w, out=w)
+    return _weights(_length_rows(n), q)
 
 
 def quantile_value_grad(values, q, eps):
@@ -156,15 +161,14 @@ def quantile_value_grad(values, q, eps):
     probability weight w_k (zero for entries clamped below eps) and
     ``grad_q = sum_k w_k * max(values[k], eps) * ((n-k)/q - k/(1-q))``.
     """
-    n = values.size - 1
-    w = bag_weights(n, q)
+    rows = _length_rows(values.size - 1)
+    w = _weights(rows, q)
     # the values ascend, so the first tells whether the clamp binds anywhere
     clamped = not values[0] >= eps
     wg = w * (np.maximum(values, eps) if clamped else values)
     value = float(np.add.reduce(wg))
     grad_values = np.where(values >= eps, w, 0.0) if clamped else w
-    # bag_weights has grown the k table to cover n
-    grad_q = float(wg.dot(_K[n::-1])) / q - float(wg.dot(_K[:n + 1])) / (1.0 - q)
+    grad_q = float(wg.dot(rows[1])) / q - float(wg.dot(rows[2])) / (1.0 - q)
     return value, grad_values, grad_q
 
 

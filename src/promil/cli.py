@@ -143,7 +143,7 @@ def _read_json(path, kind):
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:   # UnicodeDecodeError, JSONDecodeError, too long an integer
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: a {kind} must be a JSON object, got "

@@ -1,8 +1,10 @@
 """Bag-level scoring heads, the one scoring path, and the bag decision rule.
 
 One table maps each head name to two functions.  The first scores one bag,
-``(preds, q, eps)``, and returns ``(score, d score/d preds, d score/d q)``.
-Training uses it bag by bag.  The second scores each row of a block of
+``(preds, q, eps)``, and returns ``(score, d score/d preds, d score/d q)``;
+d score/d preds is a fresh array, which the caller may scale in place.
+Training uses it bag by bag, through ``head_function``, which finds a
+valid name with one dict lookup.  The second scores each row of a block of
 bags of one length, ``(block, q, eps)``, bit for bit as the first.  The
 quantile head sorts the predictions ascending (stable, so gradient routing
 is reproducible under ties) and evaluates the Bernstein estimator at q.
@@ -74,7 +76,11 @@ HEADS = tuple(_HEADS)
 def head_function(head):
     """The per-bag table entry for ``head``; an unknown name raises
     ValueError."""
-    return _HEADS[check_choice("head", head, HEADS)][0]
+    # a training step asks on every bag, so a valid name is one dict hit
+    entry = _HEADS.get(head) if isinstance(head, str) else None
+    if entry is None:
+        entry = _HEADS[check_choice("head", head, HEADS)]
+    return entry[0]
 
 
 def score_bag(predictions, head, q, eps=DEFAULT_EPS):

@@ -3,6 +3,14 @@
 Forward passes score each instance of a bag independently; each hidden
 layer keeps one array, its activation, from which the reverse pass takes
 the derivative.  Everything is plain numpy in float64.
+
+The math lives once, in two functions that check nothing: ``_forward``
+returns the predictions and each layer's input, and ``_backward`` sums the
+parameter gradients, scaling its d cost / d prediction array in place.  A
+training step calls them directly on a bag that ``bagdata.check_bags`` has
+passed.  ``forward_bag`` and ``backward_bag`` are the checked entry points:
+they check their arguments, wrap the layer inputs in a ``BagForwardTrace``,
+and hand the core a copy of the caller's upstream gradient.
 """
 
 import math
@@ -107,21 +115,9 @@ def init_params(arch, seed):
     return params
 
 
-def forward_bag(params, instances):
-    """Score every instance; returns (predictions, trace).
-
-    ``instances`` is (bag_size, input_dim).  A prediction is the logistic
-    1 / (1 + exp(-z)) of the output pre-activation z held in [-708, 36.7],
-    so it lies strictly inside (0, 1) even where the float logistic of z
-    would round to 0.0 or 1.0.
-    """
-    x = np.asarray(instances, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError("bag must be a nonempty (bag_size, input_dim) array")
-    if x.shape[1] != params.arch.input_dim:
-        raise ValueError(
-            f"instance dimension {x.shape[1]} does not match input_dim {params.arch.input_dim}"
-        )
+def _forward(params, x):
+    """The forward pass on the checked (bag_size, input_dim) float64 array
+    ``x``: returns (predictions, layer_inputs), the input to each layer."""
     activate = _ACTIVATIONS[params.arch.activation][0]
     weights, biases = params.weights, params.biases
     layer_inputs = [x]
@@ -142,7 +138,43 @@ def forward_bag(params, instances):
     np.exp(c, out=c)
     c += _ONE
     np.reciprocal(c, out=c)
-    c = c[:, 0]
+    return c[:, 0], layer_inputs
+
+
+def _backward(params, layer_inputs, predictions, dz, out):
+    """The reverse pass into the NetParams ``out``, with nothing checked:
+    ``dz`` is d cost / d prediction, a fresh float64 array of the bag's
+    length, which is scaled in place."""
+    derivative = _ACTIVATIONS[params.arch.activation][1]
+    c = predictions
+    dz *= c
+    dz *= 1.0 - c
+    dz = dz[:, None]
+    for i in range(len(params.weights) - 1, -1, -1):
+        layer_inputs[i].T.dot(dz, out=out.weights[i])
+        np.add.reduce(dz, axis=0, out=out.biases[i])
+        if i > 0:
+            dz = dz.dot(params.weights[i].T)
+            dz *= derivative(layer_inputs[i])
+    return out
+
+
+def forward_bag(params, instances):
+    """Score every instance; returns (predictions, trace).
+
+    ``instances`` is (bag_size, input_dim).  A prediction is the logistic
+    1 / (1 + exp(-z)) of the output pre-activation z held in [-708, 36.7],
+    so it lies strictly inside (0, 1) even where the float logistic of z
+    would round to 0.0 or 1.0.
+    """
+    x = np.asarray(instances, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise ValueError("bag must be a nonempty (bag_size, input_dim) array")
+    if x.shape[1] != params.arch.input_dim:
+        raise ValueError(
+            f"instance dimension {x.shape[1]} does not match input_dim {params.arch.input_dim}"
+        )
+    c, layer_inputs = _forward(params, x)
     return c, BagForwardTrace(layer_inputs, c)
 
 
@@ -163,15 +195,4 @@ def backward_bag(params, trace, upstream, out=None):
         raise ValueError("trace does not match params layer count")
     if out is None:
         out = NetParams(params.arch)
-    derivative = _ACTIVATIONS[params.arch.activation][1]
-    c = trace.predictions
-    dz = upstream * c
-    dz *= 1.0 - c
-    dz = dz[:, None]
-    for i in range(len(params.weights) - 1, -1, -1):
-        trace.layer_inputs[i].T.dot(dz, out=out.weights[i])
-        np.add.reduce(dz, axis=0, out=out.biases[i])
-        if i > 0:
-            da = dz.dot(params.weights[i].T)
-            dz = da * derivative(trace.layer_inputs[i])
-    return out
+    return _backward(params, trace.layer_inputs, trace.predictions, upstream.copy(), out)

@@ -29,11 +29,17 @@ with logistic squashing (dq/draw = q(1-q)), keeping q strictly inside
 every train and validation bag must hold a nonempty (bag_size,
 input_dim) float64 array and a label of 0 or 1, else ValueError names
 the split and the bag.  A step then does only what changes from step to
-step: ``forward_bag``, the head's per-bag function, ``bag_cost``,
-``backward_bag`` into the state's gradient buffer, a finiteness test of
-the cost and the gradient, and one ``adam_update``.
-``forward_bag``, ``backward_bag`` and ``bag_cost`` keep their own argument
-checks, for callers that pass unchecked arrays.
+step: the network's unchecked forward pass, the head's per-bag function,
+``bag_cost``, the chain rule in place on the head's fresh gradient, the
+unchecked reverse pass into the state's gradient buffer, a finiteness
+test of the cost and the gradient, and one ``adam_update``.
+``forward_bag`` and ``backward_bag``, which check their arguments, serve
+callers that pass unchecked arrays.
+
+``adam_update`` takes a vector of at most ``SCALAR_ADAM_MAX`` entries, as
+the README network's 4 parameters, in Python floats, where a dozen numpy
+calls on a few numbers would cost more than the arithmetic; it takes the
+array form's operations in the same order, so both give the same bits.
 """
 
 import math
@@ -45,9 +51,11 @@ from .bagdata import check_bags, check_choice, check_number
 from .bernstein import DEFAULT_EPS, level, logit
 from .heads import head_function, score_bags
 from .metrics import auc as auc_metric
-from .network import NetParams, backward_bag, forward_bag, init_params
+from .network import NetParams, _backward, _forward, init_params
 
 ADAM_EPS = 1e-8
+# adam_update takes vectors of at most this many entries in Python floats
+SCALAR_ADAM_MAX = 8
 IMPROVE_TOL = 1e-4
 Q_INIT_RANGE = (0.1, 0.5)
 VAL_METRICS = ("auc", "loss")
@@ -164,8 +172,8 @@ def bag_cost(score, y, eps):
 
 
 def adam_update(param, grad, moments, cfg, t, decay=False):
-    """One bias-corrected Adam step, in place on the array ``param`` and its
-    moments.
+    """One bias-corrected Adam step, in place on the float64 vector
+    ``param`` and its moments.
 
     ``moments`` is an (m, v) pair matching param's shape, holding the first
     and second moments divided by (1 - beta1) and (1 - beta2).  Decoupled
@@ -180,15 +188,31 @@ def adam_update(param, grad, moments, cfg, t, decay=False):
     m, v = moments
     b1, b2 = cfg.beta1, cfg.beta2
     c = math.sqrt((1.0 - b2 ** t) / (1.0 - b2))
+    eps_c = ADAM_EPS * c
+    a = cfg.learning_rate * c * (1.0 - b1) / (1.0 - b1 ** t)
+    if param.ndim == 1 and param.size <= SCALAR_ADAM_MAX:
+        # the array form below, entry by entry in Python floats, which costs
+        # less on a few entries; IEEE mul, add, div and sqrt round correctly
+        # in both forms, and each takes the same operations in the same order
+        ms, vs, ps = m.tolist(), v.tolist(), param.tolist()
+        for i, g in enumerate(grad.tolist()):
+            ms[i] = mi = ms[i] * b1 + g
+            vs[i] = vi = vs[i] * b2 + g * g
+            ps[i] -= mi / (math.sqrt(vi) + eps_c) * a
+        if decay is not False:
+            f = 1.0 - cfg.learning_rate * cfg.weight_decay
+            ps[decay] = [p * f for p in ps[decay]]
+        m[:], v[:], param[:] = ms, vs, ps
+        return param, m, v
     m *= b1
     m += grad
     step = np.square(grad)
     v *= b2
     v += step
     np.sqrt(v, out=step)
-    step += ADAM_EPS * c
+    step += eps_c
     np.divide(m, step, out=step)
-    step *= cfg.learning_rate * c * (1.0 - b1) / (1.0 - b1 ** t)
+    step *= a
     param -= step
     if decay is not False:
         param[decay] *= 1.0 - cfg.learning_rate * cfg.weight_decay
@@ -203,11 +227,16 @@ def bag_cost_and_grads(net, q, bag, cfg, head="promil", out=None):
     shaped like ``net``, when given.  This is the full composed chain:
     instance forward -> head -> cost -> head backward -> instance backward,
     plus the logistic-reparameterization factor on the quantile level.
+    The bag is not checked: its instances must be a nonempty (bag_size,
+    input_dim) float64 array, as ``bagdata.check_bags`` makes sure.
     """
-    preds, trace = forward_bag(net, bag.instances)
+    preds, layer_inputs = _forward(net, bag.instances)
     score, dscore_dpreds, dscore_dq = head_function(head)(preds, q, cfg.eps_clamp)
     cost, upstream = bag_cost(score, bag.label, cfg.eps_clamp)
-    net_grads = backward_bag(net, trace, upstream * dscore_dpreds, out=out)
+    # the head's gradient is a fresh array, so it takes the chain rule in place
+    dscore_dpreds *= upstream
+    net_grads = _backward(net, layer_inputs, preds, dscore_dpreds,
+                          NetParams(net.arch) if out is None else out)
     return cost, net_grads, upstream * dscore_dq * q * (1.0 - q)
 
 

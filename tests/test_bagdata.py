@@ -500,6 +500,8 @@ class TestContainer:
         (np.nan, "positive_fraction must be a finite number >= 0 and <= 1, got nan"),
         (7.0, "positive_fraction must be a finite number >= 0 and <= 1, got 7.0"),
         (-0.5, "positive_fraction must be a finite number >= 0 and <= 1, got -0.5"),
+        ("abc", "positive_fraction must be a finite number >= 0 and <= 1, got 'abc'"),
+        (True, "positive_fraction must be a finite number >= 0 and <= 1, got True"),
     ])
     def test_save_rejects_hidden_labels_and_fractions_outside_their_range(
             self, tmp_path, value, message):

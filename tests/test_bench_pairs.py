@@ -184,3 +184,82 @@ def test_uncalibrated_block_takes_pairs_with_two_wall_lines(bench_pairs):
     assert none == {"completed_pairs": 0, "medians": {"base": {}, "change": {}},
                     "quartiles": {"base": {}, "change": {}},
                     "change_better_in_pairs": {"total_s": 0, "train_steps_per_s": 0}}
+
+
+BOUNDS = {"total_s": 0.2, "train_steps_per_s": 0.2}
+
+
+def pairs_of(base_totals, change_totals, base_rates=None, change_rates=None):
+    """Completed pairs whose runs read the given total_s and steps/s."""
+    base_rates = base_rates or [100.0] * len(base_totals)
+    change_rates = change_rates or [100.0] * len(change_totals)
+    return [pair(i, run(b, br), run(c, cr)) for i, (b, c, br, cr) in
+            enumerate(zip(base_totals, change_totals, base_rates, change_rates))]
+
+
+def verdicts_of(bench_pairs, pairs):
+    s = bench_pairs.summarize(pairs, BETTER)
+    return bench_pairs.verdicts(s, BETTER, BOUNDS)
+
+
+def test_gain_needs_nine_in_ten_wins_and_a_gap_past_the_parents_iqr(bench_pairs):
+    base = [10.0, 10.1, 10.2, 10.3, 10.4, 10.5, 10.6, 10.7, 10.8, 10.9]   # IQR 0.45
+    faster = [t - 1.0 for t in base]
+    assert verdicts_of(bench_pairs, pairs_of(base, faster))["total_s"] == "gain"
+    # one loss in ten still counts; two do not
+    one_loss = faster[:9] + [11.0]
+    assert verdicts_of(bench_pairs, pairs_of(base, one_loss))["total_s"] == "gain"
+    two_losses = faster[:8] + [11.0, 11.0]
+    assert verdicts_of(bench_pairs, pairs_of(base, two_losses))["total_s"] == "within_bound"
+    # every pair won, but by less than the parent's IQR
+    slightly = [t - 0.1 for t in base]
+    assert verdicts_of(bench_pairs, pairs_of(base, slightly))["total_s"] == "within_bound"
+
+
+def test_gain_follows_the_metric_direction(bench_pairs):
+    base = [10.0] * 10
+    v = verdicts_of(bench_pairs, pairs_of(base, base, [100.0 + i for i in range(10)],
+                                          [130.0 + i for i in range(10)]))
+    assert v == {"total_s": "within_bound", "train_steps_per_s": "gain"}
+    v = verdicts_of(bench_pairs, pairs_of(base, base, [100.0 + i for i in range(10)],
+                                          [70.0 + i for i in range(10)]))
+    assert v["train_steps_per_s"] == "worse"
+
+
+def test_worse_past_the_bound_and_within_it(bench_pairs):
+    base = [10.0] * 10
+    assert verdicts_of(bench_pairs, pairs_of(base, [12.5] * 10))["total_s"] == "worse"
+    assert verdicts_of(bench_pairs, pairs_of(base, [11.9] * 10))["total_s"] == "within_bound"
+
+
+def test_unresolved_when_the_parents_spread_exceeds_the_bound(bench_pairs):
+    base = [6.0, 8.0, 10.0, 12.0, 14.0] * 2   # IQR 4, 40% of the median
+    assert verdicts_of(bench_pairs, pairs_of(base, base))["total_s"] == "unresolved"
+    # a change past its bound reads worse whatever the spread
+    assert verdicts_of(bench_pairs, pairs_of(base, [13.0] * 10))["total_s"] == "worse"
+
+
+def test_no_completed_pair_is_unresolved(bench_pairs):
+    s = bench_pairs.summarize([pair(1, crashed(), run(9.0, 120.0))], BETTER)
+    assert bench_pairs.verdicts(s, BETTER, BOUNDS) == {"total_s": "unresolved",
+                                                       "train_steps_per_s": "unresolved"}
+    s["verdicts"] = bench_pairs.verdicts(s, BETTER, BOUNDS)
+    assert bench_pairs.verdict_lines("calibrated", s, BOUNDS) == [
+        "calibrated total_s: unresolved (no completed pair)",
+        "calibrated train_steps_per_s: unresolved (no completed pair)"]
+
+
+def test_uncalibrated_block_gets_its_own_verdicts(bench_pairs):
+    # calibrated, every pair is a clear gain; the wall lines say the reverse
+    pairs = [pair(i, walled(10.0 + 0.1 * i, 100.0, 8.0, 125.0),
+                  walled(8.0 + 0.1 * i, 100.0, 10.0, 125.0)) for i in range(10)]
+    s = bench_pairs.summarize(pairs, BETTER)
+    assert bench_pairs.verdicts(s, BETTER, BOUNDS)["total_s"] == "gain"
+    u = s["uncalibrated"]
+    u["verdicts"] = bench_pairs.verdicts(u, BETTER, BOUNDS)
+    assert u["verdicts"] == {"total_s": "worse", "train_steps_per_s": "within_bound"}
+    assert bench_pairs.verdict_lines("uncalibrated", u, BOUNDS) == [
+        "uncalibrated total_s: worse (8 -> 10, better in 0/10 pairs, parent IQR 8-8, "
+        "bound 20%)",
+        "uncalibrated train_steps_per_s: within_bound (125 -> 125, better in 0/10 pairs, "
+        "parent IQR 125-125, bound 20%)"]

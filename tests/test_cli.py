@@ -142,6 +142,17 @@ class TestGenerate:
         assert str(cfg) in err and "JSON object" in err
         assert not (tmp_path / "d.json").exists()
 
+    def test_integer_past_the_digit_limit_exits_2_naming_path(self, tmp_path, capsys):
+        # json.load raises a plain ValueError on an integer of more than
+        # 4,300 digits, not a JSONDecodeError
+        cfg = Path(small_config(tmp_path))
+        cfg.write_text(cfg.read_text().replace('"seed": 11', '"seed": ' + "7" * 5001))
+        assert main(["generate", "--config", str(cfg),
+                     "--out", str(tmp_path / "d.json")]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "not valid JSON" in err and "Traceback" not in err
+        assert not (tmp_path / "d.json").exists()
+
     def test_missing_config_file(self, tmp_path):
         assert main(["generate", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "d.json")]) == EXIT_IO
@@ -210,6 +221,8 @@ class TestDatasetFiles:
             {**json.loads(text), "bags": [{"id": "a", "instances": [[0.0, 1.0]],
                                           "label": 3}]}).encode()),
         ("utf-8", lambda text: text.encode().replace(b"bag-000000", b"bag-\xff")),
+        ("not valid JSON", lambda text: ('{"pad": ' + "7" * 5001 + ", "
+                                         + text.lstrip()[1:]).encode()),
         ("label must be 0 or 1, got 0.7", lambda text: edit_first_bag(text, label=0.7)),
         ("label must be 0 or 1, got '1'", lambda text: edit_first_bag(text, label="1")),
         ("NaN or infinity", lambda text: edit_first_bag(text, instances=[[0.0, float("nan")]])),

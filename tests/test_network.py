@@ -268,6 +268,21 @@ class TestBackward:
         for got, want in zip(grads.weights + grads.biases, expect.weights + expect.biases):
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("hidden", [(3,), (16, 8)])
+    def test_caller_arrays_unchanged(self, activation, hidden):
+        # the core scales its d cost / d prediction in place: backward_bag
+        # hands it a copy, and the forward pass only reads the instances
+        params, bag, upstream = signed_zero_params_and_bag(activation, hidden, seed=5)
+        bag_before, upstream_before = bag.copy(), upstream.copy()
+        preds, trace = forward_bag(params, bag)
+        preds_before = preds.copy()
+        backward_bag(params, trace, upstream)
+        backward_bag(params, trace, upstream)
+        assert bag.tobytes() == bag_before.tobytes()
+        assert upstream.tobytes() == upstream_before.tobytes()
+        assert preds.tobytes() == preds_before.tobytes()
+
     def test_mismatched_upstream(self):
         params = init_params(NetArch(input_dim=2), seed=0)
         _, trace = forward_bag(params, np.zeros((3, 2)))

@@ -22,6 +22,7 @@ from promil.network import NetArch, NetParams, backward_bag, forward_bag, init_p
 from promil.training import (
     NumericalError,
     TrainConfig,
+    SCALAR_ADAM_MAX,
     adam_update,
     bag_cost,
     bag_cost_and_grads,
@@ -454,6 +455,51 @@ def former_adam_update(param, grad, moments, cfg, t, decay):
     param[decay] *= 1.0 - cfg.learning_rate * cfg.weight_decay
 
 
+class TestAdamPaths:
+    """``adam_update`` takes a vector of at most SCALAR_ADAM_MAX entries in
+    Python floats and a longer one in numpy arrays; after every one of
+    2,000 steps both hold the bits of ``former_adam_update``.  Each entry's
+    gradients keep one scale: 1e-300 (its square underflows), 1e300 (its
+    square overflows, after which the entry turns inf or NaN) or one from
+    1e-12 to 1e30; a fifth of them are zero."""
+
+    @pytest.mark.parametrize("n", [1, 4, 8, 9, 34])
+    @pytest.mark.parametrize("betas", [(0.99, 0.999), (0.0, 0.0), (0.99, 0.0), (0.0, 0.999)])
+    @pytest.mark.parametrize("decayed", [True, False])
+    def test_2000_steps_bit_for_bit(self, n, betas, decayed):
+        assert SCALAR_ADAM_MAX == 8   # so the sizes fall on both sides
+        cfg = TrainConfig(learning_rate=1e-3, beta1=betas[0], beta2=betas[1],
+                          weight_decay=1e-2)
+        decay = slice(0, (n + 1) // 2) if decayed else False
+        rng = np.random.default_rng(n)
+        # steps that move theta in its last bits need scales near eps and above
+        scale = rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-12, 30, size=n)
+        if n > 1:
+            scale[0], scale[-1] = 1e-300, 1e300
+        grads = scale * rng.uniform(0.1, 1.9, size=(2000, n))
+        grads[rng.random(size=grads.shape) < 0.2] = 0.0
+        theta = rng.normal(size=n)
+        m, v = np.zeros(n), np.zeros(n)
+        want, want_m, want_v = theta.copy(), np.zeros(n), np.zeros(n)
+        # every step's theta, m and v, on each side
+        got_steps, want_steps = np.empty((2, 2000, 3, n))
+        with np.errstate(all="ignore"):
+            for t, grad in enumerate(grads, 1):
+                adam_update(theta, grad, (m, v), cfg, t, decay)
+                former_adam_update(want, grad, (want_m, want_v), cfg, t, decay)
+                got_steps[t - 1] = theta, m, v
+                want_steps[t - 1] = want, want_m, want_v
+        # the same bits wherever the reference is not NaN; a NaN's sign and
+        # payload are not compared
+        nan = np.isnan(want_steps)
+        np.testing.assert_array_equal(np.isnan(got_steps), nan)
+        np.testing.assert_array_equal(got_steps[~nan].view(np.uint64),
+                                      want_steps[~nan].view(np.uint64))
+        if n > 1:   # the largest entry went non-finite, the others did not
+            assert not np.isfinite(theta[-1] * v[-1])
+            assert np.isfinite(theta[:-1]).all()
+
+
 def reference_step(arch, theta, moments, t, bag, cfg, head):
     """One step composed from the public pieces; returns (cost, whether the
     clamp bound on the bag's predictions)."""
@@ -533,7 +579,7 @@ def test_per_length_rows_stay_within_their_bound(tmp_path):
     cfg = TrainConfig(seed=0, max_epochs=1, patience=1)
     state = init_train_state(NetArch(input_dim=1), cfg)
     bernstein._tables(int(lengths.max()))
-    bernstein._LOG_BINOMIAL_ROWS.clear()
+    bernstein._LENGTH_ROWS.clear()
     tracemalloc.start()
     try:
         train(state, split, cfg)
@@ -541,7 +587,7 @@ def test_per_length_rows_stay_within_their_bound(tmp_path):
     finally:
         tracemalloc.stop()
     assert state.t == len(lengths)
-    stored = sum(row.size for row in bernstein._LOG_BINOMIAL_ROWS.values())
+    stored = sum(rows[0].size for rows in bernstein._LENGTH_ROWS.values())
     assert 0 < stored <= bernstein.ROW_CACHE_FLOATS
     # the bound plus one step's arrays on the largest bag
     assert peak < 3 * bound_bytes
