@@ -4,7 +4,7 @@ and a standalone quantile utility.
 Configs and models are JSON with explicit schema-version fields
 (promil-config/1, promil-model/2, which adds the training eps_clamp;
 promil-model/1 is still read, with the default eps).  Datasets are one
-deflated .npz whatever the file's extension (bagdata/3, which keeps the
+.npz whatever the file's extension (bagdata/3, which keeps the
 instance matrix as a bit mask of its nonzero cells and their values; the
 dense bagdata/2 and the JSON bagdata/1 are still read).  Sweep results and
 per-epoch training logs are CSV.

@@ -7,9 +7,10 @@ Training uses it bag by bag, through ``head_function``, which finds a
 valid name with one dict lookup.  The second scores each row of a block of
 bags of one length, ``(block, q, eps)``, bit for bit as the first.  The
 quantile head sorts the predictions ascending (stable, so gradient routing
-is reproducible under ties) and evaluates the Bernstein estimator at q.
-The max and mean heads are the classic instance-based baselines and do
-not depend on q.
+is reproducible under ties; a big bag without ties may take an unstable
+sort, which then gives the same permutation) and evaluates the Bernstein
+estimator at q.  The max and mean heads are the classic instance-based
+baselines and do not depend on q.
 
 Both functions stay because each serves a gated cost.  One ``(m, n)``
 function with gradients, a training step being a block of one bag and a
@@ -32,9 +33,30 @@ from .bernstein import DEFAULT_EPS, bag_weights, check_level, quantile_value_gra
 from .network import forward_bag
 
 
-def _promil(preds, q, eps):
+# from this many predictions up, an unstable sort checked for ties beats
+# the stable sort: 11.9 against 16.6 us at 1,000 and 37.7 against 175 us at
+# 3,000 (2-vCPU VM, numpy 2.4); at 300 it lost, 6.1 against 4.0 us
+UNSTABLE_SORT_MIN = 1000
+
+
+def _ascending(preds):
+    """The stable ascending permutation of ``preds`` and the values it
+    sorts.  From UNSTABLE_SORT_MIN predictions up an unstable sort comes
+    first: when its values increase strictly it is the one permutation that
+    sorts them, so the stable one; a tie or a NaN falls back to the stable
+    sort."""
+    if preds.size >= UNSTABLE_SORT_MIN:
+        perm = preds.argsort()
+        ranked = preds[perm]
+        if (ranked[1:] > ranked[:-1]).all():
+            return perm, ranked
     perm = preds.argsort(kind="stable")
-    value, w, dq = quantile_value_grad(preds[perm], q, eps)
+    return perm, preds[perm]
+
+
+def _promil(preds, q, eps):
+    perm, ranked = _ascending(preds)
+    value, w, dq = quantile_value_grad(ranked, q, eps)
     dpreds = np.empty(preds.size)
     dpreds[perm] = w
     return value, dpreds, dq

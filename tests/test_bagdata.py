@@ -6,6 +6,7 @@ import struct
 import tracemalloc
 import zipfile
 import zlib
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from promil.bagdata import (
     make_mnist_bags,
     save_dataset,
     split_dataset,
+    stack_instances,
     write_idx_images,
     write_idx_labels,
 )
@@ -575,6 +577,43 @@ class TestContainer:
         with pytest.raises(DatasetError, match="bad: bag bag-000000: positive_fraction"):
             load_dataset(tmp_path / "bad")
 
+    def test_load_names_the_first_inconsistent_bag(self, tmp_path):
+        _, arrays = saved_members(tmp_path)
+        checked = np.flatnonzero(arrays["has_hidden"] & arrays["has_fraction"])
+        assert checked[0] == 0 and checked.size > 3
+        arrays["fractions"] = arrays["fractions"].copy()
+        arrays["fractions"][checked[2:]] = 1.0 - arrays["fractions"][checked[2:]] + 1e-9
+        write_members(tmp_path / "bad", arrays)
+        first = f"bag-{checked[2]:06d}"
+        with pytest.raises(DatasetError, match=f"bad: bag {first}: positive_fraction "
+                                               r"\S+ inconsistent with hidden labels"):
+            load_dataset(tmp_path / "bad")
+
+    def test_inconsistent_fraction_reported_before_a_hidden_label_out_of_range(self, tmp_path):
+        # bag 0's label 5 breaks its fraction; bag 1 has no hidden labels
+        # and bag 3's fraction is inconsistent: the bag check of bag 0 comes first
+        _, arrays = saved_members(tmp_path)
+        arrays["hidden"] = cell(0, 5)(arrays["hidden"])
+        arrays["fractions"] = cell(3, 0.5)(arrays["fractions"])
+        fraction = arrays["fractions"][0]
+        write_members(tmp_path / "bad", arrays)
+        expect = arrays["hidden"][:arrays["offsets"][1]].sum() / arrays["offsets"][1]
+        with pytest.raises(DatasetError, match=re.escape(
+                f"bad: bag bag-000000: positive_fraction {fraction} inconsistent with hidden "
+                f"labels ({expect})")):
+            load_dataset(tmp_path / "bad")
+
+    def test_loaded_bags_stack_as_a_view(self, tmp_path):
+        _, bags = container_bags()
+        save_dataset(tmp_path / "d", bags)
+        loaded, _, _ = load_dataset(tmp_path / "d")
+        train = [b for b in loaded if b.split == "train"]
+        assert all(b.loaded_rows[0] is b.instances for b in loaded)
+        stacked, lengths = stack_instances(loaded[3:9], 2)
+        assert stacked.base is loaded[0].instances.base
+        assert lengths.tolist() == [len(b) for b in loaded[3:9]]
+        assert stack_instances(train, 2)[0].base is None   # not consecutive: a copy
+
     @pytest.mark.parametrize("keep", [0.3, 0.6, 0.9, 0.999])
     def test_truncated_file_names_path(self, tmp_path, keep):
         good, _ = saved_members(tmp_path)
@@ -591,7 +630,7 @@ class TestContainer:
     def test_corrupt_member_names_path(self, tmp_path, source, member):
         good = source or saved_members(tmp_path)[0]
         data = bytearray(good.read_bytes())
-        at = data.index(member.encode()) + len(member) + 24   # in its deflated bytes
+        at = data.index(member.encode()) + len(member) + 24   # in its stored or deflated bytes
         data[at:at + 8] = bytes(255 - x for x in data[at:at + 8])
         bad = tmp_path / "flipped.json"
         bad.write_bytes(bytes(data))
@@ -731,6 +770,96 @@ class TestSparseInstances:
         write_members(tmp_path / "bad", arrays)
         with pytest.raises(DatasetError, match=f"bad: field '{name}' is missing"):
             load_dataset(tmp_path / "bad")
+
+
+def gaussian_bags(n_bags=80):
+    """Bags of Gaussian cells, more of them than the writer's sample."""
+    spec = SyntheticSpec(n_bags=n_bags, threshold_qstar=0.3, bag_size_mean=40, feature_dim=3)
+    return generate_synthetic(spec, seed=4)
+
+
+def rezip_deflated(path, out, hidden_dtype=np.int64):
+    """``path``'s members, every one deflated as the writer of bagdata/3
+    did before it stored any, with the hidden labels as ``hidden_dtype``."""
+    arrays = read_members(path)
+    arrays["hidden"] = arrays["hidden"].astype(hidden_dtype)
+    with zipfile.ZipFile(out, "w", zipfile.ZIP_DEFLATED) as zf:
+        for name, arr in arrays.items():
+            with zf.open(name + ".npy", "w") as f:
+                np.lib.format.write_array(f, arr, allow_pickle=False)
+
+
+class TestStoredMembers:
+    """A member whose leading bytes deflate badly is stored as it is."""
+
+    def test_gaussian_values_stored_and_round_trip(self, tmp_path):
+        bags = gaussian_bags()
+        save_dataset(tmp_path / "a", bags)
+        with zipfile.ZipFile(tmp_path / "a") as zf:
+            values = zf.getinfo("instance_values.npy")
+            types = {info.filename: info.compress_type for info in zf.infolist()}
+        assert values.file_size > 16384 * 4 and values.compress_type == zipfile.ZIP_STORED
+        assert types.pop("instance_values.npy") == zipfile.ZIP_STORED
+        assert set(types.values()) == {zipfile.ZIP_DEFLATED}, types
+        assert_same_bags(load_dataset(tmp_path / "a")[0], bags)
+        save_dataset(tmp_path / "b", gaussian_bags())
+        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+    def test_hidden_labels_stored_as_int8_and_loaded_as_int64(self, tmp_path):
+        bags = gaussian_bags()
+        _, arrays = saved_members(tmp_path, bags)
+        assert arrays["hidden"].dtype == np.int8
+        assert arrays["hidden"].tolist() == np.concatenate(
+            [b.hidden_instance_labels for b in bags]).tolist()
+        loaded, _, _ = load_dataset(tmp_path / "good")
+        base = loaded[0].hidden_instance_labels.base
+        assert base is not None and base.dtype == np.int64
+        assert all(b.hidden_instance_labels.base is base for b in loaded)
+
+    def test_file_with_every_member_deflated_loads_to_the_same_bags(self, tmp_path):
+        bags = gaussian_bags()
+        save_dataset(tmp_path / "new", bags)
+        rezip_deflated(tmp_path / "new", tmp_path / "old")
+        with zipfile.ZipFile(tmp_path / "old") as zf:
+            assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_DEFLATED}
+        assert read_members(tmp_path / "old")["hidden"].dtype == np.int64
+        assert_same_bags(load_dataset(tmp_path / "old")[0], bags)
+
+    def test_save_names_the_first_of_several_bad_bags(self, tmp_path):
+        bags = gaussian_bags()
+        bags[7].instances[2, 1] = np.nan
+        bags[5].positive_fraction = 1.5
+        bags[3].hidden_instance_labels = np.full(len(bags[3]), 2)
+        bags[9].split = "holdout"
+        with pytest.raises(ValueError, match="^bag bag-000007: instances contain NaN"):
+            save_dataset(tmp_path / "d", bags)
+        bags[7].instances[2, 1] = 0.0
+        with pytest.raises(ValueError, match="^bag bag-000009: split must be one of"):
+            save_dataset(tmp_path / "d", bags)
+        bags[9].split = None
+        with pytest.raises(ValueError, match=re.escape(
+                "bag bag-000005: positive_fraction must be a finite number >= 0 and <= 1, "
+                "got 1.5")):
+            save_dataset(tmp_path / "d", bags)
+        bags[5].positive_fraction = None
+        with pytest.raises(ValueError, match="^bag bag-000003: hidden labels must be 0 or 1"):
+            save_dataset(tmp_path / "d", bags)
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("fraction", [0, 1, Fraction(1, 4)])
+    def test_fraction_of_another_number_type_saved_as_float(self, tmp_path, fraction):
+        bags = gaussian_bags(4)
+        bags[2].hidden_instance_labels = None
+        bags[2].positive_fraction = fraction
+        save_dataset(tmp_path / "d", bags)
+        assert load_dataset(tmp_path / "d")[0][2].positive_fraction == float(fraction)
+
+    def test_hidden_label_that_would_wrap_in_int8_rejected(self, tmp_path):
+        bags = gaussian_bags(4)
+        bags[1].hidden_instance_labels = np.full(len(bags[1]), 256)
+        bags[1].positive_fraction = None
+        with pytest.raises(ValueError, match="^bag bag-000001: hidden labels must be 0 or 1"):
+            save_dataset(tmp_path / "d", bags)
 
 
 class TestDenseV2:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from promil.bernstein import DEFAULT_EPS, estimate_quantile, quantile_value_grad
-from promil.heads import HEADS, decide, head_function, score_bag
+from promil.heads import HEADS, UNSTABLE_SORT_MIN, decide, head_function, score_bag
 
 
 class TestPromilScore:
@@ -37,6 +37,27 @@ class TestPromilScore:
         _, w, _ = quantile_value_grad(np.array([0.1, 0.1, 0.5, 0.9]), 0.3, DEFAULT_EPS)
         np.testing.assert_array_equal(dpreds[[1, 3, 0, 2]], w)
         assert w[0] != w[1]
+
+    @pytest.mark.parametrize("ties", [0, 1, 300])
+    def test_big_bag_routes_as_the_stable_sort(self, ties):
+        # above UNSTABLE_SORT_MIN an unstable sort is tried first; planted
+        # ties must still route the weights as the stable sort does
+        rng = np.random.default_rng(ties)
+        raw = rng.uniform(size=UNSTABLE_SORT_MIN + 500)
+        at = rng.choice(raw.size, size=2 * ties, replace=False)
+        raw[at[ties:]] = raw[at[:ties]]
+        perm = raw.argsort(kind="stable")
+        if ties:
+            ranked = raw[raw.argsort()]
+            assert not (ranked[1:] > ranked[:-1]).all()
+        value, w, dq = quantile_value_grad(raw[perm], 0.3, DEFAULT_EPS)
+        want = np.empty(raw.size)
+        want[perm] = w
+        got = head_function("promil")(raw, 0.3, DEFAULT_EPS)
+        assert (got[0], got[2]) == (value, dq)
+        np.testing.assert_array_equal(got[1], want)
+        if ties == 300:   # the unstable sort alone would route them otherwise
+            assert not np.array_equal(raw.argsort(), perm)
 
     def test_flip_identity(self):
         # c_{1-q}(1 - p) = 1 - c_q(p): the complemented bag at the flipped level
