@@ -805,6 +805,16 @@ class TestStoredMembers:
         save_dataset(tmp_path / "b", gaussian_bags())
         assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
 
+    def test_flipped_byte_in_stored_values_names_path(self, tmp_path):
+        # no deflate stream to break: the member's CRC-32 catches it
+        save_dataset(tmp_path / "good", gaussian_bags())
+        data = bytearray((tmp_path / "good").read_bytes())
+        data[data.index(b"instance_values.npy") + 5000] ^= 0xFF
+        bad = tmp_path / "flipped.json"
+        bad.write_bytes(bytes(data))
+        with pytest.raises(DatasetError, match="flipped.json: .*CRC"):
+            load_dataset(bad)
+
     def test_hidden_labels_stored_as_int8_and_loaded_as_int64(self, tmp_path):
         bags = gaussian_bags()
         _, arrays = saved_members(tmp_path, bags)
