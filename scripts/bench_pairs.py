@@ -23,7 +23,8 @@ calibration block: the scaling can itself move a metric on a host whose
 speed changes.  Each side
 also records the git tree ids of ``src`` and ``e2ebench``, the code a run
 executes, so ``git rev-parse <commit>:src`` tells whether a commit holds
-the code that was measured, committed or not at the time.  Run it on an
+the code that was measured, committed or not at the time; the change side
+also records whether those two directories differed from HEAD.  Run it on an
 otherwise idle machine: the pairs share its cores with anything else
 running.
 
@@ -76,6 +77,13 @@ def working_trees():
         env = {**os.environ, "GIT_INDEX_FILE": os.path.join(tmp, "index")}
         git("add", "-A", "--", *CODE, env=env)
         return {path: git("write-tree", f"--prefix={path}/", env=env) for path in CODE}
+
+
+def uncommitted_changes():
+    """Whether the working tree's ``CODE`` directories differ from HEAD;
+    changes elsewhere, as the ``BENCH_*.json`` of an earlier workload, do
+    not count."""
+    return bool(git("status", "--porcelain", "--", *CODE))
 
 
 def make_tmpdir(workdir):
@@ -233,7 +241,7 @@ def main(argv=None):
     base = {"revision": git("rev-parse", args.base),
             "trees": {path: git("rev-parse", f"{args.base}:{path}") for path in CODE}}
     change = {"revision": git("rev-parse", "HEAD"),
-              "uncommitted_changes": bool(git("status", "--porcelain")),
+              "uncommitted_changes": uncommitted_changes(),
               "trees": working_trees()}
     tmp = make_tmpdir(args.workdir)
     try:

@@ -21,16 +21,9 @@ from .bagdata import (
     split_dataset,
 )
 from .bernstein import estimate_quantile
-from .heads import HEADS, decide, score_bag, score_bags
+from .heads import HEADS, decide, score_bags
 from .metrics import EvalResult, auc, balanced_accuracy, evaluate
-from .network import (
-    BagForwardTrace,
-    NetArch,
-    NetParams,
-    backward_bag,
-    forward_bag,
-    init_params,
-)
+from .network import NetArch, NetParams, backward, forward, init_params
 from .training import (
     TrainConfig,
     TrainedModel,
@@ -47,7 +40,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bag",
-    "BagForwardTrace",
     "DatasetSplit",
     "EvalResult",
     "HEADS",
@@ -59,7 +51,7 @@ __all__ = [
     "TrainedModel",
     "adam_update",
     "auc",
-    "backward_bag",
+    "backward",
     "bag_cost",
     "bag_cost_and_grads",
     "bag_step",
@@ -67,13 +59,12 @@ __all__ = [
     "decide",
     "estimate_quantile",
     "evaluate",
-    "forward_bag",
+    "forward",
     "generate_synthetic",
     "init_params",
     "init_train_state",
     "load_idx",
     "make_mnist_bags",
-    "score_bag",
     "score_bags",
     "split_dataset",
     "train",

@@ -8,17 +8,19 @@ draws its bags by the same protocol (``_draw_bag``) from user-supplied
 IDX files, with the digit 9 as the positive class.
 
 Hidden per-instance labels ride along for diagnostics only; training never
-sees them.  ``check_number`` and ``check_choice`` are the package's one
-test of a number field and of a choice field; a failure reads "<field>
-must be <rule>, got <value>".
+sees them.  A dataset file is one bagdata/3 .npz container; a file of a
+schema that earlier versions wrote (RETIRED_SCHEMAS) is refused by name.
+``check_number`` and ``check_choice`` are the package's one test of a
+number field and of a choice field; a failure reads "<field> must be
+<rule>, got <value>".
 """
 
 import io
 import json
+import math
 import numbers
 import os
 import struct
-import sys
 import zipfile
 import zlib
 from dataclasses import dataclass, field, asdict
@@ -26,19 +28,17 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 DATASET_SCHEMA = "bagdata/3"
-DENSE_SCHEMA = "bagdata/2"          # one dense instance member; still read, no longer written
-LEGACY_SCHEMA = "bagdata/1"        # JSON; still read, no longer written
+# written by earlier versions, no longer read: the JSON bagdata/1 and the
+# dense .npz bagdata/2
+RETIRED_SCHEMAS = ("bagdata/1", "bagdata/2")
 SPLIT_NAMES = (None, "train", "validation", "test")   # indexed by split code
-# the members every .npz schema has, and the numpy dtype kinds each may have
+# the members of a dataset file, and the numpy dtype kinds each may have;
+# the instances are a bit per cell (set where the cell is not +0.0) and
+# the cells so marked, in row-major order
 _MEMBER_KINDS = {
     "header": "U", "ids": "U", "offsets": "i", "labels": "iu", "splits": "iu", "hidden": "iu",
-    "has_hidden": "b", "fractions": "f", "has_fraction": "b",
-}
-# each .npz schema's instance members: bagdata/3 holds a bit per cell (set
-# where the cell is not +0.0) and the cells so marked, in row-major order
-_INSTANCE_KINDS = {
-    DATASET_SCHEMA: {"instance_mask": "u", "instance_values": "f"},
-    DENSE_SCHEMA: {"instances": "f"},
+    "has_hidden": "b", "fractions": "f", "has_fraction": "b", "instance_mask": "u",
+    "instance_values": "f",
 }
 # zlib level for the instance members that are deflated: on MNIST-like
 # bags level 1 deflates the mask and values 5x faster than the default
@@ -76,8 +76,8 @@ def check_number(name, value, *, integer=False, above=None, at_least=None, below
     that is > above, >= at_least, < below and <= at_most, for each bound
     given; else ValueError naming ``name`` and the value.  An integer of
     any size is finite; where a float is asked for, one beyond the float
-    range is not (``math.isfinite`` would raise on it)."""
-    ok = is_integer(value) if integer else is_number(value) and abs(value) <= sys.float_info.max
+    range is not."""
+    ok = is_integer(value) if integer else is_number(value) and _in_float_range(value)
     if ok and ((above is None or value > above) and (at_least is None or value >= at_least)
                and (below is None or value < below) and (at_most is None or value <= at_most)):
         return value
@@ -85,6 +85,16 @@ def check_number(name, value, *, integer=False, above=None, at_least=None, below
         (">", above), (">=", at_least), ("<", below), ("<=", at_most)) if bound is not None)
     raise ValueError(f"{name} must be {'an integer' if integer else 'a finite number'}{where}, "
                      f"got {value if is_number(value) else repr(value)}")
+
+
+def _in_float_range(value):
+    """True when the number ``value`` is finite as a float64.  Comparing a
+    numpy float32 or float16 with the largest float instead would cast that
+    bound to the value's type, where it overflows to inf."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:   # an integer or a fraction beyond the float range
+        return False
 
 
 def check_choice(name, value, choices):
@@ -461,43 +471,11 @@ def _loaded_run(bags):
     return whole[bounds[0]:bounds[-1]], np.diff(bounds)
 
 
-def _bag_from_json(obj):
-    _check_hidden_and_fraction(obj["id"], obj.get("hidden_instance_labels"),
-                               obj.get("positive_fraction"))
-    return Bag(
-        id=obj["id"],
-        instances=np.asarray(obj["instances"], dtype=np.float64),
-        label=obj["label"],
-        hidden_instance_labels=obj.get("hidden_instance_labels"),
-        positive_fraction=obj.get("positive_fraction"),
-        split=obj.get("split"),
-    )
-
-
-def _bad_member(hidden, fractions):
-    """``(member, why)`` for the first of the members 'hidden' and
-    'fractions' that breaks ``_check_hidden_and_fraction``'s rule, else None."""
-    if not np.isin(hidden, (0, 1)).all():
-        return "hidden", "holds a hidden label other than 0 or 1"
-    if not ((fractions >= 0) & (fractions <= 1)).all():
-        return "fractions", "holds a positive fraction outside [0, 1]"
-    return None
-
-
-def _check_hidden_and_fraction(bag_id, hidden, fraction):
-    """Raise ValueError naming the bag unless its hidden labels and positive
-    fraction, each where not None, are 0 or 1 and a finite number in [0, 1]."""
-    if fraction is not None:
-        check_number(f"bag {bag_id}: positive_fraction", fraction, at_least=0, at_most=1)
-    if hidden is not None and not np.isin(hidden, (0, 1)).all():
-        raise ValueError(f"bag {bag_id}: hidden labels must be 0 or 1")
-
-
-def _check_storable(bags, finite=False):
+def _check_storable(bags, finite):
     """The bags' one width; raise ValueError, naming the bag, unless they
     share it, their instances are finite and each split is one of
-    SPLIT_NAMES: the rules every dataset container holds to.  ``finite``
-    says the caller has found every instance finite."""
+    SPLIT_NAMES.  ``finite`` says the caller has found every instance
+    finite."""
     width = bags[0].instances.shape[1] if bags else 0
     for b in bags:
         if b.instances.shape[1] != width:
@@ -580,9 +558,11 @@ def save_dataset(path, bags, spec=None, seed=None):
         "has_fraction": np.array([b.positive_fraction is not None for b in bags], dtype=bool),
     }
     del cells, nonzero   # the stacked matrix is not held while the members are written
-    if _bad_member(members["hidden"], fractions):
+    if not np.isin(members["hidden"], (0, 1)).all():
         for b in bags:   # the first bag that breaks the rule raises, naming itself
-            _check_hidden_and_fraction(b.id, b.hidden_instance_labels, b.positive_fraction)
+            if b.hidden_instance_labels is not None and \
+                    not np.isin(b.hidden_instance_labels, (0, 1)).all():
+                raise ValueError(f"bag {b.id}: hidden labels must be 0 or 1")
     # checked as int64, so no label wraps into 0 or 1; int8 deflates in
     # two thirds of the time, to 60% of the bytes
     members["hidden"] = members["hidden"].astype(np.int8)
@@ -597,51 +577,28 @@ def save_dataset(path, bags, spec=None, seed=None):
 
 
 def load_dataset(path):
-    """Read a dataset container; returns (bags, spec_dict, seed).
+    """Read a bagdata/3 container; returns (bags, spec_dict, seed).
 
-    Reads bagdata/3, the dense bagdata/2 and the JSON bagdata/1, told
-    apart by their first bytes and the header's schema.  The bags of a
-    bagdata/3 or bagdata/2 file are views of one N_total x d float64
-    instance array.  A file that is unreadable or inconsistent raises
-    DatasetError naming the path and the field.
+    The bags are views of one N_total x d float64 instance array.  A file
+    that is unreadable or inconsistent raises DatasetError naming the path
+    and the field; so does a file of a schema in RETIRED_SCHEMAS, saying
+    that it is no longer read.
     """
     with open(path, "rb") as f:
         head = f.read(len(_ZIP_MAGIC))
     if head == _ZIP_MAGIC:
         return _load_npz(path)
-    if head[:1] == b"{":
-        return _load_json(path)
-    raise DatasetError(f"{path}: not a dataset container ({DATASET_SCHEMA}, {DENSE_SCHEMA} "
-                       f"or {LEGACY_SCHEMA}); it starts with {head!r}")
-
-
-def _load_json(path):
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except ValueError as exc:   # UnicodeDecodeError, JSONDecodeError, too long an integer
-        raise DatasetError(f"{path}: not valid JSON: {exc}") from exc
-    schema = doc.get("schema") if isinstance(doc, dict) else None
-    if schema != LEGACY_SCHEMA:
-        raise DatasetError(
-            f"{path}: unsupported dataset schema {schema!r} "
-            f"(expected {LEGACY_SCHEMA!r}; {DATASET_SCHEMA!r} and {DENSE_SCHEMA!r} are .npz)"
-        )
-    try:
-        bags = [_bag_from_json(obj) for obj in doc["bags"]]
-        _check_storable(bags)
-    except KeyError as exc:
-        raise DatasetError(f"{path}: field {exc} is missing") from None
-    except (TypeError, ValueError) as exc:
-        raise DatasetError(f"{path}: {exc}") from None
-    return bags, doc.get("spec"), doc.get("seed")
+    if head[:1] == b"{":   # every JSON dataset is bagdata/1
+        raise DatasetError(f"{path}: a JSON dataset, schema {RETIRED_SCHEMAS[0]!r}, which is no "
+                           f"longer read (expected a {DATASET_SCHEMA!r} .npz container)")
+    raise DatasetError(f"{path}: not a {DATASET_SCHEMA!r} dataset container; it starts with "
+                       f"{head!r}")
 
 
 def _load_npz(path):
-    names = set(_MEMBER_KINDS).union(*_INSTANCE_KINDS.values())
     try:
         with open(path, "rb") as f, np.load(f, allow_pickle=False) as npz:
-            a = {name: npz[name] for name in npz.files if name in names}
+            a = {name: npz[name] for name in npz.files if name in _MEMBER_KINDS}
     except (zipfile.BadZipFile, zlib.error, EOFError, ValueError) as exc:
         raise DatasetError(f"{path}: unreadable .npz dataset container: {exc}") from exc
 
@@ -661,21 +618,18 @@ def _load_npz(path):
     except (TypeError, ValueError) as exc:
         raise bad("header", f"is not one JSON text: {exc}") from exc
     schema = header.get("schema") if isinstance(header, dict) else None
-    if schema not in _INSTANCE_KINDS:
-        raise bad("header", f"does not name schema {DATASET_SCHEMA!r} or {DENSE_SCHEMA!r}")
-    check_kinds({**_MEMBER_KINDS, **_INSTANCE_KINDS[schema]})
+    if schema in RETIRED_SCHEMAS:
+        raise bad("header", f"names the schema {schema!r}, which is no longer read "
+                            f"(expected {DATASET_SCHEMA!r})")
+    if schema != DATASET_SCHEMA:
+        raise bad("header", f"does not name schema {DATASET_SCHEMA!r}")
+    check_kinds(_MEMBER_KINDS)
     offsets, codes = a["offsets"], a["splits"]
     if offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0:
         raise bad("offsets", "must be a 1-D array starting at 0")
     if (np.diff(offsets) <= 0).any():
         raise bad("offsets", "must increase strictly (every bag nonempty)")
     n_rows = int(offsets[-1])
-    if schema == DENSE_SCHEMA:
-        instances = a["instances"]
-        if instances.ndim != 2:
-            raise bad("instances", f"has shape {instances.shape}, expected N_total x d")
-        if n_rows != len(instances):
-            raise bad("offsets", f"end at {n_rows}, but 'instances' has {len(instances)} rows")
     n_bags = offsets.size - 1
     for name in ("ids", "labels", "splits", "has_hidden", "fractions", "has_fraction"):
         if a[name].shape != (n_bags,):
@@ -686,13 +640,8 @@ def _load_npz(path):
         raise bad("labels", "holds a label other than 0 or 1")
     if ((codes < 0) | (codes >= len(SPLIT_NAMES))).any():
         raise bad("splits", f"holds a split code outside 0..{len(SPLIT_NAMES) - 1}")
-    if schema == DENSE_SCHEMA:
-        if not np.isfinite(instances).all():
-            raise bad("instances", "contain NaN or infinity")
-        instances = instances.astype(np.float64, copy=False)
-    else:
-        instances = _decode_instances(a["instance_mask"], a["instance_values"], n_rows,
-                                      header.get("width"), bad)
+    instances = _decode_instances(a["instance_mask"], a["instance_values"], n_rows,
+                                  header.get("width"), bad)
 
     ids, labels, fractions = a["ids"].tolist(), a["labels"].tolist(), a["fractions"].tolist()
     has_hidden, has_fraction = a["has_hidden"].tolist(), a["has_fraction"].tolist()
@@ -706,9 +655,10 @@ def _load_npz(path):
             i = wrong[0]
             why = _inconsistent_fraction(ids[i], fractions[i], expect[i])
             raise DatasetError(f"{path}: {why}")
-    found = _bad_member(hidden, a["fractions"])
-    if found:
-        raise bad(*found)
+    if not np.isin(hidden, (0, 1)).all():
+        raise bad("hidden", "holds a hidden label other than 0 or 1")
+    if not ((a["fractions"] >= 0) & (a["fractions"] <= 1)).all():
+        raise bad("fractions", "holds a positive fraction outside [0, 1]")
     source = (instances, offsets.astype(np.int64, copy=False))
     bounds, codes = offsets.tolist(), codes.tolist()
     bags = []
@@ -723,7 +673,7 @@ def _load_npz(path):
 
 
 def _decode_instances(mask, values, n_rows, width, bad):
-    """The (n_rows, width) float64 instances of a bagdata/3 file: zero but
+    """The (n_rows, width) float64 instances of a dataset file: zero but
     for the cells ``mask`` marks, which hold ``values`` in row-major order.
     ``bad(field, why)`` makes the error for a member that does not fit."""
     if not (is_integer(width) and width >= 0):

@@ -2,12 +2,12 @@
 and a standalone quantile utility.
 
 Configs and models are JSON with explicit schema-version fields
-(promil-config/1, promil-model/2, which adds the training eps_clamp;
-promil-model/1 is still read, with the default eps).  Datasets are one
-.npz whatever the file's extension (bagdata/3, which keeps the
-instance matrix as a bit mask of its nonzero cells and their values; the
-dense bagdata/2 and the JSON bagdata/1 are still read).  Sweep results and
-per-epoch training logs are CSV.
+(promil-config/1, promil-model/2, which records the training eps_clamp).
+Datasets are one .npz whatever the file's extension (bagdata/3, which
+keeps the instance matrix as a bit mask of its nonzero cells and their
+values).  Files of the schemas earlier versions wrote (promil-model/1,
+the dense bagdata/2 and the JSON bagdata/1) are refused by name, exit 2.
+Sweep results and per-epoch training logs are CSV.
 Identical (config, seed) inputs reproduce output files byte for byte; the
 model file keeps its timestamp in a separate metadata field so everything
 else stays reproducible.
@@ -66,7 +66,7 @@ from .training import (
 
 CONFIG_SCHEMA = "promil-config/1"
 MODEL_SCHEMA = "promil-model/2"
-LEGACY_MODEL_SCHEMA = "promil-model/1"   # read with eps_clamp = DEFAULT_EPS
+RETIRED_MODEL_SCHEMAS = ("promil-model/1",)   # written by earlier versions, no longer read
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -240,15 +240,12 @@ def load_model(path):
     missing or bad, raises ConfigError naming the path and the field."""
     doc = _read_json(path, "model")
     schema = doc.get("schema")
-    if schema not in (MODEL_SCHEMA, LEGACY_MODEL_SCHEMA):
-        raise ConfigError(
-            f"{path}: unsupported model schema {schema!r} "
-            f"(expected {MODEL_SCHEMA!r} or {LEGACY_MODEL_SCHEMA!r})"
-        )
+    if schema != MODEL_SCHEMA:
+        why = "is no longer read" if schema in RETIRED_MODEL_SCHEMAS else "is not supported"
+        raise ConfigError(f"{path}: model schema {schema!r} {why} (expected {MODEL_SCHEMA!r})")
     name = "eps_clamp"
     try:
-        eps = DEFAULT_EPS if schema == LEGACY_MODEL_SCHEMA \
-            else float(check_number(name, doc[name], above=0))
+        eps = float(check_number(name, doc[name], above=0))
         name = "arch"
         arch = NetArch(
             input_dim=doc[name]["input_dim"],

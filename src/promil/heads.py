@@ -4,13 +4,14 @@ One table maps each head name to two functions.  The first scores one bag,
 ``(preds, q, eps)``, and returns ``(score, d score/d preds, d score/d q)``;
 d score/d preds is a fresh array, which the caller may scale in place.
 Training uses it bag by bag, through ``head_function``, which finds a
-valid name with one dict lookup.  The second scores each row of a block of
-bags of one length, ``(block, q, eps)``, bit for bit as the first.  The
-quantile head sorts the predictions ascending (stable, so gradient routing
-is reproducible under ties; a big bag without ties may take an unstable
-sort, which then gives the same permutation) and evaluates the Bernstein
-estimator at q.  The max and mean heads are the classic instance-based
-baselines and do not depend on q.
+valid name with one dict lookup; its first value is one bag's score.  The
+second scores each row of a block of bags of one length, ``(block, q,
+eps)``, bit for bit as the first.  The quantile head sorts the
+predictions ascending (stable, so gradient routing is reproducible under
+ties; a big bag without ties may take an unstable sort, which then gives
+the same permutation) and evaluates the Bernstein estimator at q.  The max
+and mean heads are the classic instance-based baselines and do not depend
+on q.
 
 Both functions stay because each serves a gated cost.  One ``(m, n)``
 function with gradients, a training step being a block of one bag and a
@@ -29,8 +30,8 @@ bags of each length, in split order, as the rows of one unpadded block.
 import numpy as np
 
 from .bagdata import check_choice, stack_instances
-from .bernstein import DEFAULT_EPS, bag_weights, check_level, quantile_value_grad
-from .network import forward_bag
+from .bernstein import bag_weights, check_level, quantile_value_grad
+from .network import forward
 
 
 # from this many predictions up, an unstable sort checked for ties beats
@@ -105,20 +106,6 @@ def head_function(head):
     return entry[0]
 
 
-def score_bag(predictions, head, q, eps=DEFAULT_EPS):
-    """The score of one bag under ``head``, a float.
-
-    ``predictions`` is a nonempty 1-D float64 array, as ``forward_bag``
-    returns.  q and eps are checked as ``score_bags`` checks them, for
-    every head: a level outside (0, 1) or a clamp that is not positive and
-    finite raises ValueError.
-    """
-    check_level(q, eps)
-    if predictions.size == 0:
-        raise ValueError("a bag needs at least one prediction")
-    return head_function(head)(predictions, q, eps)[0]
-
-
 def _score_split(preds, lengths, score_rows, q, eps):
     """The scores of consecutive bags of ``lengths`` predictions each, a
     block of the bags of each length at a time."""
@@ -149,7 +136,8 @@ def score_bags(net, bags, head, q, eps):
     if not bags:
         return np.empty(0)
     instances, lengths = stack_instances(bags, net.arch.input_dim)
-    return _score_split(forward_bag(net, instances)[0], lengths, score_rows, q, eps)
+    # stack_instances has checked every bag: the unchecked pass takes them
+    return _score_split(forward(net, instances)[0], lengths, score_rows, q, eps)
 
 
 def decide(scores):

@@ -4,13 +4,12 @@ Forward passes score each instance of a bag independently; each hidden
 layer keeps one array, its activation, from which the reverse pass takes
 the derivative.  Everything is plain numpy in float64.
 
-The math lives once, in two functions that check nothing: ``_forward``
-returns the predictions and each layer's input, and ``_backward`` sums the
+The math lives once, in two functions that check nothing: ``forward``
+returns the predictions and each layer's input, and ``backward`` sums the
 parameter gradients, scaling its d cost / d prediction array in place.  A
-training step calls them directly on a bag that ``bagdata.check_bags`` has
-passed.  ``forward_bag`` and ``backward_bag`` are the checked entry points:
-they check their arguments, wrap the layer inputs in a ``BagForwardTrace``,
-and hand the core a copy of the caller's upstream gradient.
+training step calls them on a bag that ``bagdata.check_bags`` has passed,
+and ``heads.score_bags`` on a split that ``bagdata.stack_instances`` has
+stacked and checked.
 """
 
 import math
@@ -97,14 +96,6 @@ class NetParams:
         self.weights, self.biases = views[:len(dims) - 1], views[len(dims) - 1:]
 
 
-@dataclass
-class BagForwardTrace:
-    """forward_bag's one array per layer, consumed by backward_bag."""
-
-    layer_inputs: list   # input to each layer, (bag_size, fan_in)
-    predictions: np.ndarray
-
-
 def init_params(arch, seed):
     """Uniform(-s, s) weights with s = INIT_GAIN/sqrt(fan_in); zero biases."""
     rng = np.random.default_rng(seed)
@@ -115,9 +106,14 @@ def init_params(arch, seed):
     return params
 
 
-def _forward(params, x):
+def forward(params, x):
     """The forward pass on the checked (bag_size, input_dim) float64 array
-    ``x``: returns (predictions, layer_inputs), the input to each layer."""
+    ``x``: returns (predictions, layer_inputs), the input to each layer.
+
+    A prediction is the logistic 1 / (1 + exp(-z)) of the output
+    pre-activation z held in [-708, 36.7], so it lies strictly inside
+    (0, 1) even where the float logistic of z would round to 0.0 or 1.0.
+    """
     activate = _ACTIVATIONS[params.arch.activation][0]
     weights, biases = params.weights, params.biases
     layer_inputs = [x]
@@ -141,8 +137,9 @@ def _forward(params, x):
     return c[:, 0], layer_inputs
 
 
-def _backward(params, layer_inputs, predictions, dz, out):
-    """The reverse pass into the NetParams ``out``, with nothing checked:
+def backward(params, layer_inputs, predictions, dz, out):
+    """The parameter gradients of sum_i dz[i] * c_i, summed over the bag
+    into the NetParams ``out``, which is returned; nothing is checked.
     ``dz`` is d cost / d prediction, a fresh float64 array of the bag's
     length, which is scaled in place."""
     derivative = _ACTIVATIONS[params.arch.activation][1]
@@ -158,41 +155,3 @@ def _backward(params, layer_inputs, predictions, dz, out):
             dz *= derivative(layer_inputs[i])
     return out
 
-
-def forward_bag(params, instances):
-    """Score every instance; returns (predictions, trace).
-
-    ``instances`` is (bag_size, input_dim).  A prediction is the logistic
-    1 / (1 + exp(-z)) of the output pre-activation z held in [-708, 36.7],
-    so it lies strictly inside (0, 1) even where the float logistic of z
-    would round to 0.0 or 1.0.
-    """
-    x = np.asarray(instances, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError("bag must be a nonempty (bag_size, input_dim) array")
-    if x.shape[1] != params.arch.input_dim:
-        raise ValueError(
-            f"instance dimension {x.shape[1]} does not match input_dim {params.arch.input_dim}"
-        )
-    c, layer_inputs = _forward(params, x)
-    return c, BagForwardTrace(layer_inputs, c)
-
-
-def backward_bag(params, trace, upstream, out=None):
-    """Parameter gradients of sum_i upstream[i] * c_i, upstream held constant.
-
-    ``upstream[i]`` is d cost / d prediction_i.  Gradients are summed over
-    the bag and written into ``out``, a NetParams of the same shape (a new
-    one when None), which is returned.
-    """
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != trace.predictions.shape:
-        raise ValueError(
-            f"upstream length {upstream.shape} does not match bag size "
-            f"{trace.predictions.shape}"
-        )
-    if len(trace.layer_inputs) != len(params.weights):
-        raise ValueError("trace does not match params layer count")
-    if out is None:
-        out = NetParams(params.arch)
-    return _backward(params, trace.layer_inputs, trace.predictions, upstream.copy(), out)

@@ -33,8 +33,6 @@ step: the network's unchecked forward pass, the head's per-bag function,
 ``bag_cost``, the chain rule in place on the head's fresh gradient, the
 unchecked reverse pass into the state's gradient buffer, a finiteness
 test of the cost and the gradient, and one ``adam_update``.
-``forward_bag`` and ``backward_bag``, which check their arguments, serve
-callers that pass unchecked arrays.
 
 ``adam_update`` takes a vector of at most ``SCALAR_ADAM_MAX`` entries, as
 the README network's 4 parameters, in Python floats, where a dozen numpy
@@ -51,7 +49,7 @@ from .bagdata import check_bags, check_choice, check_number
 from .bernstein import DEFAULT_EPS, level, logit
 from .heads import head_function, score_bags
 from .metrics import auc as auc_metric
-from .network import NetParams, _backward, _forward, init_params
+from .network import NetParams, backward, forward, init_params
 
 ADAM_EPS = 1e-8
 # adam_update takes vectors of at most this many entries in Python floats
@@ -230,13 +228,13 @@ def bag_cost_and_grads(net, q, bag, cfg, head="promil", out=None):
     The bag is not checked: its instances must be a nonempty (bag_size,
     input_dim) float64 array, as ``bagdata.check_bags`` makes sure.
     """
-    preds, layer_inputs = _forward(net, bag.instances)
+    preds, layer_inputs = forward(net, bag.instances)
     score, dscore_dpreds, dscore_dq = head_function(head)(preds, q, cfg.eps_clamp)
     cost, upstream = bag_cost(score, bag.label, cfg.eps_clamp)
     # the head's gradient is a fresh array, so it takes the chain rule in place
     dscore_dpreds *= upstream
-    net_grads = _backward(net, layer_inputs, preds, dscore_dpreds,
-                          NetParams(net.arch) if out is None else out)
+    net_grads = backward(net, layer_inputs, preds, dscore_dpreds,
+                         NetParams(net.arch) if out is None else out)
     return cost, net_grads, upstream * dscore_dq * q * (1.0 - q)
 
 

@@ -318,18 +318,13 @@ class TestCriterion8DeterminismPersistence:
         assert cli_main(["train", str(data), "--config", str(cfg),
                          "--out", str(model_path)]) == 0
         from promil.bagdata import load_dataset
-        from promil.heads import score_bag
-        from promil.network import forward_bag
+        from promil.heads import score_bags
         bags, _, _ = load_dataset(data)
         model = load_model(model_path)
         reloaded = load_model(model_path)
 
         def scores(m):
-            out = []
-            for bag in bags:
-                preds, _ = forward_bag(m.net, bag.instances)
-                out.append(score_bag(preds, "promil", q=m.learned_q))
-            return out
+            return score_bags(m.net, bags, "promil", m.learned_q, DEFAULT_EPS).tolist()
 
         roundtrip_ok = scores(model) == scores(reloaded)
         for wa, wb in zip(model.net.weights, reloaded.net.weights):

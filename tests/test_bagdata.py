@@ -4,10 +4,10 @@ import json
 import re
 import struct
 import tracemalloc
+import warnings
 import zipfile
 import zlib
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from promil.bagdata import (
     DatasetError,
     IdxParseError,
     SyntheticSpec,
+    check_number,
     generate_synthetic,
     load_dataset,
     load_idx,
@@ -365,11 +366,6 @@ class TestSplit:
             split_dataset(bags, (0.5, 0.4, 0.2), seed=0)
 
 
-FIXTURE_V1 = Path(__file__).parent / "data" / "bagdata1.json"
-# container_bags() with its spec and seed 9, as the bagdata/2 writer saved it
-FIXTURE_V2 = Path(__file__).parent / "data" / "bagdata2.npz"
-
-
 def assert_same_bags(got, want):
     """Every field equal, bit for bit, with the same Python types."""
     assert len(got) == len(want)
@@ -518,10 +514,18 @@ class TestContainer:
             save_dataset(tmp_path / "d", bags)
         assert not (tmp_path / "d").exists()
 
-    @pytest.mark.parametrize("hidden", [[0.7, 0.0, 1.0], [True, False, True]])
-    def test_bag_refuses_hidden_labels_that_are_not_integers(self, hidden):
-        with pytest.raises(ValueError, match="bag a: hidden labels are .*, not integers"):
-            Bag(id="a", instances=np.zeros((3, 2)), label=1, hidden_instance_labels=hidden)
+    @pytest.mark.parametrize("fields, message", [
+        ({"hidden_instance_labels": [0.7, 0.0, 1.0]}, "bag a: hidden labels are .*, not integers"),
+        ({"hidden_instance_labels": [True, False, True]},
+         "bag a: hidden labels are .*, not integers"),
+        ({"label": 0.7}, "bag a: label must be 0 or 1, got 0.7"),
+        ({"label": "1"}, "bag a: label must be 0 or 1, got '1'"),
+        ({"label": True}, "bag a: label must be 0 or 1, got True"),
+        ({"id": 5}, "bag 5: id must be a string"),
+    ])
+    def test_bag_refuses_bad_fields(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Bag(**{"id": "a", "instances": np.zeros((3, 2)), "label": 1, **fields})
 
     def test_save_rejects_unknown_split(self, tmp_path):
         _, bags = container_bags()
@@ -623,12 +627,9 @@ class TestContainer:
         with pytest.raises(DatasetError, match="cut.json"):
             load_dataset(bad)
 
-    @pytest.mark.parametrize("source, member", [
-        (None, "instance_values.npy"), (None, "instance_mask.npy"),
-        (FIXTURE_V2, "instances.npy"),
-    ])
-    def test_corrupt_member_names_path(self, tmp_path, source, member):
-        good = source or saved_members(tmp_path)[0]
+    @pytest.mark.parametrize("member", ["instance_values.npy", "instance_mask.npy"])
+    def test_corrupt_member_names_path(self, tmp_path, member):
+        good = saved_members(tmp_path)[0]
         data = bytearray(good.read_bytes())
         at = data.index(member.encode()) + len(member) + 24   # in its stored or deflated bytes
         data[at:at + 8] = bytes(255 - x for x in data[at:at + 8])
@@ -872,104 +873,24 @@ class TestStoredMembers:
             save_dataset(tmp_path / "d", bags)
 
 
-class TestDenseV2:
-    """Files of the dense bagdata/2 format, which nothing writes any more."""
+class TestCheckNumber:
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_numpy_floats_in_their_own_type(self, dtype):
+        # no cast of the largest float into the value's type, so no
+        # overflow warning, and an infinity of any width is refused
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for value in (0.5, -2.0, np.finfo(dtype).max):
+                assert check_number("x", dtype(value)) == dtype(value)
+            for value in (np.inf, -np.inf, np.nan):
+                with pytest.raises(ValueError, match="x must be a finite number, got"):
+                    check_number("x", dtype(value))
 
-    def test_fixture_loads_bit_for_bit(self):
-        spec, bags = container_bags()
-        loaded, spec_dict, seed = load_dataset(FIXTURE_V2)
-        assert read_members(FIXTURE_V2)["instances"].shape == (60, 2)
-        assert (spec_dict, seed) == (dataclasses.asdict(spec), 9)
-        assert_same_bags(loaded, bags)
-        base = loaded[0].instances.base
-        assert base is not None and all(b.instances.base is base for b in loaded)
-
-    def test_resaved_as_v3_gives_equal_bags(self, tmp_path):
-        bags, spec, seed = load_dataset(FIXTURE_V2)
-        save_dataset(tmp_path / "v3", bags, seed=seed)
-        arrays = read_members(tmp_path / "v3")
-        assert json.loads(arrays["header"].item())["schema"] == "bagdata/3"
-        again, _, seed_again = load_dataset(tmp_path / "v3")
-        assert seed_again == seed
-        assert_same_bags(again, bags)
-
-    @pytest.mark.parametrize("field, change, message", [
-        ("offsets", lambda a: np.r_[a[:-1], a[-1] - 1], "end at"),
-        ("offsets", lambda a: a[:-1], "end at"),
-        ("instances", lambda a: np.where(np.arange(a.size).reshape(a.shape) == 3, np.nan, a),
-         "NaN or infinity"),
-        ("instances", lambda a: np.where(np.arange(a.size).reshape(a.shape) == 5, -np.inf, a),
-         "NaN or infinity"),
-        ("instances", lambda a: a.ravel(), "N_total x d"),
-        ("instances", lambda a: a.astype(np.int64), "dtype"),
-        ("header", with_header(schema="bagdata/1"), "schema"),
-    ])
-    def test_load_rejects_inconsistent_fields(self, tmp_path, field, change, message):
-        assert_rejected(tmp_path, read_members(FIXTURE_V2), field, change, message)
-
-
-class TestLegacyJson:
-    def test_fixture_loads_to_its_bags(self):
-        doc = json.loads(FIXTURE_V1.read_text())
-        assert doc["schema"] == "bagdata/1"
-        bags, spec, seed = load_dataset(FIXTURE_V1)
-        assert (spec, seed) == (doc["spec"], doc["seed"])
-        assert len(bags) == len(doc["bags"])
-        for bag, obj in zip(bags, doc["bags"]):
-            assert (bag.id, bag.label) == (obj["id"], obj["label"])
-            assert bag.split == obj.get("split")
-            assert bag.positive_fraction == obj.get("positive_fraction")
-            assert bag.instances.tolist() == obj["instances"]
-            hidden = obj.get("hidden_instance_labels")
-            assert (bag.hidden_instance_labels is None) == (hidden is None)
-            if hidden is not None:
-                assert bag.hidden_instance_labels.tolist() == hidden
-        # the fixture has every optional field both present and absent
-        assert {b.split for b in bags} == {"train", "validation", "test", None}
-        assert {b.positive_fraction is None for b in bags} == {True, False}
-        assert {b.hidden_instance_labels is None for b in bags} == {True, False}
-
-    def test_resaved_as_v3_gives_equal_bags(self, tmp_path):
-        bags, spec, seed = load_dataset(FIXTURE_V1)
-        out = tmp_path / "v3.json"
-        save_dataset(out, bags, seed=seed)
-        assert out.read_bytes()[:4] == b"PK\x03\x04"
-        again, _, seed_again = load_dataset(out)
-        assert seed_again == seed
-        assert_same_bags(again, bags)
-
-    @pytest.mark.parametrize("edit, message", [
-        ({"label": 0.7}, "bag bag-000002: label must be 0 or 1, got 0.7"),
-        ({"label": "1"}, "bag bag-000002: label must be 0 or 1, got '1'"),
-        ({"label": True}, "bag bag-000002: label must be 0 or 1, got True"),
-        ({"id": 5}, "bag 5: id must be a string"),
-        ({"split": "holdout"}, "bag bag-000002: split must be one of"),
-        ({"instances": [[0.0, float("nan")]]}, "bag bag-000002: instances contain NaN"),
-        ({"instances": [[float("inf"), 0.0]]}, "bag bag-000002: instances contain NaN"),
-        ({"instances": [[0.0, -float("inf")]]}, "bag bag-000002: instances contain NaN"),
-        ({"instances": [[0.0, 1.0, 2.0]]},
-         "bag bag-000000: 2 features per instance, but bag bag-000002 has 3"),
-        # hidden labels and fractions; a None drops the field
-        ({"hidden_instance_labels": [0.7, 0, 0], "positive_fraction": None},
-         "bag bag-000002: hidden labels must be 0 or 1"),
-        ({"hidden_instance_labels": [5, 5, 5], "positive_fraction": None},
-         "bag bag-000002: hidden labels must be 0 or 1"),
-        ({"hidden_instance_labels": [1.0, 0.0, 0.0]},
-         "bag bag-000002: hidden labels are float64, not integers"),
-        ({"hidden_instance_labels": None, "positive_fraction": float("nan")},
-         "bag bag-000002: positive_fraction must be a finite number >= 0 and <= 1, got nan"),
-        ({"hidden_instance_labels": None, "positive_fraction": 7.0},
-         "bag bag-000002: positive_fraction must be a finite number >= 0 and <= 1, got 7.0"),
-        ({"hidden_instance_labels": None, "positive_fraction": "abc"},
-         "bag bag-000002: positive_fraction must be a finite number >= 0 and <= 1, got 'abc'"),
-    ])
-    def test_rejects_what_the_npz_containers_reject(self, tmp_path, edit, message):
-        doc = json.loads(FIXTURE_V1.read_text())
-        first = doc["bags"][0]
-        first.update(edit)
-        if "instances" in edit:
-            del first["hidden_instance_labels"], first["positive_fraction"]
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        with pytest.raises(DatasetError, match=re.escape(f"bad.json: {message}")):
-            load_dataset(bad)
+    def test_integers_of_any_size(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert check_number("x", 10 ** 400, integer=True) == 10 ** 400
+            assert check_number("x", 10 ** 308) == 10 ** 308
+            for value in (10 ** 400, -10 ** 400, Fraction(10 ** 400, 3)):
+                with pytest.raises(ValueError, match="x must be a finite number, got"):
+                    check_number("x", value)

@@ -3,6 +3,7 @@ run records (no benchmark is run)."""
 
 import importlib.util
 import os
+import subprocess
 
 import numpy as np
 import pytest
@@ -119,6 +120,22 @@ def test_missing_workdir_is_created(bench_pairs, tmp_path):
     # an existing workdir is used as it is
     assert os.path.dirname(bench_pairs.make_tmpdir(str(workdir))) == str(workdir)
     assert sorted(os.listdir(os.path.dirname(os.path.dirname(SCRIPT)))) == root_before
+
+
+def test_uncommitted_changes_counts_only_the_code(bench_pairs, tmp_path, monkeypatch):
+    # a BENCH_*.json that an earlier workload wrote is not a code change
+    subprocess.run(["git", "init", "-q", str(tmp_path)], check=True)
+    monkeypatch.setattr(bench_pairs, "ROOT", str(tmp_path))
+    (tmp_path / "BENCH_readme-train.json").write_text("{}\n")
+    (tmp_path / "notes").mkdir()
+    (tmp_path / "notes" / "todo.md").write_text("x\n")
+    assert bench_pairs.uncommitted_changes() is False
+    for code in bench_pairs.CODE:
+        (tmp_path / code).mkdir()
+        (tmp_path / code / "x.py").write_text("x = 1\n")
+        assert bench_pairs.uncommitted_changes() is True
+        (tmp_path / code / "x.py").unlink()
+    assert bench_pairs.uncommitted_changes() is False
 
 
 def test_model_digests_equal_counts_completed_pairs_with_the_same_models(bench_pairs):

@@ -25,24 +25,15 @@ from promil.heads import HEADS, score_bags
 from promil.metrics import evaluate
 from promil.network import NetArch, init_params
 
-FIXTURE_V1 = str(Path(__file__).parent / "data" / "bagdata1.json")
+# dataset files of the schemas bagdata/1 (JSON) and bagdata/2 (dense .npz),
+# which earlier versions wrote and this one refuses
+DATA = Path(__file__).parent / "data"
+FIXTURE_V1 = str(DATA / "bagdata1.json")
 
 
 def read_csv(path):
     with open(path, newline="") as f:
         return list(csv.reader(f))
-
-
-def edit_first_bag(text, **fields):
-    """A bagdata/1 document with ``fields`` set on its first bag, as bytes;
-    new instances drop the bag's per-instance labels."""
-    doc = json.loads(text)
-    first = doc["bags"][0]
-    first.update(fields)
-    if "instances" in fields:
-        first.pop("hidden_instance_labels", None)
-        first.pop("positive_fraction", None)
-    return json.dumps(doc).encode()
 
 
 def small_config(tmp_path, **overrides):
@@ -211,53 +202,19 @@ class TestDatasetFiles:
         err = capsys.readouterr().err
         assert str(bad) in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("field, edit", [
-        ("not valid JSON", lambda text: text[:33].encode()),
-        ("'bags'", lambda text: json.dumps(
-            {k: v for k, v in json.loads(text).items() if k != "bags"}).encode()),
-        ("'instances'", lambda text: json.dumps(
-            {**json.loads(text), "bags": [{"id": "a", "label": 1}]}).encode()),
-        ("label", lambda text: json.dumps(
-            {**json.loads(text), "bags": [{"id": "a", "instances": [[0.0, 1.0]],
-                                          "label": 3}]}).encode()),
-        ("utf-8", lambda text: text.encode().replace(b"bag-000000", b"bag-\xff")),
-        ("not valid JSON", lambda text: ('{"pad": ' + "7" * 5001 + ", "
-                                         + text.lstrip()[1:]).encode()),
-        ("label must be 0 or 1, got 0.7", lambda text: edit_first_bag(text, label=0.7)),
-        ("label must be 0 or 1, got '1'", lambda text: edit_first_bag(text, label="1")),
-        ("NaN or infinity", lambda text: edit_first_bag(text, instances=[[0.0, float("nan")]])),
-        ("NaN or infinity", lambda text: edit_first_bag(text, instances=[[float("inf"), 0.0]])),
-        ("split must be one of", lambda text: edit_first_bag(text, split="holdout")),
-        ("id must be a string", lambda text: edit_first_bag(text, id=5)),
-        ("bag-000002: hidden labels must be 0 or 1", lambda text: edit_first_bag(
-            text, hidden_instance_labels=[0.7, 0, 0], positive_fraction=None)),
-        ("bag-000002: hidden labels must be 0 or 1", lambda text: edit_first_bag(
-            text, hidden_instance_labels=[5, 5, 5], positive_fraction=None)),
-        ("bag-000002: positive_fraction must be a finite number >= 0 and <= 1, got nan",
-         lambda text: edit_first_bag(text, hidden_instance_labels=None,
-                                     positive_fraction=float("nan"))),
-        ("bag-000002: positive_fraction must be a finite number >= 0 and <= 1, got 7.0",
-         lambda text: edit_first_bag(text, hidden_instance_labels=None, positive_fraction=7.0)),
-        ("bag-000002: positive_fraction must be a finite number >= 0 and <= 1, got 'abc'",
-         lambda text: edit_first_bag(text, hidden_instance_labels=None,
-                                     positive_fraction="abc")),
-    ])
-    def test_bad_bagdata1_file_exits_2_naming_path(self, tmp_path, capsys, field, edit):
-        bad = tmp_path / "bad.json"
-        bad.write_bytes(edit(Path(FIXTURE_V1).read_text()))
-        cfg = small_config(tmp_path)
-        assert main(["train", str(bad), "--config", cfg,
-                     "--out", str(tmp_path / "m.json")]) == EXIT_IO
+    @pytest.mark.parametrize("name, schema", [("bagdata1.json", "bagdata/1"),
+                                              ("bagdata2.npz", "bagdata/2")])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_retired_dataset_exits_2_naming_path_and_schema(self, trained, tmp_path, capsys,
+                                                            command, name, schema):
+        cfg, _, model = trained
+        path, out = str(DATA / name), tmp_path / "out.json"
+        argv = (["train", path, "--config", cfg, "--out", str(out)] if command == "train"
+                else ["eval", model, path, "--out", str(out)])
+        assert main(argv) == EXIT_IO
         err = capsys.readouterr().err
-        assert str(bad) in err and field in err and "Traceback" not in err
-        assert not (tmp_path / "m.json").exists()
-
-    def test_train_and_eval_on_bagdata1_file(self, tmp_path):
-        cfg = small_config(tmp_path)
-        model, report = str(tmp_path / "m.json"), str(tmp_path / "r.json")
-        assert main(["train", FIXTURE_V1, "--config", cfg, "--out", model]) == EXIT_OK
-        assert main(["eval", model, FIXTURE_V1, "--out", report]) == EXIT_OK
-        assert json.loads(Path(report).read_text())["n_bags"] == 9
+        assert f"{path}: " in err and f"{schema!r}" in err and "no longer read" in err
+        assert "Traceback" not in err and not out.exists()
 
 
 class TestEval:
@@ -335,18 +292,19 @@ class TestEval:
         assert model.head == head and len(per_epoch) == model.epochs_run
         assert seen == [per_epoch[model.best_epoch - 1]]
 
-    def test_model_v1_reads_with_default_eps(self, trained, tmp_path):
+    def test_model_v1_exits_2_naming_path_and_schema(self, trained, tmp_path, capsys):
+        # a promil-model/1 file, as earlier versions wrote it: no eps_clamp
         _, data, model_path = trained
         doc = json.loads(Path(model_path).read_text())
         assert doc["schema"] == "promil-model/2"
         doc["schema"] = "promil-model/1"
         del doc["eps_clamp"]
-        old = tmp_path / "old.json"
+        old, out = tmp_path / "old.json", tmp_path / "out.json"
         old.write_text(json.dumps(doc))
-        model, legacy = load_model(model_path), load_model(str(old))
-        assert legacy.eps == DEFAULT_EPS
-        bags, _, _ = load_dataset(data)
-        assert evaluate(legacy, bags) == evaluate(model, bags)
+        assert main(["eval", str(old), data, "--out", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"{old}: " in err and "'promil-model/1'" in err and "no longer read" in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_missing_model(self, trained, tmp_path):
         _, data, _ = trained

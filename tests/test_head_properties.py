@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from promil import heads
 from promil.bagdata import Bag
-from promil.bernstein import level, logit
-from promil.heads import HEADS, score_bag
-from promil.network import NetArch, forward_bag, init_params
+from promil.bernstein import DEFAULT_EPS, level, logit
+from promil.heads import HEADS, head_function
+from promil.network import NetArch, forward, init_params
 from promil.training import TrainConfig, bag_cost_and_grads
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -25,6 +25,11 @@ PROPERTY = settings(max_examples=60, deadline=None)
 
 def bag(size, seed):
     return np.random.default_rng(seed).uniform(1e-3, 1.0 - 1e-3, size=size)
+
+
+def score_bag(preds, head, q, eps=DEFAULT_EPS):
+    """One bag's score: the first value of the head's per-bag function."""
+    return head_function(head)(preds, q, eps)[0]
 
 
 @PROPERTY
@@ -70,7 +75,7 @@ def test_cost_gradients_match_finite_differences(size, seed, head, hidden, label
     h = 1e-6
     if head == "max" and size > 1:
         # a step of h must not move the argmax: keep away from near-ties
-        top = np.sort(forward_bag(net, b.instances)[0])[-2:]
+        top = np.sort(forward(net, b.instances)[0])[-2:]
         assume(top[1] - top[0] > 1e-4)
     cfg = TrainConfig(seed=0)
     q = level(logit(0.3))

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
+from promil.bagdata import Bag
 from promil.bernstein import DEFAULT_EPS, estimate_quantile, quantile_value_grad
-from promil.heads import HEADS, UNSTABLE_SORT_MIN, decide, head_function, score_bag
+from promil.heads import HEADS, UNSTABLE_SORT_MIN, decide, head_function, score_bags
+from promil.network import NetArch, init_params
+
+
+def score_bag(preds, head, q, eps=DEFAULT_EPS):
+    """One bag's score: the first value of the head's per-bag function."""
+    return head_function(head)(preds, q, eps)[0]
 
 
 class TestPromilScore:
@@ -90,13 +97,9 @@ class TestPromilScore:
         assert score_bag(preds, "promil", q=1e-9) == pytest.approx(preds.max(), abs=1e-6)
         assert score_bag(preds, "promil", q=1 - 1e-9) == pytest.approx(preds.min(), abs=1e-6)
 
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            score_bag(np.array([]), "promil", q=0.5)
-
 
 class TestBaselineScores:
-    # max and mean do not depend on q, but score_bag checks the level it is given
+    # max and mean do not depend on q
     def test_max(self):
         assert score_bag(np.array([0.1, 0.9, 0.5]), "max", 0.5) == 0.9
         assert score_bag(np.array([0.42]), "max", 0.5) == 0.42
@@ -115,12 +118,6 @@ class TestBaselineScores:
         assert score_bag(preds, "mean", 0.5) == pytest.approx(
             estimate_quantile(preds, 0.5), rel=1e-14
         )
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            score_bag(np.array([]), "max", 0.5)
-        with pytest.raises(ValueError):
-            score_bag(np.array([]), "mean", 0.5)
 
 
 class TestDecide:
@@ -163,13 +160,10 @@ class TestHeadTable:
         (0.3, np.inf, "got inf"),
     ])
     def test_level_and_clamp_checked_for_every_head(self, head, q, eps, message):
+        bags = [Bag(id="b", instances=np.array([[0.2], [0.6]]), label=0)]
         with pytest.raises(ValueError, match=message):
-            score_bag(np.array([0.2, 0.6]), head, q, eps)
-
-    def test_level_is_required(self):
-        with pytest.raises(TypeError):
-            score_bag(np.array([0.5]), "max")
+            score_bags(init_params(NetArch(1), 0), bags, head, q, eps)
 
     def test_unknown_head_rejected(self):
         with pytest.raises(ValueError, match="head must be one of"):
-            score_bag(np.array([0.5]), "median", q=0.3)
+            head_function("median")

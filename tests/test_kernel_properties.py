@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from promil.bernstein import DEFAULT_EPS, estimate_quantile, quantile_value_grad
-from promil.heads import score_bag
+from promil.heads import head_function
 
 LEVELS = st.floats(min_value=0.01, max_value=0.99)
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -20,6 +20,11 @@ PROPERTY = settings(max_examples=60, deadline=None)
 
 def bag(size, seed, lo=1e-3, hi=1.0 - 1e-3):
     return np.random.default_rng(seed).uniform(lo, hi, size=size)
+
+
+def score_bag(preds, head, q, eps=DEFAULT_EPS):
+    """One bag's score: the first value of the head's per-bag function."""
+    return head_function(head)(preds, q, eps)[0]
 
 
 @PROPERTY

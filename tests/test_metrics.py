@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from promil.bagdata import SyntheticSpec, generate_synthetic
-from promil.bernstein import logit
-from promil.heads import score_bag
+from promil.bernstein import DEFAULT_EPS, logit
+from promil.heads import head_function
 from promil.metrics import _tied_ranks, auc, balanced_accuracy, evaluate
-from promil.network import NetArch, NetParams, forward_bag
+from promil.network import NetArch, NetParams, forward
 from promil.training import TrainedModel
 
 
@@ -154,8 +154,9 @@ class TestEvaluate:
         bags = generate_synthetic(spec, seed=2)
         model = oracle_model()
         for bag in bags:
-            preds, _ = forward_bag(model.net, bag.instances)
-            assert score_bag(preds, "max", 0.5) == estimate_quantile(np.sort(preds), 0)
+            preds, _ = forward(model.net, bag.instances)
+            score = head_function("max")(preds, 0.5, DEFAULT_EPS)[0]
+            assert score == estimate_quantile(np.sort(preds), 0)
 
     def test_balanced_accuracy_from_confusion(self):
         spec = SyntheticSpec(n_bags=100, threshold_qstar=0.4, bag_size_mean=8)

@@ -1,22 +1,21 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from promil.network import (
-    BagForwardTrace,
-    NetArch,
-    NetParams,
-    backward_bag,
-    forward_bag,
-    init_params,
-)
+from promil.network import NetArch, NetParams, backward, forward, init_params
 
 
 def forward_one(params, x):
     """The prediction for one feature vector, as a bag of one instance."""
-    return float(forward_bag(params, x[None, :])[0][0])
+    return float(forward(params, x[None, :])[0][0])
+
+
+def gradients(params, bag, upstream):
+    """The parameter gradients of sum_i upstream[i] * c_i over ``bag``, by
+    the reverse pass on a copy of ``upstream``."""
+    preds, layer_inputs = forward(params, bag)
+    return backward(params, layer_inputs, preds, upstream.copy(), NetParams(params.arch))
 
 
 def logistic(x):
@@ -29,10 +28,10 @@ def logistic_regression_params(w, b=0.0):
     return NetParams(arch, flat=np.array([*w, b], dtype=np.float64))
 
 
-def former_backward_bag(params, trace, upstream):
-    """The reverse pass as it was when forward_bag kept each hidden layer's
-    pre-activation: recompute every pre-activation from the layer inputs
-    and take the activation's slope from it (tanh a second time)."""
+def former_backward_bag(params, layer_inputs, predictions, upstream):
+    """The reverse pass as it was when the forward pass kept each hidden
+    layer's pre-activation: recompute every pre-activation from the layer
+    inputs and take the activation's slope from it (tanh a second time)."""
 
     def activate_grad(z, kind):
         if kind == "relu":
@@ -41,17 +40,17 @@ def former_backward_bag(params, trace, upstream):
         return 1.0 - t * t
 
     preacts = []
-    for a, w, b in zip(trace.layer_inputs[:-1], params.weights, params.biases):
+    for a, w, b in zip(layer_inputs[:-1], params.weights, params.biases):
         z = a.dot(w)
         z += b
         preacts.append(z)
     out = NetParams(params.arch)
-    c = trace.predictions
+    c = predictions
     dz = upstream * c
     dz *= 1.0 - c
     dz = dz[:, None]
     for i in range(len(params.weights) - 1, -1, -1):
-        trace.layer_inputs[i].T.dot(dz, out=out.weights[i])
+        layer_inputs[i].T.dot(dz, out=out.weights[i])
         np.add.reduce(dz, axis=0, out=out.biases[i])
         if i > 0:
             da = dz.dot(params.weights[i].T)
@@ -140,7 +139,7 @@ class TestForward:
             for w in params.weights:
                 w *= 50.0   # push toward saturation on purpose
             x = rng.normal(size=(10, 3)) * 10
-            preds, _ = forward_bag(params, x)
+            preds, _ = forward(params, x)
             assert np.all(preds > 0.0) and np.all(preds < 1.0)
 
     def test_extreme_and_nan_logits(self):
@@ -149,8 +148,8 @@ class TestForward:
         logits = np.array([-800.0, -40.0, 0.0, 40.0, 800.0, np.nan])
         params = logistic_regression_params([1.0])
         with np.errstate(all="raise"):
-            preds, trace = forward_bag(params, logits[:, None])
-            backward_bag(params, trace, np.ones(logits.size))
+            preds, layer_inputs = forward(params, logits[:, None])
+            backward(params, layer_inputs, preds, np.ones(logits.size), NetParams(params.arch))
         finite = preds[:-1]
         assert np.all(finite > 0.0) and np.all(finite < 1.0)
         assert np.isnan(preds[-1])
@@ -163,7 +162,7 @@ class TestForward:
         arch = NetArch(input_dim=4, hidden_dims=(7, 3))
         params = init_params(arch, seed=2)
         bag = rng.normal(size=(3, 4))
-        preds, _ = forward_bag(params, bag)
+        preds, _ = forward(params, bag)
         for i in range(3):
             assert preds[i] == pytest.approx(forward_one(params, bag[i]), rel=1e-14)
 
@@ -172,41 +171,28 @@ class TestForward:
         params = init_params(NetArch(input_dim=2, hidden_dims=(4,)), seed=3)
         bag = rng.normal(size=(6, 2))
         perm = rng.permutation(6)
-        preds, _ = forward_bag(params, bag)
-        preds_p, _ = forward_bag(params, bag[perm])
+        preds, _ = forward(params, bag)
+        preds_p, _ = forward(params, bag[perm])
         np.testing.assert_allclose(preds_p, preds[perm], rtol=1e-15)
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_trace_keeps_one_array_per_layer(self, activation):
         params, bag, _ = signed_zero_params_and_bag(activation, (16, 8), seed=4)
         before = bag.copy()
-        preds, trace = forward_bag(params, bag)
+        _, layer_inputs = forward(params, bag)
         np.testing.assert_array_equal(bag, before)
-        assert [f.name for f in dataclasses.fields(BagForwardTrace)] == [
-            "layer_inputs", "predictions"]
-        assert len(trace.layer_inputs) == len(params.weights)
-        assert trace.layer_inputs[0] is bag
-        assert trace.predictions is preds
+        assert len(layer_inputs) == len(params.weights)
+        assert layer_inputs[0] is bag
         activate = np.tanh if activation == "tanh" else (lambda z: np.maximum(z, 0.0))
-        for i in range(1, len(trace.layer_inputs)):
-            z = trace.layer_inputs[i - 1].dot(params.weights[i - 1]) + params.biases[i - 1]
-            np.testing.assert_array_equal(trace.layer_inputs[i], activate(z))
-
-    def test_errors(self):
-        params = init_params(NetArch(input_dim=3), seed=0)
-        with pytest.raises(ValueError):
-            forward_bag(params, np.zeros((0, 3)))
-        with pytest.raises(ValueError):
-            forward_bag(params, np.zeros((2, 4)))
-        with pytest.raises(ValueError):
-            forward_bag(params, np.zeros(3))
+        for i in range(1, len(layer_inputs)):
+            z = layer_inputs[i - 1].dot(params.weights[i - 1]) + params.biases[i - 1]
+            np.testing.assert_array_equal(layer_inputs[i], activate(z))
 
 
 class TestBackward:
     def test_zero_upstream(self):
         params = init_params(NetArch(input_dim=3, hidden_dims=(4,)), seed=1)
-        _, trace = forward_bag(params, np.random.default_rng(0).normal(size=(5, 3)))
-        grads = backward_bag(params, trace, np.zeros(5))
+        grads = gradients(params, np.random.default_rng(0).normal(size=(5, 3)), np.zeros(5))
         for g in grads.weights + grads.biases:
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
@@ -214,9 +200,9 @@ class TestBackward:
         # single instance, logistic regression: dW = u * c(1-c) * x
         params = logistic_regression_params([0.7, -0.2], b=0.1)
         x = np.array([[1.5, 2.0]])
-        c, trace = forward_bag(params, x)
+        c, _ = forward(params, x)
         u = np.array([0.37])
-        grads = backward_bag(params, trace, u)
+        grads = gradients(params, x, u)
         expect = u[0] * c[0] * (1 - c[0]) * x[0]
         np.testing.assert_allclose(grads.weights[0][:, 0], expect, rtol=1e-12)
         assert grads.biases[0][0] == pytest.approx(u[0] * c[0] * (1 - c[0]), rel=1e-12)
@@ -235,11 +221,10 @@ class TestBackward:
         upstream = rng.normal(size=4)
 
         def objective():
-            preds, _ = forward_bag(params, bag)
+            preds, _ = forward(params, bag)
             return float(upstream @ preds)
 
-        _, trace = forward_bag(params, bag)
-        grads = backward_bag(params, trace, upstream)
+        grads = gradients(params, bag, upstream)
         h = 1e-6
         for arrays, garrays in ((params.weights, grads.weights),
                                 (params.biases, grads.biases)):
@@ -260,9 +245,9 @@ class TestBackward:
     @pytest.mark.parametrize("hidden", [(16, 8), (32,)])
     def test_bit_equal_to_former_backward(self, activation, hidden):
         params, bag, upstream = signed_zero_params_and_bag(activation, hidden, seed=9)
-        _, trace = forward_bag(params, bag)
-        grads = backward_bag(params, trace, upstream)
-        expect, preacts = former_backward_bag(params, trace, upstream)
+        preds, layer_inputs = forward(params, bag)
+        grads = backward(params, layer_inputs, preds, upstream.copy(), NetParams(params.arch))
+        expect, preacts = former_backward_bag(params, layer_inputs, preds, upstream)
         first = preacts[0][0, :2]
         assert first.tolist() == [0.0, 0.0] and np.signbit(first).tolist() == [True, False]
         for got, want in zip(grads.weights + grads.biases, expect.weights + expect.biases):
@@ -271,20 +256,18 @@ class TestBackward:
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize("hidden", [(3,), (16, 8)])
     def test_caller_arrays_unchanged(self, activation, hidden):
-        # the core scales its d cost / d prediction in place: backward_bag
-        # hands it a copy, and the forward pass only reads the instances
+        # the reverse pass scales its d cost / d prediction in place and
+        # nothing else: the forward pass only reads the instances, and the
+        # reverse pass reads the predictions and layer inputs
         params, bag, upstream = signed_zero_params_and_bag(activation, hidden, seed=5)
         bag_before, upstream_before = bag.copy(), upstream.copy()
-        preds, trace = forward_bag(params, bag)
+        preds, layer_inputs = forward(params, bag)
         preds_before = preds.copy()
-        backward_bag(params, trace, upstream)
-        backward_bag(params, trace, upstream)
+        inputs_before = [a.copy() for a in layer_inputs]
+        for _ in range(2):
+            backward(params, layer_inputs, preds, upstream.copy(), NetParams(params.arch))
         assert bag.tobytes() == bag_before.tobytes()
         assert upstream.tobytes() == upstream_before.tobytes()
         assert preds.tobytes() == preds_before.tobytes()
-
-    def test_mismatched_upstream(self):
-        params = init_params(NetArch(input_dim=2), seed=0)
-        _, trace = forward_bag(params, np.zeros((3, 2)))
-        with pytest.raises(ValueError):
-            backward_bag(params, trace, np.zeros(4))
+        for a, before in zip(layer_inputs, inputs_before):
+            assert a.tobytes() == before.tobytes()

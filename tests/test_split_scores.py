@@ -1,5 +1,5 @@
-"""The split scorer: its equal-length blocks against the per-bag
-``score_bag``, bit for bit, the stacked instances ``score_bags`` runs
+"""The split scorer: its equal-length blocks against the head table's
+per-bag scores, bit for bit, the stacked instances ``score_bags`` runs
 through the network, and its input checks and memory bound."""
 
 import copy
@@ -11,8 +11,8 @@ import pytest
 
 from promil import heads
 from promil.bagdata import Bag, load_dataset, save_dataset, stack_instances
-from promil.heads import HEADS, score_bag, score_bags
-from promil.network import NetArch, forward_bag, init_params
+from promil.heads import HEADS, head_function, score_bags
+from promil.network import NetArch, forward, init_params
 
 EPS = 1e-7
 SIZES = (1, 2, 3, 30, 301, 3001, 10001)
@@ -26,7 +26,7 @@ def score_predictions(preds, lengths, head, q, eps):
 
 def per_bag(preds, lengths, head, q, eps=EPS):
     ends = np.cumsum(lengths)
-    return np.array([score_bag(preds[end - n:end], head, q, eps)
+    return np.array([head_function(head)(preds[end - n:end], q, eps)[0]
                      for end, n in zip(ends, lengths)])
 
 
@@ -142,7 +142,7 @@ class TestScoreBags:
     def test_scores_the_stacked_forward_pass(self, head, tmp_path):
         _, loaded = TestStackInstances().dataset(tmp_path)
         net = self.net()
-        preds = forward_bag(net, np.concatenate([b.instances for b in loaded]))[0]
+        preds = forward(net, np.concatenate([b.instances for b in loaded]))[0]
         lengths = np.array([len(b) for b in loaded])
         np.testing.assert_array_equal(score_bags(net, loaded, head, 0.3, EPS),
                                       score_predictions(preds, lengths, head, 0.3, EPS))

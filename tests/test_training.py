@@ -18,7 +18,7 @@ from promil.bagdata import (
 )
 from promil.bernstein import DEFAULT_EPS, level, logit
 from promil.heads import HEADS, head_function, score_bags
-from promil.network import NetArch, NetParams, backward_bag, forward_bag, init_params
+from promil.network import NetArch, NetParams, backward, forward, init_params
 from promil.training import (
     NumericalError,
     TrainConfig,
@@ -178,8 +178,7 @@ class TestBagStep:
         net = init_params(NetArch(input_dim=2), seed=5)
         net.weights[0][:, 0] = [0.4, -0.3]
         bag = make_bag([[1.0, 2.0]], label=1)
-        from promil.network import forward_bag
-        c = forward_bag(net, bag.instances)[0][0]
+        c = forward(net, bag.instances)[0][0]
         cost, grads, grad_raw = bag_cost_and_grads(net, level(logit(0.3)), bag, cfg)
         assert cost == pytest.approx(-math.log(c), rel=1e-12)
         upstream = -1.0 / c
@@ -200,11 +199,10 @@ class TestBagStep:
                 w += rng.normal(size=w.shape) * 0.4
             raw = logit(float(rng.uniform(0.1, 0.9)))
             head = ("promil", "promil", "max", "mean")[trial % 4]
-            from promil.network import forward_bag as fb
             while True:
                 bag = make_bag(rng.normal(size=(int(rng.integers(1, 9)), 3)),
                                label=int(rng.integers(0, 2)))
-                preds = np.sort(fb(net, bag.instances)[0])
+                preds = np.sort(forward(net, bag.instances)[0])
                 # max head: keep away from argmax ties where the FD kinks
                 if head != "max" or len(preds) == 1 or preds[-1] - preds[-2] > 1e-3:
                     break
@@ -505,10 +503,10 @@ def reference_step(arch, theta, moments, t, bag, cfg, head):
     clamp bound on the bag's predictions)."""
     net = NetParams(arch=arch, flat=theta[:-1])
     q = level(float(theta[-1]))
-    preds, trace = forward_bag(net, bag.instances)
+    preds, layer_inputs = forward(net, bag.instances)
     score, dscore_dpreds, dscore_dq = head_function(head)(preds, q, cfg.eps_clamp)
     cost, upstream = bag_cost(score, int(bag.label), cfg.eps_clamp)
-    grads = backward_bag(net, trace, upstream * dscore_dpreds)
+    grads = backward(net, layer_inputs, preds, upstream * dscore_dpreds, NetParams(arch))
     grad = np.append(grads.flat, upstream * dscore_dq * q * (1.0 - q))
     assert math.isfinite(cost) and np.isfinite(grad).all()
     decayed = slice(0, sum(w.size for w in NetParams(arch).weights))
@@ -517,8 +515,8 @@ def reference_step(arch, theta, moments, t, bag, cfg, head):
 
 
 class TestStepAgainstReference:
-    """``bag_step`` against a step composed from forward_bag, the head
-    table's per-bag entry, bag_cost, backward_bag and the Adam update
+    """``bag_step`` against a step composed from forward, the head
+    table's per-bag entry, bag_cost, backward and the Adam update
     written out: theta, m and v agree bit for bit over 300 steps."""
 
     def bags(self):
