@@ -488,6 +488,19 @@ def _check_storable(bags, finite):
     return width
 
 
+def _labels_member(bags):
+    """The bags' labels as an int64 array; ValueError naming the first bag
+    whose label, set after the bag was built, is not the integer 0 or 1."""
+    labels = [b.label for b in bags]
+    # an int64 array would read 0.7 as 0 and True as 1: types are checked first
+    if {type(x) for x in labels} <= {int} and set(labels) <= {0, 1}:
+        return np.array(labels, dtype=np.int64)
+    for b in bags:   # the first bag that breaks the rule raises, naming itself
+        if not (is_integer(b.label) and b.label in (0, 1)):
+            raise ValueError(f"bag {b.id}: label must be 0 or 1, got {b.label!r}")
+    return np.array(labels, dtype=np.int64)
+
+
 def _fractions_member(bags):
     """The bags' positive fractions as a float64 array, 0.0 where a bag has
     none; ValueError naming the first bag whose fraction is not a finite
@@ -531,11 +544,13 @@ def save_dataset(path, bags, spec=None, seed=None):
     timestamp, so equal bags give equal bytes.
 
     The rules are checked once for all bags: the instances' finiteness on
-    the stacked cells, the positive fractions' types on one list.  Only a
-    failure walks the bags, to name the first that breaks a rule.
+    the stacked cells, the labels' and the positive fractions' types on one
+    list each.  Only a failure walks the bags, to name the first that
+    breaks a rule.
     """
     cells = np.concatenate([b.instances.reshape(-1) for b in bags] or [np.empty(0)])
     width = _check_storable(bags, finite=np.isfinite(cells).all())
+    labels = _labels_member(bags)
     fractions = _fractions_member(bags)
     nonzero = cells.view(np.uint64) != 0   # bit patterns: -0.0 is kept
     header = {"schema": DATASET_SCHEMA, "seed": seed, "width": width,
@@ -547,7 +562,7 @@ def save_dataset(path, bags, spec=None, seed=None):
         "instance_mask": np.packbits(nonzero),
         # a flat index takes the values faster than the boolean mask does
         "instance_values": cells[np.flatnonzero(nonzero)],
-        "labels": np.array([b.label for b in bags], dtype=np.int64),
+        "labels": labels,
         "splits": np.array([SPLIT_NAMES.index(b.split) for b in bags], dtype=np.int8),
         "hidden": np.concatenate([np.zeros(len(b), dtype=np.int64)
                                   if b.hidden_instance_labels is None

@@ -8,6 +8,7 @@ import warnings
 import zipfile
 import zlib
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from promil.bagdata import (
     DatasetError,
     IdxParseError,
     SyntheticSpec,
+    check_bags,
     check_number,
     generate_synthetic,
     load_dataset,
@@ -366,6 +368,11 @@ class TestSplit:
             split_dataset(bags, (0.5, 0.4, 0.2), seed=0)
 
 
+# dataset files as the bagdata/1 (JSON) and bagdata/2 (dense .npz) writers
+# of earlier versions saved them
+RETIRED_DATA = Path(__file__).parent / "data"
+
+
 def assert_same_bags(got, want):
     """Every field equal, bit for bit, with the same Python types."""
     assert len(got) == len(want)
@@ -527,6 +534,22 @@ class TestContainer:
         with pytest.raises(ValueError, match=f"^{message}$"):
             Bag(**{"id": "a", "instances": np.zeros((3, 2)), "label": 1, **fields})
 
+    @pytest.mark.parametrize("label", [0.7, 1.0, 5, -1, True, "1", None])
+    def test_save_rejects_a_label_set_after_the_bag_was_built(self, tmp_path, label):
+        _, bags = container_bags()
+        bags[3].label = label
+        with pytest.raises(ValueError, match=re.escape(
+                f"bag {bags[3].id}: label must be 0 or 1, got {label!r}")):
+            save_dataset(tmp_path / "d", bags)
+        assert not (tmp_path / "d").exists()
+
+    def test_save_takes_numpy_integer_labels(self, tmp_path):
+        _, bags = container_bags()
+        for b in bags:
+            b.label = np.int64(b.label)
+        save_dataset(tmp_path / "d", bags)
+        assert_same_bags(load_dataset(tmp_path / "d")[0], container_bags()[1])
+
     def test_save_rejects_unknown_split(self, tmp_path):
         _, bags = container_bags()
         bags[0].split = "holdout"
@@ -544,6 +567,8 @@ class TestContainer:
         ("splits", lambda a: np.r_[4, a[1:]].astype(np.int8), "split code"),
         ("splits", lambda a: np.r_[-1, a[1:]].astype(np.int8), "split code"),
         ("header", lambda a: np.array('{"schema": "bagdata/1"}'), "schema"),
+        ("header", lambda a: np.array('{"schema": "bagdata/2"}'), "'bagdata/2', which is no "
+                                                                 "longer read"),
         ("header", lambda a: np.array("not json"), "JSON"),
     ])
     def test_load_rejects_inconsistent_fields(self, tmp_path, field, change, message):
@@ -627,7 +652,8 @@ class TestContainer:
         with pytest.raises(DatasetError, match="cut.json"):
             load_dataset(bad)
 
-    @pytest.mark.parametrize("member", ["instance_values.npy", "instance_mask.npy"])
+    @pytest.mark.parametrize("member", ["instance_values.npy", "instance_mask.npy",
+                                        "offsets.npy", "hidden.npy", "ids.npy"])
     def test_corrupt_member_names_path(self, tmp_path, member):
         good = saved_members(tmp_path)[0]
         data = bytearray(good.read_bytes())
@@ -871,6 +897,46 @@ class TestStoredMembers:
         bags[1].positive_fraction = None
         with pytest.raises(ValueError, match="^bag bag-000001: hidden labels must be 0 or 1"):
             save_dataset(tmp_path / "d", bags)
+
+
+class TestCheckBags:
+    """The check a training split passes before the unchecked network
+    core takes its bags."""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("instances", np.empty((0, 2)),
+         r"instances of shape \(0, 2\), expected a nonempty \(bag_size, 2\) array"),
+        ("instances", np.zeros((3, 5)), r"instances of shape \(3, 5\)"),
+        ("instances", np.zeros(2), r"instances of shape \(2,\)"),
+        ("instances", np.zeros((3, 2), dtype=np.float32), "instances of dtype float32"),
+        ("instances", [[0.0, 1.0]], "instances of dtype None"),
+        ("label", 2, "label must be 0 or 1, got 2"),
+    ], ids=["empty", "wide", "one-dimensional", "float32", "list", "label"])
+    def test_names_the_bag_after_where(self, field, value, message):
+        _, bags = container_bags()
+        setattr(bags[4], field, value)
+        check_bags(bags[:4], 2)
+        with pytest.raises(ValueError, match=f"^train split: bag {bags[4].id}: {message}"):
+            check_bags(bags, 2, "train split: ")
+
+
+class TestRetiredFiles:
+    """Files of the schemas that earlier versions wrote are refused by name."""
+
+    @pytest.mark.parametrize("name, schema", [("bagdata1.json", "bagdata/1"),
+                                              ("bagdata2.npz", "bagdata/2")])
+    def test_fixture_refused_naming_path_and_schema(self, name, schema):
+        path = RETIRED_DATA / name
+        with pytest.raises(DatasetError, match=re.escape(f"{path}: ")) as exc:
+            load_dataset(path)
+        assert f"{schema!r}" in str(exc.value) and "no longer read" in str(exc.value)
+
+    def test_any_json_text_is_read_as_the_json_schema(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text('{"schema": "bagdata/3", "bags": []}')
+        with pytest.raises(DatasetError, match=re.escape(
+                f"{path}: a JSON dataset, schema 'bagdata/1', which is no longer read")):
+            load_dataset(path)
 
 
 class TestCheckNumber:

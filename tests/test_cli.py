@@ -36,6 +36,26 @@ def read_csv(path):
         return list(csv.reader(f))
 
 
+def read_members(path):
+    with np.load(path, allow_pickle=False) as npz:
+        return {name: npz[name] for name in npz.files}
+
+
+def set_header(**fields):
+    """An edit of a dataset's members that sets fields of its header."""
+    def edit(arrays):
+        arrays["header"] = np.array(json.dumps({**json.loads(arrays["header"].item()), **fields}))
+    return edit
+
+
+def set_cell(member, index, value):
+    """An edit of a dataset's members that sets one cell of ``member``."""
+    def edit(arrays):
+        arrays[member] = arrays[member].copy()
+        arrays[member].reshape(-1)[index] = value
+    return edit
+
+
 def small_config(tmp_path, **overrides):
     doc = {
         "schema": "promil-config/1",
@@ -201,6 +221,51 @@ class TestDatasetFiles:
         assert main(argv) == EXIT_IO
         err = capsys.readouterr().err
         assert str(bad) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("field, edit", [
+        ("'header' is not one JSON text", lambda a: a.update(header=np.array("{"))),
+        ("'header' does not name schema 'bagdata/3'", set_header(schema="bagdata/9")),
+        ("'header' names the schema 'bagdata/2', which is no longer read",
+         set_header(schema="bagdata/2")),
+        ("'header' width must be an integer >= 0, got -2", set_header(width=-2)),
+        ("'offsets' must be a 1-D array starting at 0",
+         lambda a: a.update(offsets=a["offsets"] + 1)),
+        ("'offsets' must increase strictly", set_cell("offsets", 2, 0)),
+        ("'ids' has shape", lambda a: a.update(ids=a["ids"][:-1])),
+        ("'labels' holds a label other than 0 or 1", set_cell("labels", 0, 3)),
+        ("'labels' has dtype float64", lambda a: a.update(labels=a["labels"] * 1.0)),
+        ("'labels' is missing", lambda a: a.pop("labels")),
+        ("'splits' holds a split code outside 0..3", set_cell("splits", 0, 7)),
+        ("positive_fraction 7.0 inconsistent with hidden labels", set_cell("fractions", 0, 7.0)),
+        ("'fractions' holds a positive fraction outside [0, 1]",
+         set_cell("fractions", 0, np.nan)),
+        ("'instance_values' contain NaN or infinity", set_cell("instance_values", 3, np.nan)),
+        ("'instance_values' contain NaN or infinity", set_cell("instance_values", 0, -np.inf)),
+        ("'instance_values' holds", lambda a: a.update(instance_values=a["instance_values"][1:])),
+        ("'instance_mask' has dtype", lambda a: a.update(instance_mask=a["instance_mask"][1:])),
+        ("'instance_values' is missing", lambda a: a.pop("instance_values")),
+    ])
+    def test_bad_dataset_file_exits_2_naming_path(self, tmp_path, capsys, field, edit):
+        cfg, data = small_config(tmp_path), tmp_path / "data.npz"
+        assert main(["generate", "--config", cfg, "--out", str(data)]) == EXIT_OK
+        arrays = read_members(data)
+        edit(arrays)
+        bad, out = tmp_path / "bad.npz", tmp_path / "m.json"
+        with open(bad, "wb") as f:
+            np.savez(f, **arrays)
+        capsys.readouterr()
+        assert main(["train", str(bad), "--config", cfg, "--out", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"{bad}: " in err and field in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_file_that_is_no_container_exits_2_naming_path(self, tmp_path, capsys):
+        bad, out = tmp_path / "bad.npz", tmp_path / "m.json"
+        bad.write_bytes(b"\x00\x01binary")
+        assert main(["train", str(bad), "--config", small_config(tmp_path),
+                     "--out", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"{bad}: not a 'bagdata/3' dataset container" in err and not out.exists()
 
     @pytest.mark.parametrize("name, schema", [("bagdata1.json", "bagdata/1"),
                                               ("bagdata2.npz", "bagdata/2")])
@@ -404,6 +469,22 @@ class TestModelFiles:
         assert main(["eval", str(bad), data]) == EXIT_IO
         err = capsys.readouterr().err
         assert str(bad) in err and f"'{field}'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("schema, why", [
+        ("promil-model/1", "is no longer read"), ("promil-model/3", "is not supported"),
+        (None, "is not supported"),
+    ])
+    def test_other_schema_exits_2_naming_path_and_schema(self, trained, tmp_path, capsys,
+                                                         schema, why):
+        _, data, model_path = trained
+        doc = json.loads(Path(model_path).read_text())
+        doc["schema"] = schema
+        bad, out = tmp_path / "other-model.json", tmp_path / "out.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["eval", str(bad), data, "--out", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert (f"{bad}: model schema {schema!r} {why} (expected 'promil-model/2')" in err
+                and "Traceback" not in err and not out.exists())
 
     def test_truncated_json_exits_2_naming_path(self, trained, tmp_path, capsys):
         _, data, model_path = trained

@@ -12,6 +12,14 @@ def score_bag(preds, head, q, eps=DEFAULT_EPS):
     return head_function(head)(preds, q, eps)[0]
 
 
+def score_emptied_bag(head):
+    """Score, on the one scoring path, a bag whose instances were replaced
+    by an empty array after it was built."""
+    bag = Bag(id="hollow", instances=np.array([[0.2], [0.6]]), label=0)
+    bag.instances = np.empty((0, 1))
+    return score_bags(init_params(NetArch(1), 0), [bag], head, 0.5, DEFAULT_EPS)
+
+
 class TestPromilScore:
     def test_constant_list(self):
         bs = score_bag(np.full(5, 0.9), "promil", q=0.3)
@@ -97,6 +105,10 @@ class TestPromilScore:
         assert score_bag(preds, "promil", q=1e-9) == pytest.approx(preds.max(), abs=1e-6)
         assert score_bag(preds, "promil", q=1 - 1e-9) == pytest.approx(preds.min(), abs=1e-6)
 
+    def test_empty_raises(self):
+        with pytest.raises(ValueError, match="bag hollow: instances of shape"):
+            score_emptied_bag("promil")
+
 
 class TestBaselineScores:
     # max and mean do not depend on q
@@ -118,6 +130,11 @@ class TestBaselineScores:
         assert score_bag(preds, "mean", 0.5) == pytest.approx(
             estimate_quantile(preds, 0.5), rel=1e-14
         )
+
+    def test_empty_raises(self):
+        for head in ("max", "mean"):
+            with pytest.raises(ValueError, match="bag hollow: instances of shape"):
+                score_emptied_bag(head)
 
 
 class TestDecide:
@@ -163,6 +180,13 @@ class TestHeadTable:
         bags = [Bag(id="b", instances=np.array([[0.2], [0.6]]), label=0)]
         with pytest.raises(ValueError, match=message):
             score_bags(init_params(NetArch(1), 0), bags, head, q, eps)
+
+    @pytest.mark.parametrize("head", HEADS)
+    def test_level_is_required(self, head):
+        # max and mean do not depend on q, but every head is given one
+        bags = [Bag(id="b", instances=np.array([[0.5]]), label=0)]
+        with pytest.raises(TypeError):
+            score_bags(init_params(NetArch(1), 0), bags, head)
 
     def test_unknown_head_rejected(self):
         with pytest.raises(ValueError, match="head must be one of"):

@@ -171,6 +171,24 @@ class TestScoreBags:
         with pytest.raises(ValueError, match="hollow"):
             score_bags(self.net(), [bag], "mean", 0.3, EPS)
 
+    @pytest.mark.parametrize("instances, message", [
+        (np.empty((0, 3)), r"instances of shape \(0, 3\)"),
+        (np.zeros((2, 4)), r"instances of shape \(2, 4\)"),
+        (np.zeros(3), r"instances of shape \(3,\)"),
+        (np.zeros((2, 3), dtype=np.float32), "instances of dtype float32"),
+        (np.zeros((2, 3), dtype=np.int64), "instances of dtype int64"),
+    ], ids=["empty", "wide", "one-dimensional", "float32", "int64"])
+    def test_instances_the_network_cannot_take_name_the_bag(self, instances, message):
+        # the forward pass checks nothing: score_bags refuses such a bag
+        # before it stacks the split
+        bags = [Bag(id="good", instances=np.ones((2, 3)), label=0),
+                Bag(id="bad", instances=np.ones((2, 3)), label=1)]
+        bags[1].instances = instances
+        expect = "expected float64" if "dtype" in message else \
+            r"expected a nonempty \(bag_size, 3\) array"
+        with pytest.raises(ValueError, match=f"^bag bad: {message}, {expect}$"):
+            score_bags(self.net(), bags, "promil", 0.3, EPS)
+
     def test_level_and_head_are_checked(self):
         bags = [Bag(id="b", instances=np.ones((2, 3)), label=0)]
         with pytest.raises(ValueError, match="q must be"):
