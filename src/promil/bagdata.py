@@ -8,8 +8,9 @@ draws its bags by the same protocol (``_draw_bag``) from user-supplied
 IDX files, with the digit 9 as the positive class.
 
 Hidden per-instance labels ride along for diagnostics only; training never
-sees them.  A dataset file is one bagdata/3 .npz container; a file of a
-schema that earlier versions wrote (RETIRED_SCHEMAS) is refused by name.
+sees them.  A bag's positive fraction is derived from them, not stored.  A
+dataset file is one bagdata/4 .npz container; a file of a schema that
+earlier versions wrote (RETIRED_SCHEMAS) is refused by name.
 ``check_number`` and ``check_choice`` are the package's one test of a
 number field and of a choice field; a failure reads "<field> must be
 <rule>, got <value>".
@@ -27,24 +28,23 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-DATASET_SCHEMA = "bagdata/3"
-# written by earlier versions, no longer read: the JSON bagdata/1 and the
-# dense .npz bagdata/2
-RETIRED_SCHEMAS = ("bagdata/1", "bagdata/2")
+DATASET_SCHEMA = "bagdata/4"
+# written by earlier versions, no longer read: the JSON bagdata/1, the
+# dense .npz bagdata/2 and bagdata/3, which also stored each bag's
+# positive fraction
+RETIRED_SCHEMAS = ("bagdata/1", "bagdata/2", "bagdata/3")
 SPLIT_NAMES = (None, "train", "validation", "test")   # indexed by split code
 # the members of a dataset file, and the numpy dtype kinds each may have;
 # the instances are a bit per cell (set where the cell is not +0.0) and
 # the cells so marked, in row-major order
 _MEMBER_KINDS = {
     "header": "U", "ids": "U", "offsets": "i", "labels": "iu", "splits": "iu", "hidden": "iu",
-    "has_hidden": "b", "fractions": "f", "has_fraction": "b", "instance_mask": "u",
-    "instance_values": "f",
+    "has_hidden": "b", "instance_mask": "u", "instance_values": "f",
 }
-# zlib level for the instance members that are deflated: on MNIST-like
-# bags level 1 deflates the mask and values 5x faster than the default
-# level, for 7% more bytes; the small members keep the default: level 1
-# grows the hidden labels by 70%
-_INSTANCE_LEVEL = 1
+# zlib level of every deflated member: level 1 deflates MNIST-like instances
+# 5x faster than the default level, for 7% more bytes, and the README data's
+# hidden labels 10x faster, for 1.5 KB more over all the small members
+_DEFLATE_LEVEL = 1
 # a member is stored, not deflated, when level 1 shrinks its first
 # _SAMPLE_BYTES to more than _STORED_RATIO of their size.  Gaussian values
 # (every synthetic dataset's) shrink by 3%, and deflating the README data's
@@ -120,7 +120,6 @@ class Bag:
     instances: np.ndarray
     label: int
     hidden_instance_labels: np.ndarray = None
-    positive_fraction: float = None
     split: str = None
     # (instances, (whole, offsets), i), set by load_dataset: ``instances``
     # was made as ``whole[offsets[i]:offsets[i + 1]]``, a view of the
@@ -134,8 +133,7 @@ class Bag:
         self.instances = np.asarray(self.instances, dtype=np.float64)
         if self.instances.ndim != 2 or self.instances.shape[0] == 0:
             raise ValueError(f"bag {self.id}: instances must be a nonempty 2-D array")
-        if not (is_integer(self.label) and self.label in (0, 1)):
-            raise ValueError(f"bag {self.id}: label must be 0 or 1, got {self.label!r}")
+        _check_label(self)
         if self.hidden_instance_labels is not None:
             hidden = np.asarray(self.hidden_instance_labels)
             if hidden.dtype.kind not in "iu":   # not cast: int64 would truncate 0.7 to 0
@@ -143,14 +141,16 @@ class Bag:
             self.hidden_instance_labels = hidden.astype(np.int64, copy=False)
             if len(self.hidden_instance_labels) != len(self.instances):
                 raise ValueError(f"bag {self.id}: hidden label count mismatch")
-            if self.positive_fraction is not None:
-                expect = self.hidden_instance_labels.sum() / len(self.instances)
-                if abs(self.positive_fraction - expect) > 1e-12:
-                    raise ValueError(_inconsistent_fraction(self.id, self.positive_fraction,
-                                                            expect))
 
     def __len__(self):
         return self.instances.shape[0]
+
+    @property
+    def positive_fraction(self):
+        """The share of positive instances, from the hidden labels; None
+        without them."""
+        hidden = self.hidden_instance_labels
+        return None if hidden is None else int(hidden.sum()) / len(hidden)
 
     def __getstate__(self):
         # a copied or unpickled bag's instances are no longer a view of the
@@ -166,9 +166,11 @@ class Bag:
         return bag
 
 
-def _inconsistent_fraction(bag_id, fraction, expect):
-    return (f"bag {bag_id}: positive_fraction {fraction} inconsistent with hidden labels "
-            f"({expect})")
+def _check_label(bag, where=""):
+    """Raise ValueError, naming ``bag`` after ``where``, unless its label
+    is the integer 0 or 1."""
+    if not (is_integer(bag.label) and bag.label in (0, 1)):
+        raise ValueError(f"{where}bag {bag.id}: label must be 0 or 1, got {bag.label!r}")
 
 
 @dataclass
@@ -226,7 +228,6 @@ def _draw_bag(rng, spec, bag_id, draw, split=None):
         instances=instances[order],
         label=_bag_label(n_pos, size, spec),
         hidden_instance_labels=hidden[order],
-        positive_fraction=n_pos / size,
         split=split,
     )
 
@@ -452,8 +453,7 @@ def check_bags(bags, width, where=""):
         if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != width:
             raise ValueError(f"{where}bag {bag.id}: instances of shape {x.shape}, "
                              f"expected a nonempty (bag_size, {width}) array")
-        if bag.label not in (0, 1):
-            raise ValueError(f"{where}bag {bag.id}: label must be 0 or 1, got {bag.label!r}")
+        _check_label(bag, where)
 
 
 def _loaded_run(bags):
@@ -472,12 +472,14 @@ def _loaded_run(bags):
 
 
 def _check_storable(bags, finite):
-    """The bags' one width; raise ValueError, naming the bag, unless they
-    share it, their instances are finite and each split is one of
-    SPLIT_NAMES.  ``finite`` says the caller has found every instance
-    finite."""
+    """The bags' one width; raise ValueError, naming the bag, unless each
+    id is a string, they share the width, their instances are finite and
+    each split is one of SPLIT_NAMES.  ``finite`` says the caller has found
+    every instance finite."""
     width = bags[0].instances.shape[1] if bags else 0
     for b in bags:
+        if not isinstance(b.id, str):
+            raise ValueError(f"bag {b.id!r}: id must be a string")
         if b.instances.shape[1] != width:
             raise ValueError(f"bag {b.id}: {b.instances.shape[1]} features per instance, "
                              f"but bag {bags[0].id} has {width}")
@@ -496,103 +498,91 @@ def _labels_member(bags):
     if {type(x) for x in labels} <= {int} and set(labels) <= {0, 1}:
         return np.array(labels, dtype=np.int64)
     for b in bags:   # the first bag that breaks the rule raises, naming itself
-        if not (is_integer(b.label) and b.label in (0, 1)):
-            raise ValueError(f"bag {b.id}: label must be 0 or 1, got {b.label!r}")
+        _check_label(b)
     return np.array(labels, dtype=np.int64)
 
 
-def _fractions_member(bags):
-    """The bags' positive fractions as a float64 array, 0.0 where a bag has
-    none; ValueError naming the first bag whose fraction is not a finite
-    number in [0, 1]."""
-    fractions = [0.0 if b.positive_fraction is None else b.positive_fraction for b in bags]
-    # a float64 array would read True as 1.0: its types are checked first
-    if {type(f) for f in fractions} <= {float, np.float64}:
-        member = np.array(fractions, dtype=np.float64)
-        if ((member >= 0) & (member <= 1)).all():
-            return member
-    for b in bags:   # the first bag that breaks the rule raises, naming itself
-        if b.positive_fraction is not None:
-            check_number(f"bag {b.id}: positive_fraction", b.positive_fraction,
-                         at_least=0, at_most=1)
-    return np.array(fractions, dtype=np.float64)
+def _hidden_member(bags, sizes):
+    """The bags' hidden labels as one int8 array, 0 where a bag has none;
+    ValueError naming the first bag whose hidden labels, set after the bag
+    was built, are not one 0 or 1 per instance."""
+    hidden = [np.zeros(n, dtype=np.int64) if b.hidden_instance_labels is None
+              else b.hidden_instance_labels for b, n in zip(bags, sizes)]
+    if [len(h) for h in hidden] != sizes:
+        for b, h, n in zip(bags, hidden, sizes):   # the first bag that breaks the rule raises
+            if len(h) != n:
+                raise ValueError(f"bag {b.id}: hidden label count mismatch")
+    member = np.concatenate(hidden or [np.empty(0, dtype=np.int64)])
+    if not np.isin(member, (0, 1)).all():
+        for b, h in zip(bags, hidden):
+            if not np.isin(h, (0, 1)).all():
+                raise ValueError(f"bag {b.id}: hidden labels must be 0 or 1")
+    # checked as they are, so no label wraps into 0 or 1; int8 deflates in
+    # two thirds of the time, to 60% of the bytes
+    return member.astype(np.int8)
 
 
 def _compress_type(data):
     """ZIP_STORED for a member whose first _SAMPLE_BYTES deflate to more
     than _STORED_RATIO of their size at level 1, else ZIP_DEFLATED."""
     sample = data[:_SAMPLE_BYTES]
-    if len(zlib.compress(sample, 1)) > _STORED_RATIO * len(sample):
+    if len(zlib.compress(sample, _DEFLATE_LEVEL)) > _STORED_RATIO * len(sample):
         return zipfile.ZIP_STORED
     return zipfile.ZIP_DEFLATED
 
 
 def save_dataset(path, bags, spec=None, seed=None):
-    """Write the dataset container (schema bagdata/3) to exactly ``path``.
+    """Write the dataset container (schema bagdata/4) to exactly ``path``.
 
     The file is an .npz whatever its extension.  Its instances, all bags'
     rows stacked into one N_total x d float64 matrix cut by ``offsets``,
     are kept as ``instance_mask``, the packed bits of the cells whose bit
     pattern is nonzero (so -0.0 is kept), and ``instance_values``, those
-    cells in row-major order; the two are deflated at level 1, the other
-    members at zlib's default.  Per bag it holds the id, label, split code,
-    positive fraction and which optional fields the bag has; per instance
-    the hidden label, as int8; and a JSON header with the schema, spec,
-    seed and width d.  A member whose leading bytes deflate by less than a
-    tenth, as Gaussian values do, is stored as it is (``_compress_type``).
-    The decision reads only the member's bytes, and members carry a fixed
-    timestamp, so equal bags give equal bytes.
+    cells in row-major order.  Per bag it holds the id, label, split code
+    and whether the bag has hidden labels; per instance the hidden label,
+    as int8; and a JSON header with the schema, spec, seed and width d.
+    Every member is deflated at level 1, but one whose leading bytes
+    deflate by less than a tenth, as Gaussian values do, is stored as it
+    is (``_compress_type``).  The decision reads only the member's bytes,
+    and members carry a fixed timestamp, so equal bags give equal bytes.
 
     The rules are checked once for all bags: the instances' finiteness on
-    the stacked cells, the labels' and the positive fractions' types on one
-    list each.  Only a failure walks the bags, to name the first that
-    breaks a rule.
+    the stacked cells, the labels' types and the hidden label counts on one
+    list each, the hidden labels' values on one array.  Only a failure
+    walks the bags, to name the first that breaks a rule.
     """
     cells = np.concatenate([b.instances.reshape(-1) for b in bags] or [np.empty(0)])
     width = _check_storable(bags, finite=np.isfinite(cells).all())
     labels = _labels_member(bags)
-    fractions = _fractions_member(bags)
+    sizes = [len(b) for b in bags]
+    hidden = _hidden_member(bags, sizes)
     nonzero = cells.view(np.uint64) != 0   # bit patterns: -0.0 is kept
     header = {"schema": DATASET_SCHEMA, "seed": seed, "width": width,
               "spec": asdict(spec) if spec is not None else None}
     members = {
         "header": np.array(json.dumps(header, sort_keys=True)),
         "ids": np.array([b.id for b in bags], dtype=str),
-        "offsets": np.cumsum([0] + [len(b) for b in bags], dtype=np.int64),
+        "offsets": np.cumsum([0] + sizes, dtype=np.int64),
         "instance_mask": np.packbits(nonzero),
         # a flat index takes the values faster than the boolean mask does
         "instance_values": cells[np.flatnonzero(nonzero)],
         "labels": labels,
         "splits": np.array([SPLIT_NAMES.index(b.split) for b in bags], dtype=np.int8),
-        "hidden": np.concatenate([np.zeros(len(b), dtype=np.int64)
-                                  if b.hidden_instance_labels is None
-                                  else b.hidden_instance_labels for b in bags]
-                                 or [np.empty(0, dtype=np.int64)]),
+        "hidden": hidden,
         "has_hidden": np.array([b.hidden_instance_labels is not None for b in bags], dtype=bool),
-        "fractions": fractions,
-        "has_fraction": np.array([b.positive_fraction is not None for b in bags], dtype=bool),
     }
     del cells, nonzero   # the stacked matrix is not held while the members are written
-    if not np.isin(members["hidden"], (0, 1)).all():
-        for b in bags:   # the first bag that breaks the rule raises, naming itself
-            if b.hidden_instance_labels is not None and \
-                    not np.isin(b.hidden_instance_labels, (0, 1)).all():
-                raise ValueError(f"bag {b.id}: hidden labels must be 0 or 1")
-    # checked as int64, so no label wraps into 0 or 1; int8 deflates in
-    # two thirds of the time, to 60% of the bytes
-    members["hidden"] = members["hidden"].astype(np.int8)
     with zipfile.ZipFile(path, "w") as zf:
         for name, arr in members.items():
             buf = io.BytesIO()
             np.lib.format.write_array(buf, arr, allow_pickle=False)
             data = buf.getbuffer()
             zf.writestr(zipfile.ZipInfo(name + ".npy", date_time=_ZIP_EPOCH), data,
-                        compress_type=_compress_type(data),
-                        compresslevel=_INSTANCE_LEVEL if name.startswith("instance_") else None)
+                        compress_type=_compress_type(data), compresslevel=_DEFLATE_LEVEL)
 
 
 def load_dataset(path):
-    """Read a bagdata/3 container; returns (bags, spec_dict, seed).
+    """Read a bagdata/4 container; returns (bags, spec_dict, seed).
 
     The bags are views of one N_total x d float64 instance array.  A file
     that is unreadable or inconsistent raises DatasetError naming the path
@@ -646,7 +636,7 @@ def _load_npz(path):
         raise bad("offsets", "must increase strictly (every bag nonempty)")
     n_rows = int(offsets[-1])
     n_bags = offsets.size - 1
-    for name in ("ids", "labels", "splits", "has_hidden", "fractions", "has_fraction"):
+    for name in ("ids", "labels", "splits", "has_hidden"):
         if a[name].shape != (n_bags,):
             raise bad(name, f"has shape {a[name].shape}, expected ({n_bags},) from 'offsets'")
     if a["hidden"].shape != (n_rows,):
@@ -658,22 +648,10 @@ def _load_npz(path):
     instances = _decode_instances(a["instance_mask"], a["instance_values"], n_rows,
                                   header.get("width"), bad)
 
-    ids, labels, fractions = a["ids"].tolist(), a["labels"].tolist(), a["fractions"].tolist()
-    has_hidden, has_fraction = a["has_hidden"].tolist(), a["has_fraction"].tolist()
+    ids, labels, has_hidden = a["ids"].tolist(), a["labels"].tolist(), a["has_hidden"].tolist()
     hidden = a["hidden"].astype(np.int64, copy=False)   # one cast; each bag's labels a view
-    # the members hold every rule of Bag but this one, checked here for all bags at once
-    checked = a["has_hidden"] & a["has_fraction"]
-    if checked.any():
-        expect = np.add.reduceat(hidden, offsets[:-1]) / np.diff(offsets)
-        wrong = np.flatnonzero(checked & (np.abs(a["fractions"] - expect) > 1e-12))
-        if wrong.size:
-            i = wrong[0]
-            why = _inconsistent_fraction(ids[i], fractions[i], expect[i])
-            raise DatasetError(f"{path}: {why}")
     if not np.isin(hidden, (0, 1)).all():
         raise bad("hidden", "holds a hidden label other than 0 or 1")
-    if not ((a["fractions"] >= 0) & (a["fractions"] <= 1)).all():
-        raise bad("fractions", "holds a positive fraction outside [0, 1]")
     source = (instances, offsets.astype(np.int64, copy=False))
     bounds, codes = offsets.tolist(), codes.tolist()
     bags = []
@@ -682,7 +660,6 @@ def _load_npz(path):
         bags.append(Bag._unchecked(
             id=ids[i], instances=rows, label=labels[i],
             hidden_instance_labels=hidden[lo:hi] if has_hidden[i] else None,
-            positive_fraction=fractions[i] if has_fraction[i] else None,
             split=SPLIT_NAMES[codes[i]], loaded_rows=(rows, source, i)))
     return bags, header.get("spec"), header.get("seed")
 

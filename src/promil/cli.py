@@ -3,10 +3,11 @@ and a standalone quantile utility.
 
 Configs and models are JSON with explicit schema-version fields
 (promil-config/1, promil-model/2, which records the training eps_clamp).
-Datasets are one .npz whatever the file's extension (bagdata/3, which
+Datasets are one .npz whatever the file's extension (bagdata/4, which
 keeps the instance matrix as a bit mask of its nonzero cells and their
 values).  Files of the schemas earlier versions wrote (promil-model/1,
-the dense bagdata/2 and the JSON bagdata/1) are refused by name, exit 2.
+bagdata/3, the dense bagdata/2 and the JSON bagdata/1) are refused by
+name, exit 2.
 Sweep results and per-epoch training logs are CSV.
 Identical (config, seed) inputs reproduce output files byte for byte; the
 model file keeps its timestamp in a separate metadata field so everything

@@ -368,8 +368,9 @@ class TestSplit:
             split_dataset(bags, (0.5, 0.4, 0.2), seed=0)
 
 
-# dataset files as the bagdata/1 (JSON) and bagdata/2 (dense .npz) writers
-# of earlier versions saved them
+# dataset files as the bagdata/1 (JSON), bagdata/2 (dense .npz) and
+# bagdata/3 (with a stored positive fraction) writers of earlier versions
+# saved them
 RETIRED_DATA = Path(__file__).parent / "data"
 
 
@@ -397,8 +398,6 @@ def container_bags():
     for b, split in zip(bags, ("train", "validation", "test", None) * 3):
         b.split = split
     bags[1].hidden_instance_labels = None
-    bags[1].positive_fraction = None
-    bags[2].positive_fraction = None
     return spec, bags
 
 
@@ -408,7 +407,7 @@ def read_members(path):
 
 
 def saved_members(tmp_path, bags=None):
-    """A saved bagdata/3 file and its members, read back as arrays."""
+    """A saved dataset file and its members, read back as arrays."""
     path = tmp_path / "good"
     save_dataset(path, container_bags()[1] if bags is None else bags)
     return path, read_members(path)
@@ -499,27 +498,48 @@ class TestContainer:
         with pytest.raises(ValueError, match=f"bag {bags[4].id}: .*NaN or infinity"):
             save_dataset(tmp_path / "d", bags)
 
-    @pytest.mark.parametrize("value, message", [
-        (5, "hidden labels must be 0 or 1"),
-        (-1, "hidden labels must be 0 or 1"),
-        (np.nan, "positive_fraction must be a finite number >= 0 and <= 1, got nan"),
-        (7.0, "positive_fraction must be a finite number >= 0 and <= 1, got 7.0"),
-        (-0.5, "positive_fraction must be a finite number >= 0 and <= 1, got -0.5"),
-        ("abc", "positive_fraction must be a finite number >= 0 and <= 1, got 'abc'"),
-        (True, "positive_fraction must be a finite number >= 0 and <= 1, got True"),
-    ])
-    def test_save_rejects_hidden_labels_and_fractions_outside_their_range(
-            self, tmp_path, value, message):
+    @pytest.mark.parametrize("hidden, message", [
+        (lambda n: np.full(n, 5), "hidden labels must be 0 or 1"),
+        (lambda n: np.full(n, -1), "hidden labels must be 0 or 1"),
+        (lambda n: np.zeros(0, dtype=np.int64), "hidden label count mismatch"),
+        (lambda n: np.zeros(n + 1, dtype=np.int64), "hidden label count mismatch"),
+        (lambda n: np.zeros(n - 1, dtype=np.int64), "hidden label count mismatch"),
+    ], ids=["5", "-1", "none", "one-more", "one-fewer"])
+    def test_save_rejects_hidden_labels_set_after_the_bag_was_built(self, tmp_path, hidden,
+                                                                   message):
         _, bags = container_bags()
-        if message.startswith("hidden"):
-            bag = bags[2]   # hidden labels, no fraction
-            bag.hidden_instance_labels = np.full(len(bag), value)
-        else:
-            bag = bags[1]   # neither
-            bag.positive_fraction = value
-        with pytest.raises(ValueError, match=re.escape(f"bag {bag.id}: {message}")):
+        bags[3].hidden_instance_labels = hidden(len(bags[3]))
+        with pytest.raises(ValueError, match=f"^bag {bags[3].id}: {message}$"):
             save_dataset(tmp_path / "d", bags)
         assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("bag_id", [5, None, b"a"], ids=["int", "none", "bytes"])
+    def test_save_rejects_an_id_set_after_the_bag_was_built(self, tmp_path, bag_id):
+        _, bags = container_bags()
+        bags[4].id = bag_id
+        with pytest.raises(ValueError, match=re.escape(f"bag {bag_id!r}: id must be a string")):
+            save_dataset(tmp_path / "d", bags)
+        assert not (tmp_path / "d").exists()
+
+    def test_save_takes_an_id_of_a_str_subclass(self, tmp_path):
+        class Name(str):
+            pass
+
+        _, bags = container_bags()
+        bags[4].id = Name("named")
+        save_dataset(tmp_path / "d", bags)
+        assert load_dataset(tmp_path / "d")[0][4].id == "named"
+
+    def test_positive_fraction_follows_the_hidden_labels(self):
+        bag = Bag(id="a", instances=np.zeros((4, 2)), label=1,
+                  hidden_instance_labels=[1, 0, 1, 1])
+        assert bag.positive_fraction == 0.75 and type(bag.positive_fraction) is float
+        bag.hidden_instance_labels = np.array([0, 0, 0, 1])
+        assert bag.positive_fraction == 0.25
+        bag.hidden_instance_labels = None
+        assert bag.positive_fraction is None
+        with pytest.raises(AttributeError):
+            bag.positive_fraction = 0.5
 
     @pytest.mark.parametrize("fields, message", [
         ({"hidden_instance_labels": [0.7, 0.0, 1.0]}, "bag a: hidden labels are .*, not integers"),
@@ -575,61 +595,17 @@ class TestContainer:
         _, arrays = saved_members(tmp_path)
         assert_rejected(tmp_path, arrays, field, change, message)
 
-    @pytest.mark.parametrize("member, value, message", [
-        ("hidden", 5, "hidden label other than 0 or 1"),
-        ("hidden", -1, "hidden label other than 0 or 1"),
-        ("fractions", np.nan, r"positive fraction outside \[0, 1\]"),
-        ("fractions", 7.0, r"positive fraction outside \[0, 1\]"),
-    ])
-    def test_load_rejects_hidden_labels_and_fractions_outside_their_range(
-            self, tmp_path, member, value, message):
-        _, bags = container_bags()
-        for bag in bags:   # drop the other field: the bag's consistency check would fire first
-            if member == "hidden":
-                bag.positive_fraction = None
-            else:
-                bag.hidden_instance_labels = None
-        _, arrays = saved_members(tmp_path, bags)
-        assert_rejected(tmp_path, arrays, member, cell(0, value), message)
+    @pytest.mark.parametrize("value", [5, -1])
+    def test_load_rejects_hidden_labels_outside_their_range(self, tmp_path, value):
+        _, arrays = saved_members(tmp_path)
+        assert_rejected(tmp_path, arrays, "hidden", cell(0, value),
+                        "hidden label other than 0 or 1")
 
     def test_load_rejects_missing_member(self, tmp_path):
         _, arrays = saved_members(tmp_path)
-        del arrays["has_fraction"]
+        del arrays["has_hidden"]
         write_members(tmp_path / "bad", arrays)
-        with pytest.raises(DatasetError, match="field 'has_fraction' is missing"):
-            load_dataset(tmp_path / "bad")
-
-    def test_load_rejects_inconsistent_fraction(self, tmp_path):
-        _, arrays = saved_members(tmp_path)
-        arrays["fractions"] = arrays["fractions"] + 0.25
-        write_members(tmp_path / "bad", arrays)
-        with pytest.raises(DatasetError, match="bad: bag bag-000000: positive_fraction"):
-            load_dataset(tmp_path / "bad")
-
-    def test_load_names_the_first_inconsistent_bag(self, tmp_path):
-        _, arrays = saved_members(tmp_path)
-        checked = np.flatnonzero(arrays["has_hidden"] & arrays["has_fraction"])
-        assert checked[0] == 0 and checked.size > 3
-        arrays["fractions"] = arrays["fractions"].copy()
-        arrays["fractions"][checked[2:]] = 1.0 - arrays["fractions"][checked[2:]] + 1e-9
-        write_members(tmp_path / "bad", arrays)
-        first = f"bag-{checked[2]:06d}"
-        with pytest.raises(DatasetError, match=f"bad: bag {first}: positive_fraction "
-                                               r"\S+ inconsistent with hidden labels"):
-            load_dataset(tmp_path / "bad")
-
-    def test_inconsistent_fraction_reported_before_a_hidden_label_out_of_range(self, tmp_path):
-        # bag 0's label 5 breaks its fraction; bag 1 has no hidden labels
-        # and bag 3's fraction is inconsistent: the bag check of bag 0 comes first
-        _, arrays = saved_members(tmp_path)
-        arrays["hidden"] = cell(0, 5)(arrays["hidden"])
-        arrays["fractions"] = cell(3, 0.5)(arrays["fractions"])
-        fraction = arrays["fractions"][0]
-        write_members(tmp_path / "bad", arrays)
-        expect = arrays["hidden"][:arrays["offsets"][1]].sum() / arrays["offsets"][1]
-        with pytest.raises(DatasetError, match=re.escape(
-                f"bad: bag bag-000000: positive_fraction {fraction} inconsistent with hidden "
-                f"labels ({expect})")):
+        with pytest.raises(DatasetError, match="field 'has_hidden' is missing"):
             load_dataset(tmp_path / "bad")
 
     def test_loaded_bags_stack_as_a_view(self, tmp_path):
@@ -679,8 +655,8 @@ def odd_bags():
 
 
 class TestSparseInstances:
-    """bagdata/3 keeps the instances as the packed bits of the nonzero
-    cells and the values of those cells."""
+    """A dataset file keeps the instances as the packed bits of the
+    nonzero cells and the values of those cells."""
 
     def test_members(self, tmp_path):
         x = np.array([[0.0, -0.0, 1.5], [0.0, 0.0, 0.0], [2.0, 0.0, -3.0]])
@@ -691,7 +667,7 @@ class TestSparseInstances:
                                       [0, 1, 1, 0, 0, 0, 1, 0, 1])
         assert arrays["instance_values"].tobytes() == np.array([-0.0, 1.5, 2.0, -3.0]).tobytes()
 
-    def test_instance_members_deflated_at_level_1(self, tmp_path):
+    def test_every_deflated_member_at_level_1(self, tmp_path):
         # pixel-like cells, sparse and with few distinct values, which level
         # 1 and the default level deflate differently
         rng = np.random.default_rng(3)
@@ -709,8 +685,11 @@ class TestSparseInstances:
                 plain = zf.read(info)
                 levels[info.filename] = [level for level in (1, 6)
                                          if stored == deflate(plain, level)]
-        assert levels.pop("instance_mask.npy") == levels.pop("instance_values.npy") == [1]
-        assert all(6 in level for level in levels.values()), levels   # zlib's default
+        assert all(1 in level for level in levels.values()), levels
+        # the split codes and the flags, all zero here, are the members
+        # that both levels deflate alike
+        assert [name for name, level in levels.items() if level != [1]] == [
+            "splits.npy", "has_hidden.npy"]
 
     @pytest.mark.parametrize("x", [
         np.array([[-0.0, 0.0], [0.0, -0.0]]),
@@ -766,7 +745,7 @@ class TestSparseInstances:
         ("header", with_header(width=2.0), "header", "width must be an integer"),
         ("header", with_header(width=True), "header", "width must be an integer"),
         ("header", with_header(width=-2), "header", "width must be an integer"),
-        ("header", with_header(schema="bagdata/4"), "header", "schema"),
+        ("header", with_header(schema="bagdata/5"), "header", "schema"),
     ])
     def test_load_rejects_inconsistent_fields(self, tmp_path, member, change, field, message):
         _, arrays = saved_members(tmp_path)
@@ -806,8 +785,8 @@ def gaussian_bags(n_bags=80):
 
 
 def rezip_deflated(path, out, hidden_dtype=np.int64):
-    """``path``'s members, every one deflated as the writer of bagdata/3
-    did before it stored any, with the hidden labels as ``hidden_dtype``."""
+    """``path``'s members, every one deflated at zlib's default level, with
+    the hidden labels as ``hidden_dtype``."""
     arrays = read_members(path)
     arrays["hidden"] = arrays["hidden"].astype(hidden_dtype)
     with zipfile.ZipFile(out, "w", zipfile.ZIP_DEFLATED) as zf:
@@ -865,7 +844,7 @@ class TestStoredMembers:
     def test_save_names_the_first_of_several_bad_bags(self, tmp_path):
         bags = gaussian_bags()
         bags[7].instances[2, 1] = np.nan
-        bags[5].positive_fraction = 1.5
+        bags[5].hidden_instance_labels = np.zeros(len(bags[5]) + 1, dtype=np.int64)
         bags[3].hidden_instance_labels = np.full(len(bags[3]), 2)
         bags[9].split = "holdout"
         with pytest.raises(ValueError, match="^bag bag-000007: instances contain NaN"):
@@ -874,27 +853,16 @@ class TestStoredMembers:
         with pytest.raises(ValueError, match="^bag bag-000009: split must be one of"):
             save_dataset(tmp_path / "d", bags)
         bags[9].split = None
-        with pytest.raises(ValueError, match=re.escape(
-                "bag bag-000005: positive_fraction must be a finite number >= 0 and <= 1, "
-                "got 1.5")):
+        with pytest.raises(ValueError, match="^bag bag-000005: hidden label count mismatch"):
             save_dataset(tmp_path / "d", bags)
-        bags[5].positive_fraction = None
+        bags[5].hidden_instance_labels = None
         with pytest.raises(ValueError, match="^bag bag-000003: hidden labels must be 0 or 1"):
             save_dataset(tmp_path / "d", bags)
         assert not (tmp_path / "d").exists()
 
-    @pytest.mark.parametrize("fraction", [0, 1, Fraction(1, 4)])
-    def test_fraction_of_another_number_type_saved_as_float(self, tmp_path, fraction):
-        bags = gaussian_bags(4)
-        bags[2].hidden_instance_labels = None
-        bags[2].positive_fraction = fraction
-        save_dataset(tmp_path / "d", bags)
-        assert load_dataset(tmp_path / "d")[0][2].positive_fraction == float(fraction)
-
     def test_hidden_label_that_would_wrap_in_int8_rejected(self, tmp_path):
         bags = gaussian_bags(4)
         bags[1].hidden_instance_labels = np.full(len(bags[1]), 256)
-        bags[1].positive_fraction = None
         with pytest.raises(ValueError, match="^bag bag-000001: hidden labels must be 0 or 1"):
             save_dataset(tmp_path / "d", bags)
 
@@ -911,7 +879,10 @@ class TestCheckBags:
         ("instances", np.zeros((3, 2), dtype=np.float32), "instances of dtype float32"),
         ("instances", [[0.0, 1.0]], "instances of dtype None"),
         ("label", 2, "label must be 0 or 1, got 2"),
-    ], ids=["empty", "wide", "one-dimensional", "float32", "list", "label"])
+        ("label", True, "label must be 0 or 1, got True"),
+        ("label", 1.0, r"label must be 0 or 1, got 1\.0"),
+    ], ids=["empty", "wide", "one-dimensional", "float32", "list", "label", "label-bool",
+            "label-float"])
     def test_names_the_bag_after_where(self, field, value, message):
         _, bags = container_bags()
         setattr(bags[4], field, value)
@@ -924,7 +895,8 @@ class TestRetiredFiles:
     """Files of the schemas that earlier versions wrote are refused by name."""
 
     @pytest.mark.parametrize("name, schema", [("bagdata1.json", "bagdata/1"),
-                                              ("bagdata2.npz", "bagdata/2")])
+                                              ("bagdata2.npz", "bagdata/2"),
+                                              ("bagdata3.npz", "bagdata/3")])
     def test_fixture_refused_naming_path_and_schema(self, name, schema):
         path = RETIRED_DATA / name
         with pytest.raises(DatasetError, match=re.escape(f"{path}: ")) as exc:
@@ -933,7 +905,7 @@ class TestRetiredFiles:
 
     def test_any_json_text_is_read_as_the_json_schema(self, tmp_path):
         path = tmp_path / "d.json"
-        path.write_text('{"schema": "bagdata/3", "bags": []}')
+        path.write_text('{"schema": "bagdata/4", "bags": []}')
         with pytest.raises(DatasetError, match=re.escape(
                 f"{path}: a JSON dataset, schema 'bagdata/1', which is no longer read")):
             load_dataset(path)

@@ -25,8 +25,8 @@ from promil.heads import HEADS, score_bags
 from promil.metrics import evaluate
 from promil.network import NetArch, init_params
 
-# dataset files of the schemas bagdata/1 (JSON) and bagdata/2 (dense .npz),
-# which earlier versions wrote and this one refuses
+# dataset files of the schemas bagdata/1 (JSON), bagdata/2 (dense .npz) and
+# bagdata/3, which earlier versions wrote and this one refuses
 DATA = Path(__file__).parent / "data"
 FIXTURE_V1 = str(DATA / "bagdata1.json")
 
@@ -224,7 +224,7 @@ class TestDatasetFiles:
 
     @pytest.mark.parametrize("field, edit", [
         ("'header' is not one JSON text", lambda a: a.update(header=np.array("{"))),
-        ("'header' does not name schema 'bagdata/3'", set_header(schema="bagdata/9")),
+        ("'header' does not name schema 'bagdata/4'", set_header(schema="bagdata/9")),
         ("'header' names the schema 'bagdata/2', which is no longer read",
          set_header(schema="bagdata/2")),
         ("'header' width must be an integer >= 0, got -2", set_header(width=-2)),
@@ -236,9 +236,8 @@ class TestDatasetFiles:
         ("'labels' has dtype float64", lambda a: a.update(labels=a["labels"] * 1.0)),
         ("'labels' is missing", lambda a: a.pop("labels")),
         ("'splits' holds a split code outside 0..3", set_cell("splits", 0, 7)),
-        ("positive_fraction 7.0 inconsistent with hidden labels", set_cell("fractions", 0, 7.0)),
-        ("'fractions' holds a positive fraction outside [0, 1]",
-         set_cell("fractions", 0, np.nan)),
+        ("'hidden' holds a hidden label other than 0 or 1", set_cell("hidden", 0, 2)),
+        ("'hidden' has shape", lambda a: a.update(hidden=a["hidden"][1:])),
         ("'instance_values' contain NaN or infinity", set_cell("instance_values", 3, np.nan)),
         ("'instance_values' contain NaN or infinity", set_cell("instance_values", 0, -np.inf)),
         ("'instance_values' holds", lambda a: a.update(instance_values=a["instance_values"][1:])),
@@ -265,10 +264,11 @@ class TestDatasetFiles:
         assert main(["train", str(bad), "--config", small_config(tmp_path),
                      "--out", str(out)]) == EXIT_IO
         err = capsys.readouterr().err
-        assert f"{bad}: not a 'bagdata/3' dataset container" in err and not out.exists()
+        assert f"{bad}: not a 'bagdata/4' dataset container" in err and not out.exists()
 
     @pytest.mark.parametrize("name, schema", [("bagdata1.json", "bagdata/1"),
-                                              ("bagdata2.npz", "bagdata/2")])
+                                              ("bagdata2.npz", "bagdata/2"),
+                                              ("bagdata3.npz", "bagdata/3")])
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_retired_dataset_exits_2_naming_path_and_schema(self, trained, tmp_path, capsys,
                                                             command, name, schema):

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import promil
+from promil import bagdata, cli
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -26,3 +27,10 @@ def test_cli_imports_only_numpy_and_the_standard_library():
     assert "scipy" not in loaded
     assert {"numpy", "promil"} <= loaded
     assert loaded - set(sys.stdlib_module_names) - {"numpy", "promil"} == set()
+
+
+def test_readme_names_the_current_file_schemas():
+    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as f:
+        readme = f.read()
+    for schema in (bagdata.DATASET_SCHEMA, cli.MODEL_SCHEMA, cli.CONFIG_SCHEMA):
+        assert f"`{schema}`" in readme, schema
