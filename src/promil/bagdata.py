@@ -114,33 +114,42 @@ class DatasetError(ValueError):
     path and the field."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Bag:
+    """A bag, checked once, when it is made (``__post_init__``).  It is
+    frozen: ``dataclasses.replace`` changes a field and checks the new
+    bag; only the cells of its arrays can be written in place."""
+
     id: str
     instances: np.ndarray
     label: int
     hidden_instance_labels: np.ndarray = None
     split: str = None
-    # (instances, (whole, offsets), i), set by load_dataset: ``instances``
-    # was made as ``whole[offsets[i]:offsets[i + 1]]``, a view of the
-    # dataset's one instance array.  It holds for as long as ``instances``
-    # is that object.
+    # (source, i), set by load_dataset: ``instances`` is
+    # ``whole[offsets[i]:offsets[i + 1]]`` for ``source = (whole, offsets)``,
+    # the dataset's one instance array
     loaded_rows: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.id, str):
             raise ValueError(f"bag {self.id!r}: id must be a string")
-        self.instances = np.asarray(self.instances, dtype=np.float64)
+        object.__setattr__(self, "instances", np.asarray(self.instances, dtype=np.float64))
         if self.instances.ndim != 2 or self.instances.shape[0] == 0:
             raise ValueError(f"bag {self.id}: instances must be a nonempty 2-D array")
-        _check_label(self)
+        if not (is_integer(self.label) and self.label in (0, 1)):
+            raise ValueError(f"bag {self.id}: label must be 0 or 1, got {self.label!r}")
         if self.hidden_instance_labels is not None:
             hidden = np.asarray(self.hidden_instance_labels)
             if hidden.dtype.kind not in "iu":   # not cast: int64 would truncate 0.7 to 0
                 raise ValueError(f"bag {self.id}: hidden labels are {hidden.dtype}, not integers")
-            self.hidden_instance_labels = hidden.astype(np.int64, copy=False)
-            if len(self.hidden_instance_labels) != len(self.instances):
+            hidden = hidden.astype(np.int64, copy=False)
+            if hidden.shape != (len(self.instances),):
                 raise ValueError(f"bag {self.id}: hidden label count mismatch")
+            # as uint64 a negative label is huge: one reduction tests 0 <= h <= 1
+            if np.maximum.reduce(hidden.view(np.uint64)) > 1:
+                raise ValueError(f"bag {self.id}: hidden labels must be 0 or 1")
+            object.__setattr__(self, "hidden_instance_labels", hidden)
+        check_choice(f"bag {self.id}: split", self.split, SPLIT_NAMES)
 
     def __len__(self):
         return self.instances.shape[0]
@@ -164,13 +173,6 @@ class Bag:
         bag = cls.__new__(cls)
         bag.__dict__.update(fields)
         return bag
-
-
-def _check_label(bag, where=""):
-    """Raise ValueError, naming ``bag`` after ``where``, unless its label
-    is the integer 0 or 1."""
-    if not (is_integer(bag.label) and bag.label in (0, 1)):
-        raise ValueError(f"{where}bag {bag.id}: label must be 0 or 1, got {bag.label!r}")
 
 
 @dataclass
@@ -427,8 +429,8 @@ def stack_instances(bags, width):
 
     The array is a view when the bags are consecutive row ranges of the
     instance array ``load_dataset`` read them from, as the bags of every
-    split it returns are, and a copy otherwise.  A copy's bags are first
-    checked by ``check_bags``.
+    split it returns are (a replaced bag is not), and a copy otherwise.
+    A copy's bags are first checked by ``check_bags``.
     """
     if not bags:
         return np.empty((0, width)), np.empty(0, dtype=np.int64)
@@ -442,18 +444,12 @@ def stack_instances(bags, width):
 
 
 def check_bags(bags, width, where=""):
-    """Raise ValueError, naming the bag after ``where``, unless every bag
-    holds a nonempty (bag_size, width) float64 array and a label of 0 or 1."""
+    """Raise ValueError, naming the bag after ``where``, unless every bag's
+    instances are ``width`` wide; ``Bag`` checked the rest when it was made."""
     for bag in bags:
-        x = bag.instances
-        dtype = getattr(x, "dtype", None)
-        if dtype != np.float64:
-            raise ValueError(f"{where}bag {bag.id}: instances of dtype {dtype}, "
-                             f"expected float64")
-        if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != width:
-            raise ValueError(f"{where}bag {bag.id}: instances of shape {x.shape}, "
+        if bag.instances.shape[1] != width:
+            raise ValueError(f"{where}bag {bag.id}: instances of shape {bag.instances.shape}, "
                              f"expected a nonempty (bag_size, {width}) array")
-        _check_label(bag, where)
 
 
 def _loaded_run(bags):
@@ -461,10 +457,10 @@ def _loaded_run(bags):
     one dataset that ``load_dataset`` read; else None."""
     if bags[0].loaded_rows is None:
         return None
-    _, source, first = bags[0].loaded_rows
+    source, first = bags[0].loaded_rows
     for i, bag in enumerate(bags, first):
         rows = bag.loaded_rows
-        if rows is None or rows[0] is not bag.instances or rows[1] is not source or rows[2] != i:
+        if rows is None or rows[0] is not source or rows[1] != i:
             return None
     whole, offsets = source
     bounds = offsets[first:first + len(bags) + 1]
@@ -472,46 +468,25 @@ def _loaded_run(bags):
 
 
 def _check_storable(bags, finite):
-    """The bags' one width; raise ValueError, naming the bag, unless each
-    id is a string, they share the width, their instances are finite and
-    each split is one of SPLIT_NAMES.  ``finite`` says the caller has found
-    every instance finite."""
+    """The bags' one width; raise ValueError, naming the bag, unless they
+    share the width and their instances are finite.  ``finite`` says the
+    caller has found every instance finite."""
     width = bags[0].instances.shape[1] if bags else 0
     for b in bags:
-        if not isinstance(b.id, str):
-            raise ValueError(f"bag {b.id!r}: id must be a string")
         if b.instances.shape[1] != width:
             raise ValueError(f"bag {b.id}: {b.instances.shape[1]} features per instance, "
                              f"but bag {bags[0].id} has {width}")
         if not (finite or np.isfinite(b.instances).all()):
             raise ValueError(f"bag {b.id}: instances contain NaN or infinity")
-        if b.split not in SPLIT_NAMES:
-            raise ValueError(f"bag {b.id}: split must be one of {SPLIT_NAMES}, got {b.split!r}")
     return width
-
-
-def _labels_member(bags):
-    """The bags' labels as an int64 array; ValueError naming the first bag
-    whose label, set after the bag was built, is not the integer 0 or 1."""
-    labels = [b.label for b in bags]
-    # an int64 array would read 0.7 as 0 and True as 1: types are checked first
-    if {type(x) for x in labels} <= {int} and set(labels) <= {0, 1}:
-        return np.array(labels, dtype=np.int64)
-    for b in bags:   # the first bag that breaks the rule raises, naming itself
-        _check_label(b)
-    return np.array(labels, dtype=np.int64)
 
 
 def _hidden_member(bags, sizes):
     """The bags' hidden labels as one int8 array, 0 where a bag has none;
-    ValueError naming the first bag whose hidden labels, set after the bag
-    was built, are not one 0 or 1 per instance."""
+    ValueError naming the first bag whose hidden labels, written in place
+    after the bag was made, are not 0 or 1."""
     hidden = [np.zeros(n, dtype=np.int64) if b.hidden_instance_labels is None
               else b.hidden_instance_labels for b, n in zip(bags, sizes)]
-    if [len(h) for h in hidden] != sizes:
-        for b, h, n in zip(bags, hidden, sizes):   # the first bag that breaks the rule raises
-            if len(h) != n:
-                raise ValueError(f"bag {b.id}: hidden label count mismatch")
     member = np.concatenate(hidden or [np.empty(0, dtype=np.int64)])
     if not np.isin(member, (0, 1)).all():
         for b, h in zip(bags, hidden):
@@ -546,14 +521,13 @@ def save_dataset(path, bags, spec=None, seed=None):
     is (``_compress_type``).  The decision reads only the member's bytes,
     and members carry a fixed timestamp, so equal bags give equal bytes.
 
-    The rules are checked once for all bags: the instances' finiteness on
-    the stacked cells, the labels' types and the hidden label counts on one
-    list each, the hidden labels' values on one array.  Only a failure
-    walks the bags, to name the first that breaks a rule.
+    ``Bag`` checked each bag's fields when it was made; save checks only
+    the one width and what can be written in place: the instances'
+    finiteness once on the stacked cells, the hidden labels' values once
+    on one array.  Only a failure walks the bags, to name the first bad one.
     """
     cells = np.concatenate([b.instances.reshape(-1) for b in bags] or [np.empty(0)])
     width = _check_storable(bags, finite=np.isfinite(cells).all())
-    labels = _labels_member(bags)
     sizes = [len(b) for b in bags]
     hidden = _hidden_member(bags, sizes)
     nonzero = cells.view(np.uint64) != 0   # bit patterns: -0.0 is kept
@@ -566,7 +540,7 @@ def save_dataset(path, bags, spec=None, seed=None):
         "instance_mask": np.packbits(nonzero),
         # a flat index takes the values faster than the boolean mask does
         "instance_values": cells[np.flatnonzero(nonzero)],
-        "labels": labels,
+        "labels": np.array([b.label for b in bags], dtype=np.int64),
         "splits": np.array([SPLIT_NAMES.index(b.split) for b in bags], dtype=np.int8),
         "hidden": hidden,
         "has_hidden": np.array([b.hidden_instance_labels is not None for b in bags], dtype=bool),
@@ -656,11 +630,10 @@ def _load_npz(path):
     bounds, codes = offsets.tolist(), codes.tolist()
     bags = []
     for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):   # each a view of the one array
-        rows = instances[lo:hi]
         bags.append(Bag._unchecked(
-            id=ids[i], instances=rows, label=labels[i],
+            id=ids[i], instances=instances[lo:hi], label=labels[i],
             hidden_instance_labels=hidden[lo:hi] if has_hidden[i] else None,
-            split=SPLIT_NAMES[codes[i]], loaded_rows=(rows, source, i)))
+            split=SPLIT_NAMES[codes[i]], loaded_rows=(source, i)))
     return bags, header.get("spec"), header.get("seed")
 
 

@@ -320,10 +320,8 @@ def _generate_split(cfg, seed, digits):
         split = split_dataset(pool, inner, seed)
         test_spec = dataclasses.replace(cfg.dataset, n_bags=cfg.mnist.n_test_bags)
         split.test = make_mnist_bags(te_images, te_labels, test_spec, seed + 1, split="test")
-    for name in ("train", "validation", "test"):
-        for bag in getattr(split, name):
-            bag.split = name
-    return split
+    return DatasetSplit(*([dataclasses.replace(b, split=name) for b in getattr(split, name)]
+                          for name in ("train", "validation", "test")))
 
 
 def _split_from_tags(bags):

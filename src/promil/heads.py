@@ -128,8 +128,8 @@ def score_bags(net, bags, head, q, eps):
     validation, ``evaluate`` and ``sweep``.  Returns a float64 array.
 
     The split's instances go through the network in one forward pass.  A
-    bag that is empty or whose width is not the network's input_dim raises
-    ValueError naming it.
+    bag whose width is not the network's input_dim raises ValueError
+    naming it; ``Bag`` refuses an empty one when it is made.
     """
     check_level(q, eps)
     score_rows = _HEADS[check_choice("head", head, HEADS)][1]

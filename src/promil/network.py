@@ -7,9 +7,9 @@ the derivative.  Everything is plain numpy in float64.
 The math lives once, in two functions that check nothing: ``forward``
 returns the predictions and each layer's input, and ``backward`` sums the
 parameter gradients, scaling its d cost / d prediction array in place.  A
-training step calls them on a bag that ``bagdata.check_bags`` has passed,
-and ``heads.score_bags`` on a split that ``bagdata.stack_instances`` has
-stacked and checked.
+training step calls them on a ``bagdata.Bag`` (a nonempty float64 array
+since it was made) whose width ``bagdata.check_bags`` has checked, and
+``heads.score_bags`` on a split that ``bagdata.stack_instances`` stacked.
 """
 
 import math

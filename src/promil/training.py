@@ -24,15 +24,16 @@ The quantile level itself is trained through an unconstrained raw value
 with logistic squashing (dq/draw = q(1-q)), keeping q strictly inside
 (0, 1) at every step.
 
-``train`` checks each split once, before the first step, with
-``bagdata.check_bags``, the check that scoring a copied split makes too:
-every train and validation bag must hold a nonempty (bag_size,
-input_dim) float64 array and a label of 0 or 1, else ValueError names
-the split and the bag.  A step then does only what changes from step to
-step: the network's unchecked forward pass, the head's per-bag function,
-``bag_cost``, the chain rule in place on the head's fresh gradient, the
-unchecked reverse pass into the state's gradient buffer, a finiteness
-test of the cost and the gradient, and one ``adam_update``.
+``train`` checks each split once, before the first step: every bag must
+be input_dim wide (``bagdata.check_bags``, the check that scoring a
+copied split makes too; ``bagdata.Bag`` checked the rest when it was
+made), and the validation split must hold both labels, which its AUC
+needs; else ValueError names the split (and the bag).  A step then does
+only what changes from step to step: the network's unchecked forward
+pass, the head's per-bag function, ``bag_cost``, the chain rule in place
+on the head's fresh gradient, the unchecked reverse pass into the
+state's gradient buffer, a finiteness test of the cost and the gradient,
+and one ``adam_update``.
 
 ``adam_update`` takes a vector of at most ``SCALAR_ADAM_MAX`` entries, as
 the README network's 4 parameters, in Python floats, where a dozen numpy
@@ -225,8 +226,8 @@ def bag_cost_and_grads(net, q, bag, cfg, head="promil", out=None):
     shaped like ``net``, when given.  This is the full composed chain:
     instance forward -> head -> cost -> head backward -> instance backward,
     plus the logistic-reparameterization factor on the quantile level.
-    The bag is not checked: its instances must be a nonempty (bag_size,
-    input_dim) float64 array, as ``bagdata.check_bags`` makes sure.
+    The bag is not checked: its instances must be input_dim wide, as
+    ``bagdata.check_bags`` makes sure.
     """
     preds, layer_inputs = forward(net, bag.instances)
     score, dscore_dpreds, dscore_dq = head_function(head)(preds, q, cfg.eps_clamp)
@@ -301,6 +302,9 @@ def train(state, splits, cfg, head="promil"):
     head_function(head)
     for name, bags in (("train", train_bags), ("validation", val_bags)):
         check_bags(bags, state.net.arch.input_dim, f"{name} split: ")
+    if len({bag.label for bag in val_bags}) < 2:
+        raise ValueError(f"validation split: every bag has label {val_bags[0].label}, but its "
+                         f"AUC needs both labels")
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2]))
     higher_better = cfg.val_metric == "auc"
     best_value = -math.inf if higher_better else math.inf

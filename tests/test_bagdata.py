@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import hashlib
 import json
+import pickle
 import re
 import struct
 import tracemalloc
@@ -394,10 +396,9 @@ def assert_same_bags(got, want):
 
 def container_bags():
     spec = SyntheticSpec(n_bags=12, threshold_qstar=0.3, bag_size_mean=5, bag_size_std=1)
-    bags = generate_synthetic(spec, seed=9)
-    for b, split in zip(bags, ("train", "validation", "test", None) * 3):
-        b.split = split
-    bags[1].hidden_instance_labels = None
+    bags = [dataclasses.replace(b, split=split) for b, split in
+            zip(generate_synthetic(spec, seed=9), ("train", "validation", "test", None) * 3)]
+    bags[1] = dataclasses.replace(bags[1], hidden_instance_labels=None)
     return spec, bags
 
 
@@ -505,28 +506,22 @@ class TestContainer:
         (lambda n: np.zeros(n + 1, dtype=np.int64), "hidden label count mismatch"),
         (lambda n: np.zeros(n - 1, dtype=np.int64), "hidden label count mismatch"),
     ], ids=["5", "-1", "none", "one-more", "one-fewer"])
-    def test_save_rejects_hidden_labels_set_after_the_bag_was_built(self, tmp_path, hidden,
-                                                                   message):
-        _, bags = container_bags()
-        bags[3].hidden_instance_labels = hidden(len(bags[3]))
-        with pytest.raises(ValueError, match=f"^bag {bags[3].id}: {message}$"):
-            save_dataset(tmp_path / "d", bags)
-        assert not (tmp_path / "d").exists()
+    def test_replace_refuses_hidden_labels(self, hidden, message):
+        bag = container_bags()[1][3]
+        with pytest.raises(ValueError, match=f"^bag {bag.id}: {message}$"):
+            dataclasses.replace(bag, hidden_instance_labels=hidden(len(bag)))
 
     @pytest.mark.parametrize("bag_id", [5, None, b"a"], ids=["int", "none", "bytes"])
-    def test_save_rejects_an_id_set_after_the_bag_was_built(self, tmp_path, bag_id):
-        _, bags = container_bags()
-        bags[4].id = bag_id
+    def test_replace_refuses_an_id_that_is_not_a_string(self, bag_id):
         with pytest.raises(ValueError, match=re.escape(f"bag {bag_id!r}: id must be a string")):
-            save_dataset(tmp_path / "d", bags)
-        assert not (tmp_path / "d").exists()
+            dataclasses.replace(container_bags()[1][4], id=bag_id)
 
     def test_save_takes_an_id_of_a_str_subclass(self, tmp_path):
         class Name(str):
             pass
 
         _, bags = container_bags()
-        bags[4].id = Name("named")
+        bags[4] = dataclasses.replace(bags[4], id=Name("named"))
         save_dataset(tmp_path / "d", bags)
         assert load_dataset(tmp_path / "d")[0][4].id == "named"
 
@@ -534,10 +529,9 @@ class TestContainer:
         bag = Bag(id="a", instances=np.zeros((4, 2)), label=1,
                   hidden_instance_labels=[1, 0, 1, 1])
         assert bag.positive_fraction == 0.75 and type(bag.positive_fraction) is float
-        bag.hidden_instance_labels = np.array([0, 0, 0, 1])
-        assert bag.positive_fraction == 0.25
-        bag.hidden_instance_labels = None
-        assert bag.positive_fraction is None
+        quarter = dataclasses.replace(bag, hidden_instance_labels=[0, 0, 0, 1])
+        assert quarter.positive_fraction == 0.25
+        assert dataclasses.replace(bag, hidden_instance_labels=None).positive_fraction is None
         with pytest.raises(AttributeError):
             bag.positive_fraction = 0.5
 
@@ -549,32 +543,34 @@ class TestContainer:
         ({"label": "1"}, "bag a: label must be 0 or 1, got '1'"),
         ({"label": True}, "bag a: label must be 0 or 1, got True"),
         ({"id": 5}, "bag 5: id must be a string"),
+        ({"hidden_instance_labels": [2, 0, 0]}, "bag a: hidden labels must be 0 or 1"),
+        ({"hidden_instance_labels": [0, -1, 0]}, "bag a: hidden labels must be 0 or 1"),
+        ({"hidden_instance_labels": [0, 0, 256]}, "bag a: hidden labels must be 0 or 1"),
+        ({"hidden_instance_labels": np.zeros(0, dtype=np.int64)},
+         "bag a: hidden label count mismatch"),
+        ({"hidden_instance_labels": np.zeros((3, 2), dtype=np.int64)},
+         "bag a: hidden label count mismatch"),
     ])
     def test_bag_refuses_bad_fields(self, fields, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             Bag(**{"id": "a", "instances": np.zeros((3, 2)), "label": 1, **fields})
 
     @pytest.mark.parametrize("label", [0.7, 1.0, 5, -1, True, "1", None])
-    def test_save_rejects_a_label_set_after_the_bag_was_built(self, tmp_path, label):
-        _, bags = container_bags()
-        bags[3].label = label
+    def test_replace_refuses_a_label_other_than_0_or_1(self, label):
+        bag = container_bags()[1][3]
         with pytest.raises(ValueError, match=re.escape(
-                f"bag {bags[3].id}: label must be 0 or 1, got {label!r}")):
-            save_dataset(tmp_path / "d", bags)
-        assert not (tmp_path / "d").exists()
+                f"bag {bag.id}: label must be 0 or 1, got {label!r}")):
+            dataclasses.replace(bag, label=label)
 
     def test_save_takes_numpy_integer_labels(self, tmp_path):
-        _, bags = container_bags()
-        for b in bags:
-            b.label = np.int64(b.label)
+        bags = [dataclasses.replace(b, label=np.int64(b.label)) for b in container_bags()[1]]
         save_dataset(tmp_path / "d", bags)
         assert_same_bags(load_dataset(tmp_path / "d")[0], container_bags()[1])
 
-    def test_save_rejects_unknown_split(self, tmp_path):
-        _, bags = container_bags()
-        bags[0].split = "holdout"
-        with pytest.raises(ValueError, match=f"bag {bags[0].id}: split"):
-            save_dataset(tmp_path / "d", bags)
+    def test_replace_refuses_an_unknown_split(self):
+        bag = container_bags()[1][0]
+        with pytest.raises(ValueError, match=f"^bag {bag.id}: split must be one of"):
+            dataclasses.replace(bag, split="holdout")
 
     @pytest.mark.parametrize("field, change, message", [
         ("offsets", lambda a: a + 1, "starting at 0"),
@@ -613,7 +609,6 @@ class TestContainer:
         save_dataset(tmp_path / "d", bags)
         loaded, _, _ = load_dataset(tmp_path / "d")
         train = [b for b in loaded if b.split == "train"]
-        assert all(b.loaded_rows[0] is b.instances for b in loaded)
         stacked, lengths = stack_instances(loaded[3:9], 2)
         assert stacked.base is loaded[0].instances.base
         assert lengths.tolist() == [len(b) for b in loaded[3:9]]
@@ -842,51 +837,119 @@ class TestStoredMembers:
         assert_same_bags(load_dataset(tmp_path / "old")[0], bags)
 
     def test_save_names_the_first_of_several_bad_bags(self, tmp_path):
+        # the cells of a bag's arrays can still be written in place
         bags = gaussian_bags()
         bags[7].instances[2, 1] = np.nan
-        bags[5].hidden_instance_labels = np.zeros(len(bags[5]) + 1, dtype=np.int64)
-        bags[3].hidden_instance_labels = np.full(len(bags[3]), 2)
-        bags[9].split = "holdout"
+        bags[9].instances[0, 0] = np.inf
+        bags[5].hidden_instance_labels[0] = 2
+        bags[3].hidden_instance_labels[:] = 2
         with pytest.raises(ValueError, match="^bag bag-000007: instances contain NaN"):
             save_dataset(tmp_path / "d", bags)
         bags[7].instances[2, 1] = 0.0
-        with pytest.raises(ValueError, match="^bag bag-000009: split must be one of"):
+        with pytest.raises(ValueError, match="^bag bag-000009: instances contain NaN"):
             save_dataset(tmp_path / "d", bags)
-        bags[9].split = None
-        with pytest.raises(ValueError, match="^bag bag-000005: hidden label count mismatch"):
-            save_dataset(tmp_path / "d", bags)
-        bags[5].hidden_instance_labels = None
+        bags[9].instances[0, 0] = 0.0
         with pytest.raises(ValueError, match="^bag bag-000003: hidden labels must be 0 or 1"):
+            save_dataset(tmp_path / "d", bags)
+        bags[3].hidden_instance_labels[:] = 0
+        with pytest.raises(ValueError, match="^bag bag-000005: hidden labels must be 0 or 1"):
             save_dataset(tmp_path / "d", bags)
         assert not (tmp_path / "d").exists()
 
     def test_hidden_label_that_would_wrap_in_int8_rejected(self, tmp_path):
         bags = gaussian_bags(4)
-        bags[1].hidden_instance_labels = np.full(len(bags[1]), 256)
+        bags[1].hidden_instance_labels[:] = 256   # in place, after the bag was made
         with pytest.raises(ValueError, match="^bag bag-000001: hidden labels must be 0 or 1"):
             save_dataset(tmp_path / "d", bags)
+
+
+class TestFrozenBag:
+    """A bag is checked once, when it is made, and no field can be set
+    after; a copy or a replaced bag is no longer a view of a loaded file."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("id", "b"), ("id", 5),
+        ("instances", np.zeros((3, 2))), ("instances", np.empty((0, 2))),
+        ("label", 0), ("label", 0.7),
+        ("split", "test"), ("split", "holdout"),
+        ("hidden_instance_labels", np.array([0, 1, 0])),
+        ("hidden_instance_labels", np.array([1.0, 0.0, 1.0])),
+        ("hidden_instance_labels", np.array([True, False, True])),
+        ("hidden_instance_labels", np.zeros(0, dtype=np.int64)),
+        ("hidden_instance_labels", np.zeros((3, 2), dtype=np.int64)),
+        ("hidden_instance_labels", None),
+    ], ids=["id", "id-int", "instances", "instances-empty", "label", "label-float", "split",
+            "split-unknown", "hidden", "hidden-float", "hidden-bool", "hidden-empty",
+            "hidden-2d", "hidden-none"])
+    def test_assigning_a_field_is_refused(self, field, value):
+        bag = Bag(id="a", instances=np.ones((3, 2)), label=1, hidden_instance_labels=[1, 0, 1],
+                  split="train")
+        before = dict(vars(bag))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(bag, field, value)
+        assert vars(bag).keys() == before.keys()
+        assert all(vars(bag)[name] is value for name, value in before.items())
+
+    def test_copies_of_a_loaded_bag_are_equal_and_leave_its_run(self, tmp_path):
+        _, bags = container_bags()
+        save_dataset(tmp_path / "d", bags)
+        loaded, _, _ = load_dataset(tmp_path / "d")
+        for make_copy in (copy.copy, copy.deepcopy, lambda b: pickle.loads(pickle.dumps(b))):
+            copies = [make_copy(b) for b in loaded]
+            assert_same_bags(copies, loaded)
+            assert all(c.loaded_rows is None for c in copies)
+            assert all(b.loaded_rows is not None for b in loaded)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                copies[0].label = 1 - copies[0].label
+
+    def test_a_replaced_bag_leaves_the_loaded_run(self, tmp_path):
+        _, bags = container_bags()
+        save_dataset(tmp_path / "d", bags)
+        loaded, _, _ = load_dataset(tmp_path / "d")
+        whole = loaded[0].instances.base
+        run = loaded[3:9]
+        assert np.shares_memory(stack_instances(run, 2)[0], whole)
+        run[2] = dataclasses.replace(run[2], split="test")
+        assert run[2].loaded_rows is None and run[2].instances is loaded[5].instances
+        stacked, lengths = stack_instances(run, 2)
+        assert not np.shares_memory(stacked, whole)
+        np.testing.assert_array_equal(stacked, np.concatenate([b.instances for b in run]))
+        assert lengths.tolist() == [len(b) for b in run]
+        # the bags still in the run stack as a view
+        assert np.shares_memory(stack_instances(run[3:], 2)[0], whole)
 
 
 class TestCheckBags:
     """The check a training split passes before the unchecked network
     core takes its bags."""
 
-    @pytest.mark.parametrize("field, value, message", [
-        ("instances", np.empty((0, 2)),
-         r"instances of shape \(0, 2\), expected a nonempty \(bag_size, 2\) array"),
-        ("instances", np.zeros((3, 5)), r"instances of shape \(3, 5\)"),
-        ("instances", np.zeros(2), r"instances of shape \(2,\)"),
-        ("instances", np.zeros((3, 2), dtype=np.float32), "instances of dtype float32"),
-        ("instances", [[0.0, 1.0]], "instances of dtype None"),
-        ("label", 2, "label must be 0 or 1, got 2"),
-        ("label", True, "label must be 0 or 1, got True"),
-        ("label", 1.0, r"label must be 0 or 1, got 1\.0"),
+    @pytest.mark.parametrize("field, value, refused_by, message", [
+        ("instances", np.empty((0, 2)), "Bag", "instances must be a nonempty 2-D array"),
+        ("instances", np.zeros((3, 5)), "check_bags",
+         r"instances of shape \(3, 5\), expected a nonempty \(bag_size, 2\) array"),
+        ("instances", np.zeros(2), "Bag", "instances must be a nonempty 2-D array"),
+        ("instances", np.zeros((3, 2), dtype=np.float32), None, None),
+        ("instances", [[0.0, 1.0]], None, None),
+        ("label", 2, "Bag", "label must be 0 or 1, got 2"),
+        ("label", True, "Bag", "label must be 0 or 1, got True"),
+        ("label", 1.0, "Bag", r"label must be 0 or 1, got 1\.0"),
     ], ids=["empty", "wide", "one-dimensional", "float32", "list", "label", "label-bool",
             "label-float"])
-    def test_names_the_bag_after_where(self, field, value, message):
+    def test_names_the_bag_after_where(self, field, value, refused_by, message):
+        # a bag refuses a bad field when it is made and casts its instances
+        # to float64, so check_bags is left only the width
         _, bags = container_bags()
-        setattr(bags[4], field, value)
         check_bags(bags[:4], 2)
+        change = {"hidden_instance_labels": None, field: value}   # no count to keep
+        if refused_by == "Bag":
+            with pytest.raises(ValueError, match=f"^bag {bags[4].id}: {message}$"):
+                dataclasses.replace(bags[4], **change)
+            return
+        bags[4] = dataclasses.replace(bags[4], **change)
+        assert bags[4].instances.dtype == np.float64
+        if refused_by is None:
+            check_bags(bags, 2, "train split: ")
+            return
         with pytest.raises(ValueError, match=f"^train split: bag {bags[4].id}: {message}"):
             check_bags(bags, 2, "train split: ")
 

@@ -19,7 +19,13 @@ from promil.cli import (
     main,
     save_model,
 )
-from promil.bagdata import SyntheticSpec, load_dataset, write_idx_images, write_idx_labels
+from promil.bagdata import (
+    SyntheticSpec,
+    load_dataset,
+    save_dataset,
+    write_idx_images,
+    write_idx_labels,
+)
 from promil.bernstein import DEFAULT_EPS, logit
 from promil.heads import HEADS, score_bags
 from promil.metrics import evaluate
@@ -201,6 +207,23 @@ class TestTrain:
         line = [ln for ln in out.splitlines() if "learned q" in ln][0]
         printed = float(line.split("learned q =")[1].strip())
         assert printed == pytest.approx(load_model(model).learned_q, abs=1e-6)
+
+    @pytest.mark.parametrize("val_metric", ["auc", "loss"])
+    def test_validation_split_of_one_class_exits_1_before_step_one(self, tmp_path, capsys,
+                                                                    monkeypatch, val_metric):
+        cfg = small_config(tmp_path, train={"max_epochs": 4, "patience": 4,
+                                            "val_metric": val_metric})
+        data, one_class = tmp_path / "data.npz", tmp_path / "one-class.npz"
+        assert main(["generate", "--config", cfg, "--out", str(data)]) == EXIT_OK
+        bags, _, _ = load_dataset(data)
+        save_dataset(one_class, [b for b in bags if b.split != "validation" or b.label == 0])
+        monkeypatch.setattr(training, "bag_step", lambda *a: pytest.fail("a step ran"))
+        out = tmp_path / "m.json"
+        capsys.readouterr()
+        assert main(["train", str(one_class), "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == ("usage error: validation split: every bag has label "
+                                           "0, but its AUC needs both labels\n")
+        assert not out.exists()
 
     def test_unreadable_dataset(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -389,13 +412,17 @@ class TestEval:
         assert (f"bag {first.id}: instances of shape ({len(first)}, 3), expected a nonempty "
                 f"(bag_size, 2) array") in capsys.readouterr().err
 
-    def test_float32_bag_is_rejected_naming_it(self, trained):
+    def test_float32_bag_is_cast_when_it_is_made(self, trained):
         _, data, model_path = trained
         model = load_model(model_path)
         bags, _, _ = load_dataset(data)
-        bags[5].instances = bags[5].instances.astype(np.float32)
-        with pytest.raises(ValueError, match=f"^bag {bags[5].id}: instances of dtype float32"):
-            score_bags(model.net, bags, "promil", model.learned_q, model.eps)
+        x32 = bags[5].instances.astype(np.float32)
+        bags[5] = dataclasses.replace(bags[5], instances=x32)
+        assert bags[5].instances.dtype == np.float64
+        by_hand = bags[:5] + [dataclasses.replace(bags[5], instances=x32.astype(np.float64))]
+        np.testing.assert_array_equal(
+            score_bags(model.net, bags, "promil", model.learned_q, model.eps)[:6],
+            score_bags(model.net, by_hand, "promil", model.learned_q, model.eps))
 
 
 def _drop_input_dim(doc):

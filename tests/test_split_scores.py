@@ -3,7 +3,9 @@ per-bag scores, bit for bit, the stacked instances ``score_bags`` runs
 through the network, and its input checks and memory bound."""
 
 import copy
+import dataclasses
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -121,11 +123,11 @@ class TestStackInstances:
         np.testing.assert_array_equal(x, buf[:5])
 
     def test_replaced_instances_are_copied(self, tmp_path):
-        # each bag's rows are trusted only while it holds the array it was
-        # loaded with: here the last bag drops its first row
+        # a bag made by dataclasses.replace is no longer one of the loaded
+        # run: here the last bag drops its first row
         _, loaded = self.dataset(tmp_path)
         split = loaded[:3]
-        split[-1].instances = split[-1].instances[1:]
+        split[-1] = dataclasses.replace(split[-1], instances=split[-1].instances[1:])
         x, lengths = stack_instances(split, 3)
         assert not np.shares_memory(x, split[0].instances)
         np.testing.assert_array_equal(x, np.concatenate([b.instances for b in split]))
@@ -166,28 +168,36 @@ class TestScoreBags:
             score_bags(self.net(dim=5), loaded[1:], "promil", 0.3, EPS)
 
     def test_empty_bag_raises(self):
+        # a bag refuses empty instances when it is made: score_bags never
+        # sees one
         bag = Bag(id="hollow", instances=np.ones((2, 3)), label=0)
-        bag.instances = np.empty((0, 3))
-        with pytest.raises(ValueError, match="hollow"):
-            score_bags(self.net(), [bag], "mean", 0.3, EPS)
+        with pytest.raises(ValueError, match="^bag hollow: instances must be a nonempty"):
+            dataclasses.replace(bag, instances=np.empty((0, 3)))
 
     @pytest.mark.parametrize("instances, message", [
-        (np.empty((0, 3)), r"instances of shape \(0, 3\)"),
-        (np.zeros((2, 4)), r"instances of shape \(2, 4\)"),
-        (np.zeros(3), r"instances of shape \(3,\)"),
-        (np.zeros((2, 3), dtype=np.float32), "instances of dtype float32"),
-        (np.zeros((2, 3), dtype=np.int64), "instances of dtype int64"),
+        (np.empty((0, 3)), "^bag bad: instances must be a nonempty 2-D array$"),
+        (np.zeros((2, 4)), r"^bag bad: instances of shape \(2, 4\), expected a nonempty "
+                           r"\(bag_size, 3\) array$"),
+        (np.zeros(3), "^bag bad: instances must be a nonempty 2-D array$"),
+        (np.zeros((2, 3), dtype=np.float32), None),
+        (np.zeros((2, 3), dtype=np.int64), None),
     ], ids=["empty", "wide", "one-dimensional", "float32", "int64"])
     def test_instances_the_network_cannot_take_name_the_bag(self, instances, message):
-        # the forward pass checks nothing: score_bags refuses such a bag
+        # the forward pass checks nothing: a bag refuses instances that are
+        # not a nonempty 2-D array and casts others to float64 when it is
+        # made, and score_bags refuses a width other than the network's
         # before it stacks the split
-        bags = [Bag(id="good", instances=np.ones((2, 3)), label=0),
-                Bag(id="bad", instances=np.ones((2, 3)), label=1)]
-        bags[1].instances = instances
-        expect = "expected float64" if "dtype" in message else \
-            r"expected a nonempty \(bag_size, 3\) array"
-        with pytest.raises(ValueError, match=f"^bag bad: {message}, {expect}$"):
-            score_bags(self.net(), bags, "promil", 0.3, EPS)
+        good = Bag(id="good", instances=np.ones((2, 3)), label=0)
+        try:
+            bags = [good, Bag(id="bad", instances=instances, label=1)]
+            scores = score_bags(self.net(), bags, "promil", 0.3, EPS)
+        except ValueError as exc:
+            assert message is not None and re.match(message, str(exc)), exc
+        else:
+            assert message is None and bags[1].instances.dtype == np.float64
+            np.testing.assert_array_equal(scores, score_bags(
+                self.net(), [good, Bag(id="bad", instances=np.zeros((2, 3)), label=1)],
+                "promil", 0.3, EPS))
 
     def test_level_and_head_are_checked(self):
         bags = [Bag(id="b", instances=np.ones((2, 3)), label=0)]

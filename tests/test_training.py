@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -420,18 +421,37 @@ class TestSplitChecks:
 
     @pytest.mark.parametrize("name", ["train", "validation"])
     def test_label_changed_after_construction(self, name):
-        split = tiny_split()
-        bag = getattr(split, name)[4]
-        bag.label = 2
-        self.assert_rejected_before_step_one(
-            split, rf"^{name} split: bag {re.escape(bag.id)}: label must be 0 or 1, got 2$")
+        # a bag is frozen: its label cannot be set, and a replaced bag is
+        # checked when it is made, so no split holds a label of 2
+        bag = getattr(tiny_split(), name)[4]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bag.label = 2
+        with pytest.raises(ValueError, match=rf"^bag {re.escape(bag.id)}: label must be 0 or 1, "
+                                             rf"got 2$"):
+            dataclasses.replace(bag, label=2)
+        assert bag.label in (0, 1)
 
     def test_instances_that_are_not_float64(self):
+        # cast to float64 when the bag is made, so the steps take them
         split = tiny_split()
         bag = split.train[2]
-        bag.instances = bag.instances.astype(np.float32)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bag.instances = bag.instances.astype(np.float32)
+        x32 = bag.instances.astype(np.float32)
+        split.train[2] = dataclasses.replace(bag, instances=x32)
+        assert split.train[2].instances.dtype == np.float64
+        np.testing.assert_array_equal(split.train[2].instances, x32)
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_validation_split_of_one_class(self, label):
+        # its AUC needs both labels, so the split is refused before the
+        # first epoch, not by the AUC after it
+        split = tiny_split()
+        split.validation = [b for b in split.validation if b.label == label]
+        assert split.validation
         self.assert_rejected_before_step_one(
-            split, rf"^train split: bag {re.escape(bag.id)}: instances of dtype float32")
+            split, rf"^validation split: every bag has label {label}, but its AUC needs both "
+                   rf"labels$")
 
 
 def former_adam_update(param, grad, moments, cfg, t, decay):
